@@ -54,7 +54,6 @@ from .factors import (
     hypothesis_window,
     load_custom_spec,
     log_factor,
-    log_series_coefficients,
     log_tail_bound,
     partial_product,
     partial_product_exact,

@@ -13,8 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .factors import EulerFactorSpec, interval_weights
-
-TWO_PI = 2.0 * math.pi
+from .hardy import TWO_PI, _winding
 
 
 # ---------------------------------------------------------------------------
@@ -32,16 +31,14 @@ class DiscGrid:
     rings: int = 4
 
     def boundary_points(self) -> np.ndarray:
-        ang = TWO_PI * np.arange(self.boundary) / self.boundary
-        return self.center + self.radius * np.exp(1j * ang)
+        return Circle(self.center, self.radius).points(self.boundary)
 
     def points(self) -> np.ndarray:
         pts = [self.boundary_points(), np.array([self.center])]
         for i in range(1, self.rings + 1):
             rho = self.radius * i / (self.rings + 1)
             n = max(8, int(self.boundary * i / (self.rings + 1)))
-            ang = TWO_PI * np.arange(n) / n
-            pts.append(self.center + rho * np.exp(1j * ang))
+            pts.append(Circle(self.center, rho).points(n))
         return np.concatenate(pts)
 
 
@@ -91,11 +88,11 @@ class HypothesisReport:
         return all(r.passed for r in self.rows)
 
     def to_text(self) -> str:
-        lines = [f"lambda {self.lam!r}", f"c0 {self.c0!r}",
+        lines = [f"lambda {float(self.lam)!r}", f"c0 {float(self.c0)!r}",
                  "h prime_count sum threshold pass"]
         for r in self.rows:
-            lines.append(f"{r.h!r} {r.prime_count} {r.value!r} {r.threshold!r} "
-                         f"{int(r.passed)}")
+            lines.append(f"{float(r.h)!r} {r.prime_count} {float(r.value)!r} "
+                         f"{float(r.threshold)!r} {int(r.passed)}")
         return "\n".join(lines) + "\n"
 
 
@@ -139,12 +136,6 @@ class ContourZeroError(RuntimeError):
     """A value on the contour is too close to zero to count windings."""
 
 
-def _winding(vals: np.ndarray) -> tuple[float, float]:
-    closed = np.concatenate((vals, vals[:1]))
-    incr = np.angle(closed[1:] / closed[:-1])
-    return float(np.sum(incr) / TWO_PI), float(np.max(np.abs(incr)))
-
-
 def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
                quadrature_n: int = 512, max_doublings: int = 6,
                guard: float = 1e-12) -> int:
@@ -161,7 +152,8 @@ def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
         vals = np.asarray(f(contour.points(n)), dtype=complex)
         if float(np.min(np.abs(vals))) < guard:
             raise ContourZeroError("zero on (or numerically on) the contour")
-        w, step = _winding(vals)
+        w, incr = _winding(vals)
+        step = float(np.max(np.abs(incr)))
         stable = step < 0.5 * math.pi and abs(w - round(w)) < 0.25
         if stable and prev is not None and round(w) == prev:
             return int(round(w))
@@ -237,7 +229,8 @@ class SurveyResult:
     rows: np.ndarray  # columns: re, im, abs_error
 
     def heatmap_text(self) -> str:
-        return "\n".join(f"{r!r} {i!r} {e!r}" for r, i, e in self.rows) + "\n"
+        return "\n".join(f"{float(r)!r} {float(i)!r} {float(e)!r}"
+                         for r, i, e in self.rows) + "\n"
 
 
 def disc_error_survey(target: Callable[[np.ndarray], np.ndarray],

@@ -25,14 +25,12 @@ from .analysis import DiscGrid, SurveyResult, disc_error_survey
 from .factors import (
     QUARTER_GRID,
     EulerFactorSpec,
+    FactorDomainError,
     PhaseAssignment,
-    log_series_coefficients,
     partial_product_grid,
 )
-from .hardy import H2Element, log_target
+from .hardy import TWO_PI, H2Element, log_target
 from .primes import primes_up_to
-
-TWO_PI = 2.0 * math.pi
 
 
 class InvalidProblem(ValueError):
@@ -145,7 +143,12 @@ def norm_to_max(radius: float, r: float) -> float:
 
 def product_target(spec: EulerFactorSpec, primes: Sequence[int],
                    phases: PhaseAssignment, sigma0: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Local-coordinate evaluator of a twisted partial product (test targets)."""
+    """s -> twisted partial product at exponent s + sigma0, vectorized over s.
+
+    The one product evaluator in local coordinates: targets built from a
+    phases file, result products, disc surveys, refine draws and the
+    zero-scan contours (sigma0 = 0 there) all use it.
+    """
     plist = [int(p) for p in primes]
 
     def g(s: np.ndarray) -> np.ndarray:
@@ -189,8 +192,7 @@ def _exp_tail(a: float, upto: int) -> float:
 
 def _stored_twists(spec: EulerFactorSpec, primes: np.ndarray, steering: float) -> np.ndarray:
     """Product twists (steering + per-prime argument correction) mod 1."""
-    corr = np.array([spec.phase_correction(int(p)) for p in primes])
-    return np.mod(steering + corr, 1.0)
+    return np.mod(steering + spec.phase_correction(primes), 1.0)
 
 
 def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
@@ -203,23 +205,13 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
     z(s) = B e^{-s log p}:  alpha_n = (sum_m c_m B^m m^n) (-log p)^n / n!.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    npool = len(primes)
     lnp = np.log(primes.astype(float))
     tw = np.asarray(twists, dtype=float)
     if gammas is not None:
         tw = tw + gammas
     base = np.exp(-1j * TWO_PI * tw - sigma0 * lnp)  # B per prime
     ms = np.arange(1, series_order + 1, dtype=float)
-    # G[p, m] = c_m(p) * B_p^m
-    if spec.kind == "zeta":
-        cm = (1.0 / ms)[None, :] * np.ones((npool, 1))
-    elif spec.kind == "dirichlet":
-        chi = np.array([spec.chi(int(p)) for p in primes])
-        cm = chi[:, None] ** ms[None, :] / ms[None, :]
-    else:
-        cm = np.array([log_series_coefficients(spec, int(p), series_order) for p in primes],
-                      dtype=complex).reshape(npool, series_order)
-    G = cm * base[:, None] ** ms[None, :]
+    G = spec.log_terms(primes, base, series_order)      # G[p, m] = c_m(p) * B_p^m
     ns = np.arange(order + 1, dtype=float)
     mexp = ms[:, None] ** ns[None, :]                     # m^n
     S = G @ mexp                                          # sum_m c_m B^m m^n
@@ -236,8 +228,7 @@ def _eta_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
     tw = np.asarray(twists, dtype=float)
     if gammas is not None:
         tw = tw + gammas
-    a1 = np.array([spec.a1(int(p)) for p in primes])
-    base = a1 * np.exp(-1j * TWO_PI * tw - sigma0 * lnp)
+    base = spec.leading(primes) * np.exp(-1j * TWO_PI * tw - sigma0 * lnp)
     ns = np.arange(order + 1, dtype=float)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1, dtype=float))))
     return base[:, None] * (-lnp[:, None]) ** ns[None, :] / fact[None, :]
@@ -256,22 +247,7 @@ def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
         return 0.0
     lnp = np.log(primes.astype(float))
     q = np.exp((radius - sigma0) * lnp)
-    if spec.kind in ("zeta", "dirichlet"):
-        m_tail = q ** (series_order + 1) / ((series_order + 1) * (1.0 - q))
-        cbound = np.ones_like(q)
-    else:
-        # |c_m| <= K rho^-m with rho just inside the zero-free disc
-        rho = 1.0 - 1e-3
-        from .factors import factor_value
-        ks = []
-        ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
-        for p in primes:
-            vals = [factor_value(spec, int(p), rho * a) for a in ang]
-            ks.append(max(abs(np.log(v)) for v in vals) / (1 - rho) ** 0)
-        ks = np.asarray(ks)
-        ratio = q / rho
-        m_tail = ks * ratio ** (series_order + 1) / np.maximum(1e-16, 1.0 - ratio)
-        cbound = ks
+    cbound, m_tail = spec.log_series_tail(primes, q, series_order)
     ms = np.arange(1, series_order + 1, dtype=float)
     a = ms[None, :] * lnp[:, None] * radius
     la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
@@ -292,15 +268,10 @@ def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
     eps_cap = (2.0 * sigma0 - 1.0 - 2.0 * r) / 4.0 - 1e-12
     if eps_cap <= 0:
         raise InvalidProblem("no valid eps for the beyond-pool tail bound")
-    if spec.kind in ("zeta", "dirichlet"):
-        eps = eps_cap
-        c = 1.0
-    else:
-        valid = [e for e in spec.c_map if e <= eps_cap]
-        if not valid:
-            raise InvalidProblem("custom spec declares no growth constant small enough")
-        eps = max(valid)
-        c = spec.c_map[eps]
+    try:
+        eps, c = spec.growth(eps_cap)
+    except FactorDomainError as exc:
+        raise InvalidProblem(str(exc)) from exc
     return 4.0 * c * p_max ** (-2.0 * eps) / (2.0 * eps)
 
 
@@ -408,8 +379,7 @@ def init_residual(problem: ApproximationProblem, p_max: int | None = None) -> Ap
         rows = _u_rows(spec, mp, tw, problem.sigma0, N, problem.series_order, gammas=gam)
         work = H2Element(R, work.coef - rows.sum(axis=0), work.tail_bound)
 
-    pool = np.array([int(p) for p in all_ps
-                     if p > problem.y and int(p) not in mandatory], dtype=np.int64)
+    pool = all_ps[(all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))]
 
     u_phase, u_norm2, stored = [], [], []
     n = np.arange(N + 1)
@@ -711,15 +681,7 @@ class ApproximationResult:
     success: bool
 
     def product_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        plist = list(self.primes)
-        sigma0 = self.problem.sigma0
-
-        def f(s: np.ndarray) -> np.ndarray:
-            return partial_product_grid(self.problem.spec,
-                                        np.asarray(s, dtype=complex) + sigma0,
-                                        plist, self.phases)
-
-        return f
+        return product_target(self.problem.spec, self.primes, self.phases, self.problem.sigma0)
 
     def phases_text(self) -> str:
         lines = [f"{p} {self.phases.theta[p]!r}" for p in sorted(self.phases.theta)]
@@ -734,11 +696,7 @@ def _survey(problem: ApproximationProblem, state: ApproximationState) -> SurveyR
     plist = sorted(set(state.mandatory) | set(state.accepted_primes()))
     grid = DiscGrid(center=0j, radius=problem.r,
                     boundary=problem.survey_boundary, rings=problem.survey_rings)
-
-    def f(s: np.ndarray) -> np.ndarray:
-        return partial_product_grid(problem.spec, np.asarray(s, dtype=complex) + problem.sigma0,
-                                    plist, phases)
-
+    f = product_target(problem.spec, plist, phases, problem.sigma0)
     return disc_error_survey(problem.target, f, grid)
 
 
@@ -862,13 +820,7 @@ def refine_sequence(problem: ApproximationProblem, stages: int,
             theta.update({p: float(t) for p, t in zip(filler, filler_twists)})
             pa = PhaseAssignment(theta, t0=problem.t0,
                                  shifted=frozenset(p for p in theta if p <= y_k))
-            plist = sorted(theta)
-
-            def f(s):
-                return partial_product_grid(problem.spec,
-                                            np.asarray(s, dtype=complex) + problem.sigma0,
-                                            plist, pa)
-
+            f = product_target(problem.spec, sorted(theta), pa, problem.sigma0)
             return disc_error_survey(problem.target, f, grid).max_error, pa
 
         if filler:

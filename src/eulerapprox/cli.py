@@ -3,7 +3,8 @@
 Configuration is flat ``key = value`` text; every flag mirrors a config key
 and command-line values win.  Each run writes a manifest echoing the full
 configuration plus seed and version, so pointing --config at a previous
-manifest replays the run.
+manifest replays the run (a ``workers`` line from older manifests is
+skipped: that key never had an effect).
 
 Exit codes: 0 success, 2 stall, 3 invalid config, 4 hypothesis failure,
 5 pool exhausted (``approximate`` steered every prime up to pmax and the
@@ -28,10 +29,11 @@ from .approx import (
     InvalidProblem,
     RefineStall,
     _approximate_impl,
+    product_target,
     refine_sequence,
 )
-from .factors import PhaseAssignment, load_custom_spec, partial_product_grid, zeta_spec, dirichlet_spec
-from .primes import cached_primes_up_to
+from .factors import PhaseAssignment, dirichlet_spec, load_custom_spec, zeta_spec
+from .primes import primes_up_to
 from .torus import RNG_ALGORITHM, ball_volume_mc, equidistribution_test, slab_bound_check
 
 CONFIG_KEYS = {
@@ -49,7 +51,6 @@ CONFIG_KEYS = {
     "phase_grid": "quarter",
     "seed": 0,
     "stages": 3,
-    "workers": 0,
     "out": "run",
 }
 
@@ -90,7 +91,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 if not line or "=" not in line:
                     continue
                 k, v = (t.strip() for t in line.split("=", 1))
-                if k in ("version", "rng"):
+                if k in ("version", "rng", "workers"):
                     continue
                 cfg.set(k, v)
     for k, v in overrides.items():
@@ -120,11 +121,8 @@ def build_target(cfg: RunConfig):
     if t.startswith("product:"):
         spec = build_spec(cfg)
         theta = read_phases(t.split(":", 1)[1])
-        pa = PhaseAssignment(theta, t0=cfg["t0"])
-        plist = sorted(theta)
-        sigma0 = cfg["sigma0"]
-        return lambda s: partial_product_grid(spec, np.asarray(s, dtype=complex) + sigma0,
-                                              plist, pa)
+        return product_target(spec, sorted(theta), PhaseAssignment(theta, t0=cfg["t0"]),
+                              cfg["sigma0"])
     raise InvalidProblem(f"unknown target {t!r} (use one, exp:<a>, product:<phases file>)")
 
 
@@ -201,21 +199,19 @@ def cmd_refine(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_check_hypothesis(cfg: RunConfig, h_grid: str, cache: str | None) -> int:
+def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
     spec = build_spec(cfg)
     parts = h_grid.split(":")
     if len(parts) != 3:
         raise InvalidProblem("h grid must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     hs = list(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
-    if cache:
-        cached_primes_up_to(int(hi * 2), cache_path=cache)
     report = fit_c0(spec, cfg["lam"], hs)
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
     _write(out, "report.txt", report.to_text())
     ok = report.all_pass() and report.c0 > 0
-    print(f"hypothesis {'holds' if ok else 'fails'}: c0 = {report.c0!r}"
+    print(f"hypothesis {'holds' if ok else 'fails'}: c0 = {float(report.c0)!r}"
           + (f", first failure at h = {report.first_failure}" if report.first_failure else ""))
     return 0 if ok else 4
 
@@ -224,24 +220,15 @@ def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
                   compare_n: int | None, phases_path: str | None) -> int:
     spec = build_spec(cfg)
     theta = read_phases(phases_path) if phases_path else {}
-    from .primes import primes_up_to
-
     plist = [int(p) for p in primes_up_to(cfg["pmax"])]
     pa = PhaseAssignment({p: theta.get(p, 0.0) for p in plist}, t0=cfg["t0"])
-
-    def f(s):
-        return partial_product_grid(spec, np.asarray(s, dtype=complex), plist, pa)
-
+    f = product_target(spec, plist, pa, 0.0)
     contour = Circle(center, cradius)
     count = zero_count(f, contour, quadrature_n=samples)
     m = min_modulus(f, contour, samples=max(64, samples))
     lines = [f"zero_count {count}", f"min_modulus {m!r}"]
     if compare_n is not None:
-        qlist = [p for p in plist if p <= compare_n]
-
-        def g(s):
-            return partial_product_grid(spec, np.asarray(s, dtype=complex), qlist, pa)
-
+        g = product_target(spec, [p for p in plist if p <= compare_n], pa, 0.0)
         rr = rouche_check(f, g, contour, samples=max(64, samples))
         lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}",
                   f"zeros_truncated {rr.zeros_g}"]
@@ -297,7 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     p_hyp = sub.add_parser("check-hypothesis", help="short-interval sum report")
     add_common(p_hyp)
     p_hyp.add_argument("--h-grid", default="1e4:1e6:20", help="lo:hi:count, log spaced")
-    p_hyp.add_argument("--prime-cache", default=None, help="binary prime cache path")
     p_zero = sub.add_parser("zero-scan", help="winding-number zero count on a circle")
     add_common(p_zero)
     p_zero.add_argument("--center-re", type=float, default=None)
@@ -323,14 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {k: getattr(args, k, None) for k in CONFIG_KEYS}
     try:
         cfg = load_config(args.config, overrides)
-        if cfg["workers"]:
-            os.environ.setdefault("OMP_NUM_THREADS", str(cfg["workers"]))
         if args.command == "approximate":
             return cmd_approximate(cfg)
         if args.command == "refine":
             return cmd_refine(cfg)
         if args.command == "check-hypothesis":
-            return cmd_check_hypothesis(cfg, args.h_grid, args.prime_cache)
+            return cmd_check_hypothesis(cfg, args.h_grid)
         if args.command == "zero-scan":
             center = complex(args.center_re if args.center_re is not None else cfg["sigma0"],
                              args.center_im)

@@ -1,13 +1,20 @@
 """Local Euler factors, phase-twisted partial products, and log-factor algebra.
 
 A factor spec describes the local factors f_p(z) = 1 + sum_m a_p^m z^m of an
-Euler product over primes.  Built-in kinds:
+Euler product over primes.  There are two families (``EulerFactorSpec.kind``):
 
-* ``zeta``      -- a_p^m = 1 for all p, m;  f_p(z) = 1/(1-z).
-* ``dirichlet`` -- a_p^m = chi(p)^m for a character chi mod q;
-                   f_p(z) = 1/(1 - chi(p) z).
+* ``dirichlet`` -- a_p^m = chi(p)^m for a character chi mod q, so
+                   f_p(z) = 1/(1 - chi(p) z) and log f_p = sum_m (chi(p) z)^m/m.
+                   Zeta is the character mod 1: ``zeta_spec()`` is
+                   ``dirichlet_spec(1, [1])``.
 * ``custom``    -- finite coefficient table per prime (a polynomial factor),
                    with declared growth constants c(eps).
+
+Each family's arithmetic is written once, in the ``EulerFactorSpec`` methods
+``leading``, ``phase_correction``, ``times_factor``, ``log_terms``,
+``log_series_tail`` and ``growth``; the rest of the package reaches the
+factors through them.  Only the oracle routes that tests cross-check against
+still read ``kind``: ``eval_factor``, ``partial_product_exact``, ``log_factor``.
 
 Everything here is immutable after construction and safe for concurrent
 read-only use.
@@ -24,9 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exact import QI, QI_ONE, QI_ZERO, QUARTER_UNITS, series_inverse, series_mul
+from .hardy import TWO_PI, _winding
 from .primes import primes_in_interval
-
-TWO_PI = 2.0 * math.pi
 
 #: default truncation order for factor power series
 DEFAULT_SERIES_ORDER = 64
@@ -65,10 +71,7 @@ def _check_polynomial_zero_free(coeffs: Sequence[complex], radius: float = 1.0 -
     vals = np.polyval(poly[::-1], z)
     if np.min(np.abs(vals)) < 1e-12:
         return False
-    closed = np.concatenate((vals, vals[:1]))
-    incr = np.angle(closed[1:] / closed[:-1])
-    winding = np.sum(incr) / TWO_PI
-    return abs(winding) < 0.25
+    return abs(_winding(vals)[0]) < 0.25
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class EulerFactorSpec:
     """Coefficient rule of the local factors plus growth constants.
 
     ``c_map`` maps eps -> c(eps) with c >= 1 and |a_p^m| <= c(eps) p^{m eps}
-    for every coefficient.  Built-in kinds satisfy this with c = 1 for every
+    for every coefficient.  Characters satisfy this with c = 1 for every
     eps, so their map is unrestricted.
     """
 
@@ -88,7 +91,7 @@ class EulerFactorSpec:
     c_map: Mapping[float, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("zeta", "dirichlet", "custom"):
+        if self.kind not in ("dirichlet", "custom"):
             raise FactorDomainError(f"unknown factor kind {self.kind!r}")
         for eps, c in self.c_map.items():
             if eps <= 0 or c < 1.0:
@@ -116,16 +119,17 @@ class EulerFactorSpec:
         """a_p^m (m >= 1)."""
         if m < 1:
             raise ValueError("m >= 1")
-        if self.kind == "zeta":
-            return 1.0 + 0j
         if self.kind == "dirichlet":
             return self.chi(p) ** m
         return complex(self.table.get(p, {}).get(m, 0.0))
 
     def coeff_exact(self, p: int, m: int) -> QI:
-        if self.kind == "zeta":
-            return QI_ONE
-        if self.kind == "custom" and self.exact_table:
+        """a_p^m in Q(i): characters valued in {0, +-1, +-i}, or the exact table."""
+        if self.kind == "dirichlet":
+            a = self.coeff(p, m)
+            if a.real in (-1.0, 0.0, 1.0) and a.imag in (-1.0, 0.0, 1.0):
+                return QI(Fraction(a.real), Fraction(a.imag))
+        elif self.exact_table:
             return self.exact_table.get(p, {}).get(m, QI_ZERO)
         raise FactorDomainError("no exact coefficients for this spec")
 
@@ -137,23 +141,117 @@ class EulerFactorSpec:
         return max(row) if row else 0
 
     def c_of(self, eps: float) -> float:
-        """Growth constant c(eps); built-ins are 1 for every eps."""
-        if self.kind in ("zeta", "dirichlet"):
+        """Growth constant c(eps); characters are 1 for every eps."""
+        if self.kind == "dirichlet":
             return 1.0
         if eps in self.c_map:
             return self.c_map[eps]
         raise FactorDomainError(f"custom spec declares no growth constant at eps={eps}")
 
-    def phase_correction(self, p: int) -> float:
-        """arg a_p^1 / 2pi in turns; 0 when the leading coefficient vanishes."""
-        a = self.a1(p)
-        if a == 0:
-            return 0.0
-        return (cmath.phase(a) / TWO_PI) % 1.0
+    def growth(self, eps_cap: float) -> tuple[float, float]:
+        """(eps, c(eps)) for the largest usable eps <= eps_cap; characters take eps_cap."""
+        if self.kind == "dirichlet":
+            return eps_cap, 1.0
+        valid = [e for e in self.c_map if e <= eps_cap]
+        if not valid:
+            raise FactorDomainError("custom spec declares no growth constant small enough")
+        eps = max(valid)
+        return eps, self.c_map[eps]
+
+    # -- vectorized family arithmetic -----------------------------------------
+
+    def leading(self, primes: np.ndarray) -> np.ndarray:
+        """a_p^1 for an array of primes (any shape, scalars included)."""
+        primes = np.asarray(primes, dtype=np.int64)
+        if self.kind == "dirichlet":
+            return np.array(self.character, dtype=complex)[primes % self.modulus]
+        out = np.zeros(primes.shape, dtype=complex)
+        for p, row in self.table.items():
+            out[primes == p] = row.get(1, 0.0)
+        return out
+
+    def phase_correction(self, primes: np.ndarray) -> np.ndarray:
+        """arg a_p^1 / 2pi in turns per prime (0 where a_p^1 = 0).
+
+        ``cmath.phase`` (whose last bit can differ from ``np.angle``) runs once
+        per distinct leading coefficient.
+        """
+        values, where = np.unique(self.leading(primes), return_inverse=True)
+        turns = np.array([(cmath.phase(a) / TWO_PI) % 1.0 if a else 0.0
+                          for a in values.tolist()])
+        return turns[where]
+
+    def times_factor(self, acc, p: int, z):
+        """acc * f_p(z) for a scalar or an array z (|z| < 1 is the caller's job).
+
+        Characters compute acc / (1 - chi(p) z), skipping the product when
+        chi(p) = 1; custom factors sum the table polynomial by powers of z.
+        """
+        if self.kind == "dirichlet":
+            chi = self.character[p % self.modulus]
+            return acc / (1.0 - z) if chi == 1 else acc / (1.0 - chi * z)
+        row = self.table.get(p, {})
+        fz = zp = 1.0 + 0j
+        for m in range(1, self.table_degree(p) + 1):
+            zp = zp * z
+            a = row.get(m)
+            if a:
+                fz = fz + a * zp
+        return acc * fz
+
+    def log_terms(self, primes: np.ndarray, base: np.ndarray, order: int) -> np.ndarray:
+        """G[i, m-1] = c_m(p_i) B_i^m for m = 1..order, where log f_p(z) = sum_m c_m z^m.
+
+        Characters fold chi into the base: G = (chi(p) B)^m / m.  Custom rows
+        use the recurrence m c_m = m a_m - sum_{j<m} j c_j a_{m-j}; primes
+        without a table row get a zero row.
+        """
+        primes = np.asarray(primes, dtype=np.int64)
+        ms = np.arange(1, order + 1, dtype=float)
+        if self.kind == "dirichlet":
+            terms = (self.leading(primes) * base)[:, None] ** ms[None, :]
+            terms *= (1.0 / ms)[None, :]      # in place: one (primes x order) array fewer
+            return terms
+        out = np.zeros((len(primes), order), dtype=complex)
+        for p in self.table:
+            hit = primes == p
+            if not hit.any():
+                continue
+            a = np.array([0j] + [self.coeff(p, m) for m in range(1, order + 1)])
+            c = np.zeros(order + 1, dtype=complex)
+            for m in range(1, order + 1):
+                acc = m * a[m]
+                for j in range(1, m):
+                    acc -= j * c[j] * a[m - j]
+                c[m] = acc / m
+            out[hit] = c[1:][None, :] * base[hit][:, None] ** ms[None, :]
+        return out
+
+    def log_series_tail(self, primes: np.ndarray, q: np.ndarray,
+                        order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per prime: a coefficient size K, and a bound on the log terms past ``order``.
+
+        ``q`` is the largest |z| per prime.  Characters have |c_m| <= 1/m, so
+        K = 1; custom factors take K = max |log f_p| on |z| = rho just inside
+        the zero-free disc (|c_m| <= K rho^-m), and K = 0 without a table row.
+        """
+        primes = np.asarray(primes, dtype=np.int64)
+        if self.kind == "dirichlet":
+            return np.ones_like(q), q ** (order + 1) / ((order + 1) * (1.0 - q))
+        rho = 1.0 - 1e-3
+        ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
+        ks = np.zeros_like(q)
+        for p in self.table:
+            hit = primes == p
+            if hit.any():
+                ks[hit] = max(abs(np.log(self.times_factor(1.0, p, rho * a))) for a in ang)
+        ratio = q / rho
+        return ks, ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)
 
 
 def zeta_spec() -> EulerFactorSpec:
-    return EulerFactorSpec(kind="zeta")
+    """The Riemann zeta factors 1/(1 - z): the character mod 1."""
+    return dirichlet_spec(1, [1])
 
 
 def dirichlet_spec(modulus: int, character: Sequence[complex]) -> EulerFactorSpec:
@@ -258,18 +356,15 @@ def eval_factor(spec: EulerFactorSpec, p: int, z: complex,
                 m_max: int = DEFAULT_SERIES_ORDER) -> complex:
     """Truncated factor series 1 + sum_{m<=m_max} a_p^m z^m.
 
-    Requires |z| < 1.  For the built-in kinds the geometric tail bound
+    Requires |z| < 1.  For characters the geometric tail bound
     |a_p^m z^m| <= |z|^m makes the truncation error at most
-    |z|^{m_max+1}/(1-|z|).
+    |z|^{m_max+1}/(1-|z|).  Independent truncated-series route: tests
+    cross-check it against the closed form 1/(1 - chi(p) z).
     """
     if abs(z) >= 1.0:
         raise FactorDomainError(f"|z|={abs(z)} >= 1 for factor at p={p}")
-    if spec.kind == "zeta":
-        # sum_{m<=M} z^m in closed form, stable for z near 0
-        if z == 0:
-            return 1.0 + 0j
-        return 1.0 + z * (1.0 - z**m_max) / (1.0 - z)
     if spec.kind == "dirichlet":
+        # sum_{m<=M} w^m in closed form, stable for w near 0
         w = spec.chi(p) * z
         if w == 0:
             return 1.0 + 0j
@@ -286,14 +381,10 @@ def eval_factor(spec: EulerFactorSpec, p: int, z: complex,
 
 
 def factor_value(spec: EulerFactorSpec, p: int, z: complex) -> complex:
-    """Exact factor value: closed form for built-ins, full polynomial for custom."""
+    """Exact factor value: closed form for characters, full polynomial for custom."""
     if abs(z) >= 1.0:
         raise FactorDomainError(f"|z|={abs(z)} >= 1 for factor at p={p}")
-    if spec.kind == "zeta":
-        return 1.0 / (1.0 - z)
-    if spec.kind == "dirichlet":
-        return 1.0 / (1.0 - spec.chi(p) * z)
-    return eval_factor(spec, p, z, m_max=max(1, spec.table_degree(p)))
+    return spec.times_factor(1.0, p, z)
 
 
 def twist_argument(p: int, s: complex, phases: PhaseAssignment) -> complex:
@@ -306,7 +397,8 @@ def partial_product(spec: EulerFactorSpec, s: complex, primes: Sequence[int],
     """Finite twisted product over the given primes at exponent s.
 
     The empty product is 1.  Every factor argument must have modulus < 1,
-    which for p >= 2 means Re s > 0.
+    which for p >= 2 means Re s > 0.  Scalar oracle route for the grid and
+    exact products.
     """
     phases = phases or trivial_phases()
     acc = 1.0 + 0j
@@ -326,20 +418,7 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
     for p in primes:
         p = int(p)
         z = np.exp(-1j * TWO_PI * phases.twist(p) - s * math.log(p))
-        if spec.kind == "zeta":
-            acc = acc / (1.0 - z)
-        elif spec.kind == "dirichlet":
-            acc = acc / (1.0 - spec.chi(p) * z)
-        else:
-            row = spec.table.get(p, {})
-            fz = np.ones_like(s)
-            zp = np.ones_like(s)
-            for m in range(1, spec.table_degree(p) + 1):
-                zp = zp * z
-                a = row.get(m)
-                if a:
-                    fz = fz + a * zp
-            acc = acc * fz
+        acc = spec.times_factor(acc, p, z)
     return acc
 
 
@@ -348,8 +427,9 @@ def partial_product_exact(spec: EulerFactorSpec, s: int, primes: Sequence[int],
     """Exact partial product in Q(i) at an integer exponent s >= 1.
 
     Phases are restricted to quarter turns so every factor argument
-    e^{-2 pi i q} p^{-s} lies in Q(i).  Only zeta and custom-with-exact-table
-    specs support this mode.
+    e^{-2 pi i q} p^{-s} lies in Q(i).  Characters valued in {0, +-1, +-i}
+    (zeta, chi mod 4) and custom specs with an exact table support this
+    mode.  Oracle route: tests check the float products against it.
     """
     if s < 1:
         raise FactorDomainError("exact mode needs integer s >= 1")
@@ -361,8 +441,8 @@ def partial_product_exact(spec: EulerFactorSpec, s: int, primes: Sequence[int],
         if q not in QUARTER_UNITS:
             raise FactorDomainError(f"phase {q} is not a quarter turn")
         z = QUARTER_UNITS[q] * QI(Fraction(1, p**s), Fraction(0))
-        if spec.kind == "zeta":
-            acc = acc * (QI_ONE / (QI_ONE - z))
+        if spec.kind == "dirichlet":
+            acc = acc * (QI_ONE / (QI_ONE - spec.coeff_exact(p, 1) * z))
         else:
             fz = QI_ONE
             zp = QI_ONE
@@ -474,7 +554,7 @@ def branch_threshold(spec: EulerFactorSpec, eps: float, r: float, sigma0: float)
     |f_p - 1| <= c q/(1-q) with q = c(eps) p^{eps+r-sigma0}; the principal
     logarithm is safe once that is below 1, i.e. q < 1/(1+c).
     """
-    c = spec.c_of(eps) if spec.kind == "custom" else 1.0
+    c = spec.c_of(eps)
     expo = sigma0 - r - eps
     if expo <= 0:
         return math.inf
@@ -487,19 +567,14 @@ def _tracked_log(spec: EulerFactorSpec, p: int, z: complex, steps: int = 128) ->
     Accumulates argument increments of the factor value along the segment;
     fails if the value passes too close to 0 for the increments to be safe.
     """
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    vals = np.array([factor_value(spec, p, t * z) for t in ts])
-    if np.min(np.abs(vals)) < 1e-12:
-        raise BranchTrackingError(f"factor value at p={p} passes through 0")
-    incr = np.angle(vals[1:] / vals[:-1])
-    if np.max(np.abs(incr)) > 0.5 * math.pi:
-        vals = np.array([factor_value(spec, p, t * z) for t in np.linspace(0, 1, 8 * steps + 1)])
+    for n in (steps, 8 * steps):
+        vals = np.array([factor_value(spec, p, t * z) for t in np.linspace(0.0, 1.0, n + 1)])
         if np.min(np.abs(vals)) < 1e-12:
             raise BranchTrackingError(f"factor value at p={p} passes through 0")
         incr = np.angle(vals[1:] / vals[:-1])
-        if np.max(np.abs(incr)) > 0.5 * math.pi:
-            raise BranchTrackingError(f"branch tracking unstable at p={p}")
-    return math.log(abs(vals[-1])) + 1j * float(np.sum(incr))
+        if np.max(np.abs(incr)) <= 0.5 * math.pi:
+            return math.log(abs(vals[-1])) + 1j * float(np.sum(incr))
+    raise BranchTrackingError(f"branch tracking unstable at p={p}")
 
 
 def log_factor(spec: EulerFactorSpec, p: int, s: complex, theta: float,
@@ -510,7 +585,8 @@ def log_factor(spec: EulerFactorSpec, p: int, s: complex, theta: float,
     The factor argument is z = e^{-2 pi i (theta+gamma)} p^{-s-sigma0}; the
     leading part is a_p^1 z and the tail is log f_p(z) - a_p^1 z.  The
     principal branch is used where |f_p - 1| < 1 is guaranteed; smaller
-    primes fall back to continuous tracking along the ray to z.
+    primes fall back to continuous tracking along the ray to z.  Oracle
+    route: tests check the disc rows built from ``log_terms`` against it.
     """
     z = cmath.exp(-1j * TWO_PI * (theta + gamma) - (s + sigma0) * math.log(p))
     if abs(z) >= 1.0:
@@ -519,9 +595,9 @@ def log_factor(spec: EulerFactorSpec, p: int, s: complex, theta: float,
     if p >= branch_threshold(spec, eps, r_eff, sigma0):
         u = cmath.log(factor_value(spec, p, z))
     else:
-        # zeta/dirichlet values lie in Re > 1/2, where the principal branch
-        # is already continuous; custom factors get tracked.
-        if spec.kind in ("zeta", "dirichlet"):
+        # character values lie in Re > 1/2, where the principal branch is
+        # already continuous; custom factors get tracked.
+        if spec.kind == "dirichlet":
             u = cmath.log(factor_value(spec, p, z))
         else:
             u = _tracked_log(spec, p, z)
@@ -550,31 +626,6 @@ def log_tail_bound(spec: EulerFactorSpec, p: int, eps: float, r: float,
     return 4.0 * c * p ** (-2.0 * eps - 1.0)
 
 
-def log_series_coefficients(spec: EulerFactorSpec, p: int,
-                            order: int = DEFAULT_SERIES_ORDER) -> np.ndarray:
-    """Coefficients c_1..c_order of log f_p(z) = sum_m c_m z^m.
-
-    zeta: c_m = 1/m.  dirichlet: c_m = chi(p)^m/m.  custom: formal log of
-    the factor polynomial via the standard recurrence
-    m c_m = m a_m - sum_{j<m} j c_j a_{m-j}.
-    """
-    ms = np.arange(1, order + 1, dtype=float)
-    if spec.kind == "zeta":
-        return (1.0 / ms).astype(complex)
-    if spec.kind == "dirichlet":
-        return spec.chi(p) ** np.arange(1, order + 1) / ms
-    a = np.zeros(order + 1, dtype=complex)
-    for m in range(1, order + 1):
-        a[m] = spec.coeff(p, m)
-    c = np.zeros(order + 1, dtype=complex)
-    for m in range(1, order + 1):
-        acc = m * a[m]
-        for j in range(1, m):
-            acc -= j * c[j] * a[m - j]
-        c[m] = acc / m
-    return c[1:]
-
-
 # ---------------------------------------------------------------------------
 # four-block partition of short-interval primes
 # ---------------------------------------------------------------------------
@@ -598,8 +649,7 @@ def interval_weights(spec: EulerFactorSpec, h: float, lam: float,
     """Primes in the window and their weights |a_p^1| p^{-(1-lam)}."""
     lo, hi = hypothesis_window(h, width_factor)
     ps = primes_in_interval(lo, hi)
-    w = np.array([abs(spec.a1(int(p))) * float(p) ** (lam - 1.0) for p in ps])
-    return ps, w
+    return ps, np.abs(spec.leading(ps)) * ps.astype(float) ** (lam - 1.0)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ monomials, area integration over the disc gives the exact identity
 so the squared norm is pi sum_n |alpha_n|^2 R^{2n+2}/(n+1) and all inner
 products reduce to coefficient sums.  A tensor quadrature over the disc is
 kept alongside as an independent oracle for these identities.
+
+The package's ``TWO_PI`` and winding count (``_winding``) live here.
 """
 
 from __future__ import annotations
@@ -186,6 +188,16 @@ class TargetZeroError(ValueError):
     """The target has (or is too close to) a zero on the closed disc."""
 
 
+def _winding(vals: np.ndarray) -> tuple[float, np.ndarray]:
+    """Turns around 0 of the closed curve through vals, and its argument increments.
+
+    The count is right only while every increment stays well below pi.
+    """
+    closed = np.concatenate((vals, vals[:1]))
+    incr = np.angle(closed[1:] / closed[:-1])
+    return float(np.sum(incr)) / TWO_PI, incr
+
+
 def log_target(g: Callable[[np.ndarray], np.ndarray], radius: float, order: int = 64,
                rel_tol: float = 1e-9) -> H2Element:
     """Power-series coefficients of log g on |s| <= radius.
@@ -203,11 +215,9 @@ def log_target(g: Callable[[np.ndarray], np.ndarray], radius: float, order: int 
     amin = float(np.min(np.abs(vals)))
     if amin < 1e-13:
         raise TargetZeroError(f"target vanishes on the boundary (min |g| = {amin:.3e})")
-    closed = np.concatenate((vals, vals[:1]))
-    incr = np.angle(closed[1:] / closed[:-1])
+    winding, incr = _winding(vals)
     if np.max(np.abs(incr)) > 0.5 * math.pi:
         raise TargetZeroError("boundary sampling too coarse for branch unwrapping")
-    winding = float(np.sum(incr)) / TWO_PI
     if abs(winding) > 0.25:
         raise TargetZeroError(f"target winds {winding:.2f} times: zero inside the disc")
     args = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(incr[:-1])))
@@ -239,6 +249,12 @@ class ExpPairing:
     pi R^2 e^{-sigma0 x} H(x R) with H(u) = sum_m beta_m u^m/m! and
     beta_n = (-1)^n R^n conj(alpha_n)/(n+1).  H is entire since the beta are
     square-summable: sum |beta_n|^2 <= ||phi||^2 / (pi R^2).
+
+    Notes (the strict xfail in the tests): the sharper claims |beta_n| <= 1
+    and |pairing| <= pi R^2 e^{-x/2} for unit-norm phi fail.  The unit-norm
+    constant phi = 1/(sqrt(pi) R) attains the square-sum bound, with
+    beta_0 = 1/(sqrt(pi) R) and pairing sqrt(pi) R at x = 0, so both claims
+    need pi R^2 >= 1, impossible while R < r0 <= 1/4.  ``value_bound`` holds.
     """
 
     source: H2Element

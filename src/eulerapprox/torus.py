@@ -14,9 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .hardy import TWO_PI
 from .primes import primes_up_to
-
-TWO_PI = 2.0 * math.pi
 
 RNG_ALGORITHM = "numpy-PCG64"
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import eulerapprox as ea
+from eulerapprox.approx import _u_rows
 from eulerapprox.exact import QI, QI_ONE
 from eulerapprox.factors import HypothesisError, interval_weights
+from eulerapprox.hardy import TWO_PI
 
 
 def make_custom(table, c_map=None, exact=None):
@@ -341,3 +343,145 @@ def test_partition_oversized_addend_rejected():
     c0 = 0.999 * total / 100.0**0.25
     with pytest.raises(HypothesisError):
         ea.partition_blocks(spec, 100.0, 1.0, c0, width_factor=0.97)
+
+
+# ---------------------------------------------------------------------------
+# the spec's vectorized family methods against per-prime reference loops
+# (same arithmetic, so the results must be bit-identical)
+# ---------------------------------------------------------------------------
+
+CHI5 = ea.dirichlet_spec(5, [0, 1, 1j, -1j, -1])
+CUSTOM = make_custom({2: {1: 0.25 + 0.1j, 2: 0.05}, 3: {1: -0.3}, 5: {1: 0.2j, 3: 0.01},
+                      7: {2: 0.1}}, c_map={0.05: 2.0})
+FAMILIES = pytest.mark.parametrize("spec", [ea.zeta_spec(), CHI4, CHI5, CUSTOM],
+                                   ids=["zeta", "chi4", "chi5", "custom"])
+POOL = np.array([11, 2, 3, 13, 5, 7, 97, 101], dtype=np.int64)
+
+
+def reference_log_coefficients(spec, p, order):
+    """The formal-log recurrence m c_m = m a_m - sum_{j<m} j c_j a_{m-j}, per prime."""
+    a = np.zeros(order + 1, dtype=complex)
+    for m in range(1, order + 1):
+        a[m] = spec.coeff(p, m)
+    c = np.zeros(order + 1, dtype=complex)
+    for m in range(1, order + 1):
+        acc = m * a[m]
+        for j in range(1, m):
+            acc -= j * c[j] * a[m - j]
+        c[m] = acc / m
+    return c[1:]
+
+
+def reference_rows(cm, primes, twists, sigma0, order):
+    """Disc rows from an explicit coefficient array cm[p, m-1] = c_m(p)."""
+    lnp = np.log(primes.astype(float))
+    base = np.exp(-1j * TWO_PI * twists - sigma0 * lnp)
+    ms = np.arange(1, cm.shape[1] + 1, dtype=float)
+    G = cm * base[:, None] ** ms[None, :]
+    ns = np.arange(order + 1, dtype=float)
+    S = G @ (ms[:, None] ** ns[None, :])
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1, dtype=float))))
+    return S * ((-lnp[:, None]) ** ns[None, :] / fact[None, :])
+
+
+def test_zeta_is_the_character_mod_one():
+    assert ea.zeta_spec() == ea.dirichlet_spec(1, [1])
+    assert ea.zeta_spec().kind == "dirichlet"
+
+
+@FAMILIES
+def test_leading_matches_scalar_a1(spec):
+    assert np.array_equal(spec.leading(POOL), np.array([spec.a1(int(p)) for p in POOL]))
+    assert spec.leading(POOL[:0]).shape == (0,)
+
+
+@FAMILIES
+def test_phase_correction_matches_scalar_phase(spec):
+    def scalar(p):
+        a = spec.a1(p)
+        return 0.0 if a == 0 else (cmath.phase(a) / TWO_PI) % 1.0
+
+    assert np.array_equal(spec.phase_correction(POOL), [scalar(int(p)) for p in POOL])
+
+
+def test_custom_log_terms_match_recurrence():
+    order = 64
+    base = np.exp(-1j * TWO_PI * np.linspace(0.0, 0.9, len(POOL)) - 0.75 * np.log(POOL))
+    ms = np.arange(1, order + 1, dtype=float)
+    cm = np.array([reference_log_coefficients(CUSTOM, int(p), order) for p in POOL])
+    assert np.array_equal(CUSTOM.log_terms(POOL, base, order), cm * base[:, None] ** ms[None, :])
+
+
+@pytest.mark.parametrize("spec", [ea.zeta_spec(), CHI4, CUSTOM], ids=["zeta", "chi4", "custom"])
+def test_u_rows_match_coefficient_rows(spec):
+    order, series_order, sigma0 = 16, 64, 0.75
+    twists = np.linspace(0.05, 0.95, len(POOL))
+    ms = np.arange(1, series_order + 1, dtype=float)
+    if spec is CUSTOM:
+        cm = np.array([reference_log_coefficients(spec, int(p), series_order) for p in POOL])
+    elif spec.modulus == 1:
+        cm = (1.0 / ms)[None, :] * np.ones((len(POOL), 1))        # (1/m) B^m
+    else:
+        chi = np.array([spec.chi(int(p)) for p in POOL])
+        cm = chi[:, None] ** ms[None, :] / ms[None, :]            # chi^m/m B^m
+    got = _u_rows(spec, POOL, twists, sigma0, order, series_order)
+    assert np.array_equal(got, reference_rows(cm, POOL, twists, sigma0, order))
+
+
+def test_custom_log_series_tail_matches_factor_loop():
+    q = np.exp(-0.71 * np.log(POOL.astype(float)))
+    rho = 1.0 - 1e-3
+    ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
+    ks = np.array([max(abs(np.log(ea.eval_factor(CUSTOM, int(p), rho * a,
+                                                 m_max=max(1, CUSTOM.table_degree(int(p))))))
+                       for a in ang) for p in POOL])
+    got_k, _ = CUSTOM.log_series_tail(POOL, q, 64)
+    assert np.array_equal(got_k, ks)
+
+
+def test_grid_factor_product_matches_scalar_custom():
+    spec = CUSTOM
+    ps = [int(p) for p in ea.primes_up_to(30)]
+    phases = ea.PhaseAssignment({p: 0.1 * (i % 10) for i, p in enumerate(ps)}, t0=0.4)
+    s = np.array([0.75 + 0.01j, 0.8 - 0.02j, 1.5 + 3j])
+    # reference: each table polynomial summed by explicit powers over the grid
+    ref = np.ones_like(s)
+    for p in ps:
+        z = np.exp(-1j * TWO_PI * phases.twist(p) - s * math.log(p))
+        fz, zp = np.ones_like(s), np.ones_like(s)
+        for m in range(1, spec.table_degree(p) + 1):
+            zp = zp * z
+            a = spec.table.get(p, {}).get(m)
+            if a:
+                fz = fz + a * zp
+        ref = ref * fz
+    grid = ea.partial_product_grid(spec, s, ps, phases)
+    assert np.array_equal(grid, ref)
+    for si, gi in zip(s, grid):
+        assert abs(ea.partial_product(spec, complex(si), ps, phases) - gi) < 1e-12
+    for p in (2, 5, 11):
+        z = 0.3 - 0.4j
+        assert ea.factor_value(spec, p, z) == ea.eval_factor(
+            spec, p, z, m_max=max(1, spec.table_degree(p)))
+
+
+@FAMILIES
+def test_interval_weights_match_scalar_loop(spec):
+    # numpy's abs and power may round differently from Python's in the last bit
+    for lam in (0.01, 0.2, 1.0):
+        ps, w = interval_weights(spec, 3.0, lam, width_factor=300.0)
+        ref = np.array([abs(spec.a1(int(p))) * float(p) ** (lam - 1.0) for p in ps])
+        assert len(ps) > 100
+        assert np.allclose(w, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_exact_product_for_chi4():
+    ps = [int(p) for p in ea.primes_up_to(30)]
+    quarter = {p: Fraction(i % 4, 4) for i, p in enumerate(ps)}
+    exact = ea.partial_product_exact(CHI4, 2, ps, quarter)
+    approx = ea.partial_product(CHI4, 2.0, ps,
+                                ea.PhaseAssignment({p: float(q) for p, q in quarter.items()}))
+    assert abs(exact.to_complex() - approx) < 1e-12
+    with pytest.raises(ea.FactorDomainError):
+        ea.partial_product_exact(ea.dirichlet_spec(3, [0, 1, cmath.exp(2j * math.pi / 3)]),
+                                 2, [2], {})
