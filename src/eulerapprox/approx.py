@@ -182,14 +182,6 @@ def contract_target(problem: ApproximationProblem,
 # ---------------------------------------------------------------------------
 
 
-def _exp_tail(a: float, upto: int) -> float:
-    """Bound on sum_{n>upto} a^n/n!, computed in the log domain."""
-    if a <= 0:
-        return 0.0
-    la = (upto + 1) * math.log(a) + a - math.lgamma(upto + 2)
-    return math.exp(la) if la > -700 else 0.0
-
-
 def _stored_twists(spec: EulerFactorSpec, primes: np.ndarray, steering: float) -> np.ndarray:
     """Product twists (steering + per-prime argument correction) mod 1."""
     return np.mod(steering + spec.phase_correction(primes), 1.0)
@@ -220,20 +212,6 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
     return S * direction
 
 
-def _eta_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
-              sigma0: float, order: int, gammas: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the leading terms a_p^1 z(s) alone."""
-    primes = np.asarray(primes, dtype=np.int64)
-    lnp = np.log(primes.astype(float))
-    tw = np.asarray(twists, dtype=float)
-    if gammas is not None:
-        tw = tw + gammas
-    base = spec.leading(primes) * np.exp(-1j * TWO_PI * tw - sigma0 * lnp)
-    ns = np.arange(order + 1, dtype=float)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1, dtype=float))))
-    return base[:, None] * (-lnp[:, None]) ** ns[None, :] / fact[None, :]
-
-
 def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
                     sigma0: float, order: int, series_order: int) -> float:
     """Certified sup bound on what the truncated rows drop, summed over primes.
@@ -247,14 +225,13 @@ def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
         return 0.0
     lnp = np.log(primes.astype(float))
     q = np.exp((radius - sigma0) * lnp)
-    cbound, m_tail = spec.log_series_tail(primes, q, series_order)
+    _, terms = spec.log_series_tail(primes, q, series_order)
     ms = np.arange(1, series_order + 1, dtype=float)
     a = ms[None, :] * lnp[:, None] * radius
     la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
     tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
-    coeff = cbound[:, None] * q[:, None] ** ms[None, :] / ms[None, :]
-    n_tail = np.sum(coeff * tails, axis=1)
-    return float(np.sum(m_tail + n_tail))
+    n_tail = np.sum(terms[:, :-1] * tails, axis=1)
+    return float(np.sum(terms[:, -1] + n_tail))
 
 
 def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
@@ -303,8 +280,8 @@ class ApproximationState:
 
     ``work`` equals log(target) minus the log factors of every prime already
     in the product.  ``residual`` (the reporting view) additionally removes
-    the reference-twist curvature of the still-unsteered pool, matching the
-    initialization contract.
+    ``nu_rest``, the reference-twist curvature log f_p - a_p^1 z summed over
+    the still-unsteered pool, worked out on demand: steering never reads it.
     """
 
     problem: ApproximationProblem
@@ -316,14 +293,21 @@ class ApproximationState:
     u_phase: list[np.ndarray]                # per steering phase: rows (npool, order+1)
     u_norm2: list[np.ndarray]
     stored_twists: list[np.ndarray]
-    nu_ref: np.ndarray                       # reference-twist curvature rows
-    nu_rest: np.ndarray                      # summed curvature of remaining pool
     weights: np.ndarray                      # disc norm weights
     accepted_idx: list[int] = field(default_factory=list)
     accepted_rows: list[np.ndarray] = field(default_factory=list)
     trace: list[float] = field(default_factory=list)
     tail_bound: float = 0.0
     stall: StallInfo | None = None
+
+    @property
+    def nu_rest(self) -> np.ndarray:
+        p = self.problem
+        rest = self.pool_primes[self.pool_mask]
+        ref = np.zeros(len(rest))   # reference twist 0, leading-coefficient argument included
+        full = _u_rows(p.spec, rest, ref, p.sigma0, p.order, p.series_order)
+        leading = _u_rows(p.spec, rest, ref, p.sigma0, p.order, 1)
+        return (full - leading).sum(axis=0)
 
     @property
     def residual(self) -> H2Element:
@@ -344,18 +328,18 @@ class ApproximationState:
                                t0=self.problem.t0, shifted=shifted)
 
 
-def init_residual(problem: ApproximationProblem, p_max: int | None = None) -> ApproximationState:
+def init_residual(problem: ApproximationProblem) -> ApproximationState:
     """Build the steering state on the disc of radius gamma * r.
 
-    The starting residual is log(target) minus the mandatory log factors
-    minus the reference-twist curvature of the pool; the certified tail
-    covers the log-series cuts and every prime beyond the pool.  An empty
-    pool (every prime up to p_max is a floor prime or has a fixed twist) is
+    The working residual is log(target) minus the mandatory log factors, and
+    the pool gets one row set per quarter phase; the certified tail covers
+    the log-series cuts and every prime beyond the pool.  An empty pool
+    (every prime up to p_max is a floor prime or has a fixed twist) is
     allowed: the state then holds no candidates, and greedy steering reports
     the pool as exhausted at once.
     """
     problem.validate()
-    p_max = problem.p_max if p_max is None else p_max
+    p_max = problem.p_max
     if p_max <= problem.y:
         raise InvalidProblem(f"pool cutoff {p_max} must exceed the prime floor {problem.y}")
     spec = problem.spec
@@ -391,14 +375,6 @@ def init_residual(problem: ApproximationProblem, p_max: int | None = None) -> Ap
         u_norm2.append(np.sum(np.abs(rows) ** 2 * weights[None, :], axis=1).real)
         stored.append(tws)
 
-    # reference twist of the initialization formula is plain 0 (leading
-    # coefficient argument included), matching the mandatory convention
-    ref_tws = np.zeros(len(pool))
-    eta0 = _eta_rows(spec, pool, ref_tws, problem.sigma0, N)
-    u0 = _u_rows(spec, pool, ref_tws, problem.sigma0, N, problem.series_order)
-    nu_ref = u0 - eta0
-    nu_rest = nu_ref.sum(axis=0)
-
     tail = _embedding_tail(spec, np.array(sorted(mandatory), dtype=np.int64), R,
                            problem.sigma0, N, problem.series_order) if mandatory else 0.0
     tail += _embedding_tail(spec, pool, R, problem.sigma0, N, problem.series_order)
@@ -408,8 +384,7 @@ def init_residual(problem: ApproximationProblem, p_max: int | None = None) -> Ap
     state = ApproximationState(
         problem=problem, work=work, mandatory=mandatory, accepted=[],
         pool_primes=pool, pool_mask=np.ones(len(pool), dtype=bool),
-        u_phase=u_phase, u_norm2=u_norm2, stored_twists=stored,
-        nu_ref=nu_ref, nu_rest=nu_rest, weights=weights,
+        u_phase=u_phase, u_norm2=u_norm2, stored_twists=stored, weights=weights,
         tail_bound=tail_norm)
     state.trace.append(state.work_norm())
     return state
@@ -420,9 +395,12 @@ def init_residual(problem: ApproximationProblem, p_max: int | None = None) -> Ap
 # ---------------------------------------------------------------------------
 
 
-def _phase_scores(state: ApproximationState) -> tuple[np.ndarray, np.ndarray]:
+#: move index of a drop in the accepted-move gains; k < _DROP rephases to quarter k
+_DROP = len(QUARTER_GRID)
+
+
+def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per (phase, prime) decreases 2 Re<W,u> - ||u||^2 and the pairings."""
-    cw = np.conj(state.work.coef) * state.weights
     decreases = np.empty((len(QUARTER_GRID), len(state.pool_primes)))
     pairings = np.empty_like(decreases)
     for k in range(len(QUARTER_GRID)):
@@ -433,11 +411,11 @@ def _phase_scores(state: ApproximationState) -> tuple[np.ndarray, np.ndarray]:
     return decreases, pairings
 
 
-def _golden_refine(state: ApproximationState, idx: int, q0: float) -> tuple[np.ndarray, float, float]:
+def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
+                   q0: float) -> tuple[np.ndarray, float, float]:
     """Golden-section search of the steering phase around the best quarter."""
     problem = state.problem
     p = np.array([state.pool_primes[idx]])
-    cw = np.conj(state.work.coef) * state.weights
 
     def decrease_of(q: float) -> tuple[float, np.ndarray, float]:
         tws = _stored_twists(problem.spec, p, q % 1.0)
@@ -466,34 +444,29 @@ def _golden_refine(state: ApproximationState, idx: int, q0: float) -> tuple[np.n
 
 def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) -> None:
     state.work = H2Element(state.work.radius, state.work.coef - row, state.work.tail_bound)
-    state.nu_rest = state.nu_rest - state.nu_ref[idx]
     state.pool_mask[idx] = False
     state.accepted.append((int(state.pool_primes[idx]), float(twist % 1.0)))
     state.accepted_idx.append(int(idx))
     state.accepted_rows.append(row)
 
 
-def _rephase_scores(state: ApproximationState,
-                    cw: np.ndarray) -> tuple[float, tuple[int, int] | None]:
-    """Best norm decrease from changing the phase of an accepted prime.
+def _accepted_gains(state: ApproximationState, cw: np.ndarray) -> np.ndarray:
+    """Norm decrease 2 Re<W,d> - ||d||^2 of every move d on an accepted prime.
 
-    Early quantized choices leave residues that the shrinking pool cannot
-    cancel; swapping an accepted factor's twist (the prime set is unchanged)
-    recovers them.  Returns (decrease, (accepted position, phase index)).
+    Shape (_DROP + 1, accepted positions): rephasing to quarter k < _DROP, or
+    dropping the factor.  These recover the residues of early quantized
+    choices that the shrinking pool cannot cancel.
     """
+    gains = np.empty((_DROP + 1, len(state.accepted_idx)))
     if not state.accepted_idx:
-        return -math.inf, None
+        return gains
     idx = np.asarray(state.accepted_idx, dtype=np.int64)
     cur = np.asarray(state.accepted_rows)
-    best = (-math.inf, None)
-    for k in range(len(QUARTER_GRID)):
-        d = state.u_phase[k][idx] - cur
-        gain = 2.0 * (d @ cw).real - np.sum(np.abs(d) ** 2 * state.weights[None, :],
-                                            axis=1).real
-        j = int(np.argmax(gain))
-        if gain[j] > best[0]:
-            best = (float(gain[j]), (j, k))
-    return best
+    for k in range(_DROP + 1):
+        d = -cur if k == _DROP else state.u_phase[k][idx] - cur
+        gains[k] = 2.0 * (d @ cw).real - np.sum(np.abs(d) ** 2 * state.weights[None, :],
+                                                axis=1).real
+    return gains
 
 
 def _commit_rephase(state: ApproximationState, pos: int, k: int) -> None:
@@ -507,66 +480,49 @@ def _commit_rephase(state: ApproximationState, pos: int, k: int) -> None:
     state.accepted[pos] = (p, float(state.stored_twists[k][idx] % 1.0))
 
 
-def _drop_scores(state: ApproximationState, cw: np.ndarray) -> tuple[float, int | None]:
-    """Best norm decrease from removing an accepted pool prime entirely."""
-    if not state.accepted_idx:
-        return -math.inf, None
-    cur = np.asarray(state.accepted_rows)
-    gain = -2.0 * (cur @ cw).real - np.sum(np.abs(cur) ** 2 * state.weights[None, :],
-                                           axis=1).real
-    j = int(np.argmax(gain))
-    return float(gain[j]), j
-
-
 def _commit_drop(state: ApproximationState, pos: int) -> None:
     idx = state.accepted_idx[pos]
     state.work = H2Element(state.work.radius,
                            state.work.coef + state.accepted_rows[pos],
                            state.work.tail_bound)
-    state.nu_rest = state.nu_rest + state.nu_ref[idx]
     state.pool_mask[idx] = True
     del state.accepted[pos]
     del state.accepted_idx[pos]
     del state.accepted_rows[pos]
 
 
-def _pair_rescue(state: ApproximationState, pairings: np.ndarray,
-                 grow_top: int = 24, acc_top: int = 48) -> bool:
+def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndarray) -> bool:
     """Try the best joint pair of moves when no single move decreases.
 
     Coupled mistakes -- a cancelling pair of new factors, or an early phase
     choice that later additions locked in -- are invisible to single steps.
     The rescue scores all pairs over a candidate list mixing new primes,
     phase changes of accepted primes, and removals, and commits the best
-    strictly decreasing pair.  Returns True if something was committed.
+    strictly decreasing pair.  Candidates are the 24 new primes of largest
+    |pairing| and the 48 accepted-prime moves of largest ``gains``.  Returns
+    True if something was committed.
     """
     deltas, meta = [], []   # delta = vector subtracted from the residual
     avail = np.nonzero(state.pool_mask)[0]
     if len(avail):
         strength = np.max(np.abs(pairings[:, avail]), axis=0)
-        for idx in avail[np.argsort(-strength)][:grow_top]:
+        for idx in avail[np.argsort(-strength)][:24]:
             for k in range(len(QUARTER_GRID)):
                 deltas.append(state.u_phase[k][idx])
                 meta.append(("grow", int(idx), k, int(state.pool_primes[idx])))
     if state.accepted_idx:
-        cw = np.conj(state.work.coef) * state.weights
+        idx = np.asarray(state.accepted_idx, dtype=np.int64)
         cur = np.asarray(state.accepted_rows)
-        cand = []
-        for pos, idx in enumerate(state.accepted_idx):
-            p = int(state.pool_primes[idx])
-            for k in range(len(QUARTER_GRID)):
-                d = state.u_phase[k][idx] - cur[pos]
-                if np.any(d):
-                    gain = 2.0 * float((d @ cw).real) - float(
-                        np.sum(np.abs(d) ** 2 * state.weights).real)
-                    cand.append((gain, d, ("rephase", pos, k, p)))
-            gain = -2.0 * float((cur[pos] @ cw).real) - float(
-                np.sum(np.abs(cur[pos]) ** 2 * state.weights).real)
-            cand.append((gain, -cur[pos], ("drop", pos, None, p)))
-        cand.sort(key=lambda t: -t[0])
-        for _, d, m in cand[:acc_top]:
-            deltas.append(d)
-            meta.append(m)
+        # a rephase onto the quarter the prime already has moves nothing
+        moved = np.ones(gains.shape, dtype=bool)
+        for k in range(_DROP):
+            moved[k] = np.any(state.u_phase[k][idx] != cur, axis=1)
+        pos, ks = np.nonzero(moved.T)   # candidates in (position, move) order
+        for j in np.argsort(-gains[ks, pos], kind="stable")[:48]:
+            a, k = int(pos[j]), int(ks[j])
+            deltas.append(-cur[a] if k == _DROP else state.u_phase[k][idx[a]] - cur[a])
+            meta.append(("drop" if k == _DROP else "rephase", a, k,
+                         int(state.pool_primes[idx[a]])))
     if len(deltas) < 2:
         return False
     deltas = np.asarray(deltas)
@@ -599,57 +555,56 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray,
 
 
 def greedy_rearrange(state: ApproximationState,
-                     phase_grid: Sequence[float] = QUARTER_GRID,
-                     max_steps: int | None = None,
                      stop_norm: float | None = None) -> ApproximationState:
     """Steer pool primes into the product until the residual norm is small.
 
-    Each step scores every available (prime, quarter phase) pair by the
-    exact norm decrease and commits the best strictly decreasing move
-    (optionally phase-refined by golden section).  Stops at the norm target,
+    Each step scores every available (prime, quarter phase) pair and every
+    move on an accepted prime by the exact norm decrease and commits the
+    best strictly decreasing one (optionally phase-refined by golden
+    section).  Stops at the norm target, after ``problem.max_steps`` moves,
     on pool exhaustion, or when no move -- including a joint two-prime
     rescue -- decreases the norm; the stall diagnostics are recorded.
     """
     problem = state.problem
-    if tuple(phase_grid) != QUARTER_GRID:
-        raise ValueError("the steering grid is the quarter grid; use phase_mode='golden' "
-                         "for continuous refinement")
-    max_steps = problem.max_steps if max_steps is None else max_steps
     target = 0.5 * problem.eps if stop_norm is None else stop_norm
     steps = 0
-    while steps < max_steps:
+    while steps < problem.max_steps:
         if state.work_norm() <= target:
             state.stall = None
             return state
         norm2 = state.work_norm() ** 2
         tol = 1e-14 * max(norm2, 1e-300)
+        cw = np.conj(state.work.coef) * state.weights
         grow_best = -math.inf
         if np.any(state.pool_mask):
-            decreases, pairings = _phase_scores(state)
+            decreases, pairings = _phase_scores(state, cw)
             flat = int(np.argmax(decreases))
             k, idx = np.unravel_index(flat, decreases.shape)
             grow_best = float(decreases[k, idx])
         else:
             pairings = np.zeros((len(QUARTER_GRID), len(state.pool_primes)))
-        cw = np.conj(state.work.coef) * state.weights
-        re_best, re_move = _rephase_scores(state, cw)
-        drop_best, drop_pos = _drop_scores(state, cw)
-        if max(grow_best, re_best, drop_best) <= tol:
-            if np.any(state.pool_mask) and _pair_rescue(state, pairings):
+        gains = _accepted_gains(state, cw)
+        acc_best = float(np.max(gains, initial=-math.inf))
+        if max(grow_best, acc_best) <= tol:
+            if np.any(state.pool_mask) and _pair_rescue(state, pairings, gains):
                 steps += 2
                 continue
-            state.stall = StallInfo(max(grow_best, re_best),
+            rephase_best = float(np.max(gains[:_DROP], initial=-math.inf))
+            state.stall = StallInfo(max(grow_best, rephase_best),
                                     float(np.max(np.abs(pairings), initial=0.0)),
                                     not bool(np.any(state.pool_mask)))
             return state
-        if drop_best > max(grow_best, re_best):
-            _commit_drop(state, drop_pos)
-        elif re_best > grow_best:
-            _commit_rephase(state, *re_move)
+        if acc_best > grow_best:
+            # the first move wins a tie, then the first position
+            move, pos = np.unravel_index(int(np.argmax(gains)), gains.shape)
+            if move == _DROP:
+                _commit_drop(state, int(pos))
+            else:
+                _commit_rephase(state, int(pos), int(move))
         else:
             row, twist = state.u_phase[k][idx], float(state.stored_twists[k][idx])
             if problem.phase_mode == "golden":
-                grow, gtw, gdec = _golden_refine(state, int(idx), QUARTER_GRID[k])
+                grow, gtw, gdec = _golden_refine(state, cw, int(idx), QUARTER_GRID[k])
                 if gdec > grow_best:
                     row, twist = grow, gtw
             _commit(state, int(idx), row, twist)
@@ -701,8 +656,7 @@ def _survey(problem: ApproximationProblem, state: ApproximationState) -> SurveyR
 
 
 def _approximate_impl(problem: ApproximationProblem,
-                      eps_target: float | None = None,
-                      rounds: int = 3) -> ApproximationResult:
+                      eps_target: float | None = None) -> ApproximationResult:
     problem.validate()
     eps_target = problem.eps if eps_target is None else eps_target
     original_target = problem.target
@@ -714,7 +668,7 @@ def _approximate_impl(problem: ApproximationProblem,
     R = work_problem.hardy_radius
     stop = 0.5 * eps_target * math.sqrt(math.pi) * (R - problem.r)
     survey = None
-    for _ in range(rounds):
+    for _ in range(3):   # steering rounds, the norm target divided by 4 each time
         state = greedy_rearrange(state, stop_norm=stop)
         # measure against the uncontracted target
         measured = replace(work_problem, target=original_target)

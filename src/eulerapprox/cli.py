@@ -230,8 +230,9 @@ def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
     if compare_n is not None:
         g = product_target(spec, [p for p in plist if p <= compare_n], pa, 0.0)
         rr = rouche_check(f, g, contour, samples=max(64, samples))
-        lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}",
-                  f"zeros_truncated {rr.zeros_g}"]
+        lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}"]
+        if rr.zeros_g is not None:   # counted only when dominance holds
+            lines.append(f"zeros_truncated {rr.zeros_g}")
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
     _write(out, "report.txt", "\n".join(lines) + "\n")

@@ -229,15 +229,20 @@ class EulerFactorSpec:
 
     def log_series_tail(self, primes: np.ndarray, q: np.ndarray,
                         order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per prime: a coefficient size K, and a bound on the log terms past ``order``.
+        """Per prime: a coefficient size K, and majorants of the log terms on |z| <= q.
 
-        ``q`` is the largest |z| per prime.  Characters have |c_m| <= 1/m, so
+        ``q`` is the largest |z| per prime.  Characters have |c_m| <= K/m with
         K = 1; custom factors take K = max |log f_p| on |z| = rho just inside
-        the zero-free disc (|c_m| <= K rho^-m), and K = 0 without a table row.
+        the zero-free disc, so |c_m| <= K rho^-m (Cauchy), and K = 0 without a
+        table row.  The majorant array has ``order + 1`` columns: a bound on
+        |c_m| q^m for each m = 1..order, then a bound on the terms past order.
         """
         primes = np.asarray(primes, dtype=np.int64)
+        ms = np.arange(1, order + 1, dtype=float)
         if self.kind == "dirichlet":
-            return np.ones_like(q), q ** (order + 1) / ((order + 1) * (1.0 - q))
+            terms = q[:, None] ** ms[None, :] / ms[None, :]
+            past = q ** (order + 1) / ((order + 1) * (1.0 - q))
+            return np.ones_like(q), np.column_stack([terms, past])
         rho = 1.0 - 1e-3
         ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
         ks = np.zeros_like(q)
@@ -246,7 +251,9 @@ class EulerFactorSpec:
             if hit.any():
                 ks[hit] = max(abs(np.log(self.times_factor(1.0, p, rho * a))) for a in ang)
         ratio = q / rho
-        return ks, ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)
+        terms = ks[:, None] * ratio[:, None] ** ms[None, :]
+        past = ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)
+        return ks, np.column_stack([terms, past])
 
 
 def zeta_spec() -> EulerFactorSpec:

@@ -5,7 +5,14 @@ import pytest
 
 import eulerapprox as ea
 from eulerapprox import cli
-from eulerapprox.approx import _approximate_impl, norm_to_max
+from eulerapprox.approx import (
+    _approximate_impl,
+    _commit,
+    _commit_drop,
+    _commit_rephase,
+    _u_rows,
+    norm_to_max,
+)
 from eulerapprox.factors import twist_argument
 from eulerapprox.hardy import disc_quadrature
 
@@ -132,6 +139,37 @@ def test_init_residual_pool_below_floor_rejected():
         ea.init_residual(prob)
 
 
+def test_nu_rest_follows_grow_rephase_and_drop():
+    prob = make_problem(p_max=300, contract=False)
+    state = ea.init_residual(prob)
+
+    def curvature_of_remaining_pool():
+        # full log rows at twist 0 minus the leading term a_p^1 p^-sigma0 (-log p)^n / n!
+        taken = set(state.accepted_primes())
+        rest = np.array([p for p in state.pool_primes if p not in taken], dtype=np.int64)
+        full = _u_rows(prob.spec, rest, np.zeros(len(rest)), prob.sigma0, prob.order,
+                       prob.series_order)
+        lnp = np.log(rest.astype(float))
+        n = np.arange(prob.order + 1)
+        fact = np.array([math.factorial(int(k)) for k in n], dtype=float)
+        leading = (prob.spec.leading(rest) * np.exp(-prob.sigma0 * lnp))[:, None] \
+            * (-lnp[:, None]) ** n / fact
+        return (full - leading).sum(axis=0)
+
+    assert np.allclose(state.nu_rest, curvature_of_remaining_pool(), rtol=1e-12, atol=1e-15)
+    moves = [lambda: _commit(state, 0, state.u_phase[1][0], state.stored_twists[1][0]),
+             lambda: _commit(state, 3, state.u_phase[0][3], state.stored_twists[0][3]),
+             lambda: _commit_rephase(state, 0, 2),
+             lambda: _commit_drop(state, 1)]
+    for move in moves:
+        move()
+        assert np.allclose(state.nu_rest, curvature_of_remaining_pool(),
+                           rtol=1e-12, atol=1e-15)
+        assert np.array_equal(state.residual.coef, state.work.coef - state.nu_rest)
+    assert state.accepted_primes() == [int(state.pool_primes[0])]
+    assert state.accepted[0][1] == state.stored_twists[2][0] % 1.0
+
+
 # ---------------------------------------------------------------------------
 # greedy steering
 # ---------------------------------------------------------------------------
@@ -168,13 +206,6 @@ def test_greedy_trace_monotone():
     state = ea.greedy_rearrange(state, stop_norm=1e-6)
     trace = np.array(state.trace)
     assert np.all(np.diff(trace) <= 1e-15)
-
-
-def test_greedy_rejects_unknown_grid():
-    prob = make_problem(p_max=500)
-    state = ea.init_residual(prob)
-    with pytest.raises(ValueError):
-        ea.greedy_rearrange(state, phase_grid=(0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------

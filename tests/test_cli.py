@@ -4,11 +4,16 @@ from eulerapprox import cli
 from eulerapprox.approx import _approximate_impl
 
 
+NOT_LABELS = {"none", "nan", "inf", "infinity"}
+
+
 def parse_number(token):
     try:
         return int(token)
     except ValueError:
-        return float(token)
+        value = float(token)
+        assert np.isfinite(value), token
+        return value
 
 
 def test_every_output_file_parses_back(tmp_path):
@@ -17,6 +22,8 @@ def test_every_output_file_parses_back(tmp_path):
         "refine": (["refine", "--pmax", "2000", "--stages", "2"], 0),
         "hypothesis": (["check-hypothesis", "--h-grid", "1e4:1e5:3"], 4),
         "zero-scan": (["zero-scan", "--pmax", "2000", "--compare-n", "200"], 0),
+        "zero-scan-dominated": (["zero-scan", "--pmax", "2000", "--compare-n", "1000",
+                                 "--center-re", "1.5", "--cradius", "0.2"], 0),
         "torus": (["torus", "--samples", "20000"], 0),
     }
     for name, (argv, code) in runs.items():
@@ -28,10 +35,15 @@ def test_every_output_file_parses_back(tmp_path):
                     if isinstance(cli.CONFIG_KEYS.get(key), (int, float)):
                         parse_number(value)
                 else:
-                    # labels are identifiers (c0, half_width, success); the rest are numbers
+                    # labels are identifiers (c0, half_width, success); the rest are
+                    # numbers, and a missing or non-finite value is not a label
                     for token in line.split():
-                        if not token.isidentifier():
+                        if not token.isidentifier() or token.lower() in NOT_LABELS:
                             parse_number(token)
+
+    # the truncated product's zeros are counted only where dominance holds
+    assert "zeros_truncated" not in (tmp_path / "zero-scan" / "report.txt").read_text()
+    assert "zeros_truncated 0\n" in (tmp_path / "zero-scan-dominated" / "report.txt").read_text()
 
     heatmap = tmp_path / "approximate" / "heatmap.txt"
     rows = np.array([[float(t) for t in line.split()] for line in heatmap.read_text().splitlines()])

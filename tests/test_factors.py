@@ -439,6 +439,21 @@ def test_custom_log_series_tail_matches_factor_loop():
     assert np.array_equal(got_k, ks)
 
 
+def test_custom_log_series_majorant_dominates_coefficients():
+    # log(1 + 0.1 z^2) = sum_j (-1)^(j+1) 0.1^j z^(2j) / j, so |c_2| = 0.1 > K/2
+    spec = make_custom({7: {2: 0.1}})
+    order = 64
+    primes = np.array([7], dtype=np.int64)
+    q = np.exp(-0.71 * np.log(primes.astype(float)))
+    k, terms = spec.log_series_tail(primes, q, order)
+    exact = np.zeros(order)
+    for j in range(1, order // 2 + 1):
+        exact[2 * j - 1] = 0.1**j / j
+    assert k[0] / 2 < exact[1]
+    assert terms.shape == (1, order + 1)
+    assert np.all(terms[0, :order] >= exact * q[0] ** np.arange(1, order + 1))
+
+
 def test_grid_factor_product_matches_scalar_custom():
     spec = CUSTOM
     ps = [int(p) for p in ea.primes_up_to(30)]
