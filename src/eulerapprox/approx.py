@@ -187,6 +187,39 @@ def _stored_twists(spec: EulerFactorSpec, primes: np.ndarray, steering: float) -
     return np.mod(steering + spec.phase_correction(primes), 1.0)
 
 
+#: primes per block of the pool row build and of the embedding tail; small
+#: enough that a block's temporaries stay a few MB next to the stored rows
+_BLOCK = 2048
+
+
+def _m_powers(order: int, series_order: int) -> np.ndarray:
+    """m^n for m = 1..series_order (rows) and n = 0..order (columns)."""
+    ms = np.arange(1, series_order + 1, dtype=float)
+    ns = np.arange(order + 1, dtype=float)
+    return ms[:, None] ** ns[None, :]
+
+
+def _taylor_direction(lnp: np.ndarray, order: int) -> np.ndarray:
+    """(-log p)^n / n! for n = 0..order: the twist-free factor of a prime's row."""
+    ns = np.arange(order + 1, dtype=float)
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1, dtype=float))))
+    return (-lnp[:, None]) ** ns[None, :] / fact[None, :]
+
+
+def _twisted_rows(spec: EulerFactorSpec, primes: np.ndarray, lnp: np.ndarray,
+                  twists: np.ndarray, sigma0: float, mpow: np.ndarray,
+                  direction: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``_u_rows`` from its twist-free parts, written into ``out`` if given.
+
+    ``lnp``, ``mpow`` and ``direction`` come from ``np.log``, ``_m_powers``
+    and ``_taylor_direction`` and do not depend on the twists, so a caller
+    that needs several twists of the same primes builds them once.
+    """
+    base = np.exp(-1j * TWO_PI * twists - sigma0 * lnp)     # B per prime
+    G = spec.log_terms(primes, base, mpow.shape[0])          # G[p, m] = c_m(p) * B_p^m
+    return np.multiply(G @ mpow, direction, out=out)        # (sum_m c_m B^m m^n) * direction
+
+
 def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
             sigma0: float, order: int, series_order: int,
             gammas: np.ndarray | None = None) -> np.ndarray:
@@ -195,21 +228,43 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
     Row p holds the coefficients of log f_p(e^{-2 pi i tw} p^{-s-sigma0})
     around s = 0, from the log series sum_m c_m z^m composed with
     z(s) = B e^{-s log p}:  alpha_n = (sum_m c_m B^m m^n) (-log p)^n / n!.
+    The twist enters only the sum; the direction (-log p)^n / n! and the
+    powers m^n do not, so the pool build (``_quarter_rows``) and the golden
+    search compute them once and call ``_twisted_rows`` per twist.
     """
     primes = np.asarray(primes, dtype=np.int64)
     lnp = np.log(primes.astype(float))
     tw = np.asarray(twists, dtype=float)
     if gammas is not None:
         tw = tw + gammas
-    base = np.exp(-1j * TWO_PI * tw - sigma0 * lnp)  # B per prime
-    ms = np.arange(1, series_order + 1, dtype=float)
-    G = spec.log_terms(primes, base, series_order)      # G[p, m] = c_m(p) * B_p^m
-    ns = np.arange(order + 1, dtype=float)
-    mexp = ms[:, None] ** ns[None, :]                     # m^n
-    S = G @ mexp                                          # sum_m c_m B^m m^n
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1, dtype=float))))
-    direction = (-lnp[:, None]) ** ns[None, :] / fact[None, :]
-    return S * direction
+    return _twisted_rows(spec, primes, lnp, tw, sigma0, _m_powers(order, series_order),
+                         _taylor_direction(lnp, order))
+
+
+def _quarter_rows(spec: EulerFactorSpec, pool: np.ndarray, twists: Sequence[np.ndarray],
+                  sigma0: float, order: int, series_order: int,
+                  weights: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``_u_rows`` of the pool at each twist vector, and the rows' disc norms.
+
+    One pass over the pool in blocks of ``_BLOCK`` primes: a block's
+    logarithms and direction are computed once and shared by every twist,
+    and its rows are written in place into the preallocated arrays.  The
+    result is bit-identical to one whole-pool ``_u_rows`` call per twist.
+    """
+    npool = len(pool)
+    rows = [np.empty((npool, order + 1), dtype=complex) for _ in twists]
+    norm2 = [np.empty(npool) for _ in twists]
+    mpow = _m_powers(order, series_order)
+    for lo in range(0, npool, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        ps = pool[blk]
+        lnp = np.log(ps.astype(float))
+        direction = _taylor_direction(lnp, order)
+        for k, tws in enumerate(twists):
+            out = _twisted_rows(spec, ps, lnp, tws[blk], sigma0, mpow, direction,
+                                out=rows[k][blk])
+            norm2[k][blk] = np.sum(np.abs(out) ** 2 * weights[None, :], axis=1)
+    return rows, norm2
 
 
 def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
@@ -218,20 +273,25 @@ def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
 
     Two cuts are covered: log-series terms beyond series_order (geometric in
     p^{radius-sigma0}) and Taylor terms beyond ``order`` (factorial tail of
-    each exponential).
+    each exponential).  The per-prime bounds are worked out in blocks of
+    ``_BLOCK`` primes (the (primes x series_order) temporaries stay small)
+    and summed once over the whole vector.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if len(primes) == 0:
         return 0.0
-    lnp = np.log(primes.astype(float))
-    q = np.exp((radius - sigma0) * lnp)
-    _, terms = spec.log_series_tail(primes, q, series_order)
     ms = np.arange(1, series_order + 1, dtype=float)
-    a = ms[None, :] * lnp[:, None] * radius
-    la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
-    tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
-    n_tail = np.sum(terms[:, :-1] * tails, axis=1)
-    return float(np.sum(terms[:, -1] + n_tail))
+    per_prime = np.empty(len(primes))
+    for lo in range(0, len(primes), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        lnp = np.log(primes[blk].astype(float))
+        q = np.exp((radius - sigma0) * lnp)
+        _, terms = spec.log_series_tail(primes[blk], q, series_order)
+        a = ms[None, :] * lnp[:, None] * radius
+        la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
+        tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
+        per_prime[blk] = terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1)
+    return float(np.sum(per_prime))
 
 
 def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
@@ -332,11 +392,12 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     """Build the steering state on the disc of radius gamma * r.
 
     The working residual is log(target) minus the mandatory log factors, and
-    the pool gets one row set per quarter phase; the certified tail covers
-    the log-series cuts and every prime beyond the pool.  An empty pool
-    (every prime up to p_max is a floor prime or has a fixed twist) is
-    allowed: the state then holds no candidates, and greedy steering reports
-    the pool as exhausted at once.
+    the pool gets one row set per quarter phase, built in one blocked pass
+    (``_quarter_rows``: each prime's direction and logarithm once, not once
+    per quarter); the certified tail covers the log-series cuts and every
+    prime beyond the pool.  An empty pool (every prime up to p_max is a
+    floor prime or has a fixed twist) is allowed: the state then holds no
+    candidates, and greedy steering reports the pool as exhausted at once.
     """
     problem.validate()
     p_max = problem.p_max
@@ -365,15 +426,11 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
 
     pool = all_ps[(all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))]
 
-    u_phase, u_norm2, stored = [], [], []
     n = np.arange(N + 1)
     weights = math.pi * R ** (2 * n + 2) / (n + 1)
-    for q in QUARTER_GRID:
-        tws = _stored_twists(spec, pool, q)
-        rows = _u_rows(spec, pool, tws, problem.sigma0, N, problem.series_order)
-        u_phase.append(rows)
-        u_norm2.append(np.sum(np.abs(rows) ** 2 * weights[None, :], axis=1).real)
-        stored.append(tws)
+    stored = [_stored_twists(spec, pool, q) for q in QUARTER_GRID]
+    u_phase, u_norm2 = _quarter_rows(spec, pool, stored, problem.sigma0, N,
+                                     problem.series_order, weights)
 
     tail = _embedding_tail(spec, np.array(sorted(mandatory), dtype=np.int64), R,
                            problem.sigma0, N, problem.series_order) if mandatory else 0.0
@@ -416,11 +473,13 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
     """Golden-section search of the steering phase around the best quarter."""
     problem = state.problem
     p = np.array([state.pool_primes[idx]])
+    lnp = np.log(p.astype(float))
+    mpow = _m_powers(problem.order, problem.series_order)
+    direction = _taylor_direction(lnp, problem.order)
 
     def decrease_of(q: float) -> tuple[float, np.ndarray, float]:
         tws = _stored_twists(problem.spec, p, q % 1.0)
-        row = _u_rows(problem.spec, p, tws, problem.sigma0, problem.order,
-                      problem.series_order)[0]
+        row = _twisted_rows(problem.spec, p, lnp, tws, problem.sigma0, mpow, direction)[0]
         n2 = float(np.sum(np.abs(row) ** 2 * state.weights).real)
         d = 2.0 * float((row @ cw).real) - n2
         return d, row, float(tws[0])

@@ -4,7 +4,12 @@ Configuration is flat ``key = value`` text; every flag mirrors a config key
 and command-line values win.  Each run writes a manifest echoing the full
 configuration plus seed and version, so pointing --config at a previous
 manifest replays the run (a ``workers`` line from older manifests is
-skipped: that key never had an effect).
+skipped: that key never had an effect; a key an older manifest lacks, such as
+``width_factor``, takes its default).
+
+``check-hypothesis`` tests the paper's window (h, h (1 + log^-10 h)] unless
+``width_factor`` sets the relative width: below h ~ e^41 the paper's window
+holds no integer, so at desk scale only a wider window can pass.
 
 Exit codes: 0 success, 2 stall, 3 invalid config, 4 hypothesis failure,
 5 pool exhausted (``approximate`` steered every prime up to pmax and the
@@ -51,6 +56,7 @@ CONFIG_KEYS = {
     "phase_grid": "quarter",
     "seed": 0,
     "stages": 3,
+    "width_factor": "",
     "out": "run",
 }
 
@@ -206,7 +212,16 @@ def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
         raise InvalidProblem("h grid must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     hs = list(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
-    report = fit_c0(spec, cfg["lam"], hs)
+    wf = None   # empty: the paper's window (h, h (1 + log^-10 h)]
+    if cfg["width_factor"] != "":
+        try:
+            wf = float(cfg["width_factor"])
+        except ValueError:
+            wf = math.nan
+        if not (math.isfinite(wf) and wf > 0):
+            raise InvalidProblem(f"width_factor must be a positive number "
+                                 f"(got {cfg['width_factor']!r})")
+    report = fit_c0(spec, cfg["lam"], hs, width_factor=wf)
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
     _write(out, "report.txt", report.to_text())

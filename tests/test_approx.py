@@ -6,14 +6,16 @@ import pytest
 import eulerapprox as ea
 from eulerapprox import cli
 from eulerapprox.approx import (
+    _BLOCK,
     _approximate_impl,
     _commit,
     _commit_drop,
     _commit_rephase,
+    _embedding_tail,
     _u_rows,
     norm_to_max,
 )
-from eulerapprox.factors import twist_argument
+from eulerapprox.factors import QUARTER_GRID, twist_argument
 from eulerapprox.hardy import disc_quadrature
 
 
@@ -171,6 +173,63 @@ def test_nu_rest_follows_grow_rephase_and_drop():
 
 
 # ---------------------------------------------------------------------------
+# blocked pool build: bit-identical to one whole-pool _u_rows call per quarter
+# ---------------------------------------------------------------------------
+
+BUILD_SPECS = pytest.mark.parametrize("spec", [
+    ea.zeta_spec(),
+    ea.dirichlet_spec(4, [0, 1, 0, -1]),
+    ea.dirichlet_spec(5, [0, 1, 1j, -1j, -1]),
+    ea.custom_spec({2: {1: 0.25 + 0.1j, 2: 0.05}, 3: {1: -0.3}, 5: {1: 0.2j, 3: 0.01},
+                    7: {2: 0.1}}, {0.05: 2.0}),
+], ids=["zeta", "chi4", "chi5", "custom"])
+
+
+def whole_pool_quarter(prob, pool, q):
+    """Twists, rows and disc norms of the pool at steering phase q, in one call each."""
+    spec = prob.spec
+    tws = np.mod(q + spec.phase_correction(pool), 1.0)
+    rows = _u_rows(spec, pool, tws, prob.sigma0, prob.order, prob.series_order)
+    n = np.arange(prob.order + 1)
+    weights = math.pi * prob.hardy_radius ** (2 * n + 2) / (n + 1)
+    norm2 = np.array([np.sum(np.abs(row) ** 2 * weights) for row in rows])
+    return tws, rows, norm2
+
+
+@BUILD_SPECS
+def test_blocked_pool_build_matches_whole_pool_rows(spec):
+    prob = make_problem(spec=spec, p_max=60_000)
+    state = ea.init_residual(prob)
+    pool = state.pool_primes
+    # three blocks, the last one partial
+    assert 2 * _BLOCK < len(pool) < 3 * _BLOCK
+    for k, q in enumerate(QUARTER_GRID):
+        tws, rows, norm2 = whole_pool_quarter(prob, pool, q)
+        assert np.array_equal(state.stored_twists[k], tws)
+        assert np.array_equal(state.u_phase[k], rows)
+        assert np.array_equal(state.u_norm2[k], norm2)
+
+
+@BUILD_SPECS
+@pytest.mark.parametrize("order,series_order", [(64, 64), (8, 2)])
+def test_blocked_embedding_tail_matches_one_shot_sum(spec, order, series_order):
+    # at low orders every block adds far more than an ulp of the sum
+    prob = make_problem(spec=spec, p_max=60_000)
+    primes = ea.primes_up_to(60_000)
+    R, sigma0 = prob.hardy_radius, prob.sigma0
+    # the whole pool at once: per-prime bounds, then one sum
+    lnp = np.log(primes.astype(float))
+    q = np.exp((R - sigma0) * lnp)
+    _, terms = spec.log_series_tail(primes, q, series_order)
+    a = np.arange(1, series_order + 1, dtype=float)[None, :] * lnp[:, None] * R
+    la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
+    tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
+    one_shot = float(np.sum(terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1)))
+    assert one_shot > 0
+    assert _embedding_tail(spec, primes, R, sigma0, order, series_order) == one_shot
+
+
+# ---------------------------------------------------------------------------
 # greedy steering
 # ---------------------------------------------------------------------------
 
@@ -296,6 +355,13 @@ def test_empty_pool_is_an_exhausted_pool(spec):
     state = ea.init_residual(prob)
     assert len(state.pool_primes) == 0
     assert sorted(state.mandatory) == [2, 3, 5, 7]
+    # the blocked row build has no block to run and still leaves typed, empty row sets
+    for k, q in enumerate(QUARTER_GRID):
+        tws, rows, norm2 = whole_pool_quarter(prob, state.pool_primes, q)
+        assert state.u_phase[k].shape == rows.shape == (0, prob.order + 1)
+        assert state.u_phase[k].dtype == complex and state.u_norm2[k].dtype == float
+        assert np.array_equal(state.stored_twists[k], tws)
+        assert np.array_equal(state.u_norm2[k], norm2)
     # the floor factors are removed exactly as with a non-empty pool
     wider = ea.init_residual(make_problem(spec=spec, y=7.0, p_max=50))
     assert np.array_equal(state.work.coef, wider.work.coef)

@@ -21,6 +21,8 @@ def test_every_output_file_parses_back(tmp_path):
         "approximate": (["approximate", "--pmax", "2000"], 0),
         "refine": (["refine", "--pmax", "2000", "--stages", "2"], 0),
         "hypothesis": (["check-hypothesis", "--h-grid", "1e4:1e5:3"], 4),
+        # the paper's window holds no integer at desk scale; a wider one passes
+        "hypothesis-wide": (["check-hypothesis", "--width-factor", "0.01"], 0),
         "zero-scan": (["zero-scan", "--pmax", "2000", "--compare-n", "200"], 0),
         "zero-scan-dominated": (["zero-scan", "--pmax", "2000", "--compare-n", "1000",
                                  "--center-re", "1.5", "--cradius", "0.2"], 0),
@@ -32,7 +34,8 @@ def test_every_output_file_parses_back(tmp_path):
             for line in path.read_text().splitlines():
                 if path.name == "manifest.txt":
                     key, value = line.split(" = ")
-                    if isinstance(cli.CONFIG_KEYS.get(key), (int, float)):
+                    if isinstance(cli.CONFIG_KEYS.get(key), (int, float)) or (
+                            key == "width_factor" and value):
                         parse_number(value)
                 else:
                     # labels are identifiers (c0, half_width, success); the rest are
@@ -44,6 +47,12 @@ def test_every_output_file_parses_back(tmp_path):
     # the truncated product's zeros are counted only where dominance holds
     assert "zeros_truncated" not in (tmp_path / "zero-scan" / "report.txt").read_text()
     assert "zeros_truncated 0\n" in (tmp_path / "zero-scan-dominated" / "report.txt").read_text()
+
+    wide = cli.load_config(str(tmp_path / "hypothesis-wide" / "manifest.txt"), {})
+    assert wide["width_factor"] == "0.01"
+    assert cli.load_config(str(tmp_path / "hypothesis" / "manifest.txt"), {})["width_factor"] == ""
+    assert cli.main(["check-hypothesis", "--width-factor", "0", "--out",
+                     str(tmp_path / "hypothesis-zero")]) == 3
 
     heatmap = tmp_path / "approximate" / "heatmap.txt"
     rows = np.array([[float(t) for t in line.split()] for line in heatmap.read_text().splitlines()])
@@ -57,3 +66,4 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     cfg = cli.load_config(str(manifest), {})
     assert cfg["pmax"] == 3000
     assert "workers" not in cfg.values
+    assert cfg["width_factor"] == ""   # the key is newer than this manifest
