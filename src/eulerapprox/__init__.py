@@ -80,7 +80,7 @@ from .hardy import (
     quadrature_inner_product,
     quadrature_norm,
 )
-from .primes import primes_up_to, read_prime_cache, write_prime_cache
+from .primes import primes_up_to
 from .torus import (
     EquidistributionResult,
     SlabCheck,

@@ -68,8 +68,10 @@ class ApproximationProblem:
 
     ``target`` maps local coordinates (vectorized over numpy arrays) to
     values; the product approximant is evaluated at exponent s + sigma0.
-    ``preset_phases`` pins twists for primes at or below the floor y;
-    ``fixed_phases`` freezes twists of larger primes (used by schedules).
+    ``preset_phases`` pins twists for primes at or below the floor y, which
+    are shifted by t0 log p / 2 pi like every floor prime; ``fixed_phases``
+    freezes product twists, not shifted again, of any primes (used by
+    schedules).
     With ``contract`` the target is replaced by s -> target(s/gamma_c^2),
     which is analytic on the enlarged disc whenever the original is analytic
     on |s| <= r; disable it only for targets already analytic and zero-free
@@ -241,34 +243,35 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
                          _taylor_direction(lnp, order))
 
 
-def _quarter_rows(spec: EulerFactorSpec, pool: np.ndarray, twists: Sequence[np.ndarray],
-                  sigma0: float, order: int, series_order: int,
-                  weights: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """``_u_rows`` of the pool at each twist vector, and the rows' disc norms.
+def _quarter_rows(state: ApproximationState, stop: int) -> None:
+    """Build the quarter rows and disc norms of the pool up to ``stop``, in place.
 
-    One pass over the pool in blocks of ``_BLOCK`` primes: a block's
-    logarithms and direction are computed once and shared by every twist,
-    and its rows are written in place into the preallocated arrays.  The
-    result is bit-identical to one whole-pool ``_u_rows`` call per twist.
+    Writes ``_u_rows`` of the pool at each quarter's stored twists, and the
+    rows' disc norms, into ``state.u_phase`` / ``state.u_norm2`` from
+    ``state.built`` on, whole blocks of ``_BLOCK`` primes at a time, until
+    ``stop`` primes (or the pool) are covered; ``state.built`` follows.  A
+    block's logarithms and direction are computed once and shared by every
+    quarter.  Each row is bit-identical to one whole-pool ``_u_rows`` call
+    per quarter.
     """
-    npool = len(pool)
-    rows = [np.empty((npool, order + 1), dtype=complex) for _ in twists]
-    norm2 = [np.empty(npool) for _ in twists]
-    mpow = _m_powers(order, series_order)
-    for lo in range(0, npool, _BLOCK):
+    p = state.problem
+    pool = state.pool_primes
+    mpow = _m_powers(p.order, p.series_order)
+    for lo in range(state.built, min(stop, len(pool)), _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         ps = pool[blk]
         lnp = np.log(ps.astype(float))
-        direction = _taylor_direction(lnp, order)
-        for k, tws in enumerate(twists):
-            out = _twisted_rows(spec, ps, lnp, tws[blk], sigma0, mpow, direction,
-                                out=rows[k][blk])
-            norm2[k][blk] = np.sum(np.abs(out) ** 2 * weights[None, :], axis=1)
-    return rows, norm2
+        direction = _taylor_direction(lnp, p.order)
+        for k, tws in enumerate(state.stored_twists):
+            out = _twisted_rows(p.spec, ps, lnp, tws[blk], p.sigma0, mpow, direction,
+                                out=state.u_phase[k][blk])
+            state.u_norm2[k][blk] = np.sum(np.abs(out) ** 2 * state.weights[None, :], axis=1)
+        state.built = min(lo + _BLOCK, len(pool))
 
 
 def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
-                    sigma0: float, order: int, series_order: int) -> float:
+                    sigma0: float, order: int,
+                    series_order: int) -> tuple[float, np.ndarray]:
     """Certified sup bound on what the truncated rows drop, summed over primes.
 
     Two cuts are covered: log-series terms beyond series_order (geometric in
@@ -276,22 +279,30 @@ def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
     each exponential).  The per-prime bounds are worked out in blocks of
     ``_BLOCK`` primes (the (primes x series_order) temporaries stay small)
     and summed once over the whole vector.
+
+    The same pass returns, per block b, the largest sum_{m <= series_order}
+    |c_m(p)| q_p^m over the primes of blocks b, b+1, ... (q_p =
+    p^{radius-sigma0}).  It bounds sum_n |u_n| radius^n for every row u of
+    those primes at any twist, since sum_n |u_n| radius^n <= sum_m |c_m|
+    |B|^m e^{m radius log p}.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if len(primes) == 0:
-        return 0.0
+        return 0.0, np.empty(0)
     ms = np.arange(1, series_order + 1, dtype=float)
     per_prime = np.empty(len(primes))
-    for lo in range(0, len(primes), _BLOCK):
+    block_max = np.empty(-(-len(primes) // _BLOCK))
+    for b, lo in enumerate(range(0, len(primes), _BLOCK)):
         blk = slice(lo, lo + _BLOCK)
         lnp = np.log(primes[blk].astype(float))
         q = np.exp((radius - sigma0) * lnp)
         _, terms = spec.log_series_tail(primes[blk], q, series_order)
+        block_max[b] = np.max(np.sum(terms[:, :-1], axis=1))
         a = ms[None, :] * lnp[:, None] * radius
         la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
         tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
         per_prime[blk] = terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1)
-    return float(np.sum(per_prime))
+    return float(np.sum(per_prime)), np.maximum.accumulate(block_max[::-1])[::-1]
 
 
 def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
@@ -342,6 +353,13 @@ class ApproximationState:
     in the product.  ``residual`` (the reporting view) additionally removes
     ``nu_rest``, the reference-twist curvature log f_p - a_p^1 z summed over
     the still-unsteered pool, worked out on demand: steering never reads it.
+
+    The pool's quarter rows are built lazily: ``u_phase[k][:built]`` and
+    ``u_norm2[k][:built]`` hold the rows and disc norms of the first
+    ``built`` pool primes (whole ``_BLOCK`` blocks), and the rest of those
+    arrays is unwritten.  ``row_bound[b]`` bounds the disc norm ||u|| of
+    every row, at any twist, of the primes in blocks b, b+1, ...; greedy
+    steering reads it to decide how far the build must go.
     """
 
     problem: ApproximationProblem
@@ -354,6 +372,8 @@ class ApproximationState:
     u_norm2: list[np.ndarray]
     stored_twists: list[np.ndarray]
     weights: np.ndarray                      # disc norm weights
+    row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
+    built: int = 0                           # pool primes whose rows are written
     accepted_idx: list[int] = field(default_factory=list)
     accepted_rows: list[np.ndarray] = field(default_factory=list)
     trace: list[float] = field(default_factory=list)
@@ -383,7 +403,7 @@ class ApproximationState:
     def phase_assignment(self) -> PhaseAssignment:
         theta = dict(self.mandatory)
         theta.update({p: tw for p, tw in self.accepted})
-        shifted = frozenset(self.mandatory)
+        shifted = frozenset(p for p in self.mandatory if p not in self.problem.fixed_phases)
         return PhaseAssignment({p: float(th % 1.0) for p, th in theta.items()},
                                t0=self.problem.t0, shifted=shifted)
 
@@ -391,13 +411,18 @@ class ApproximationState:
 def init_residual(problem: ApproximationProblem) -> ApproximationState:
     """Build the steering state on the disc of radius gamma * r.
 
-    The working residual is log(target) minus the mandatory log factors, and
-    the pool gets one row set per quarter phase, built in one blocked pass
-    (``_quarter_rows``: each prime's direction and logarithm once, not once
-    per quarter); the certified tail covers the log-series cuts and every
-    prime beyond the pool.  An empty pool (every prime up to p_max is a
-    floor prime or has a fixed twist) is allowed: the state then holds no
-    candidates, and greedy steering reports the pool as exhausted at once.
+    The working residual is log(target) minus the mandatory log factors: the
+    floor primes, shifted by t0 log p / 2 pi unless a fixed twist is given,
+    and the ``fixed_phases`` primes, whose twists are product twists and are
+    not shifted again.  The pool gets its stored twists, one vector per
+    quarter phase, and empty row arrays: no row is built here.
+    ``greedy_rearrange`` builds rows block by block (``_quarter_rows``) only
+    as far as the bound ``row_bound`` says a prime can still win.  The
+    certified tail covers the log-series cuts of the floor and of the whole
+    pool, and every prime beyond the pool; the pool pass also yields
+    ``row_bound``.  An empty pool (every prime up to p_max is a floor prime
+    or has a fixed twist) is allowed: the state then holds no candidates,
+    and greedy steering reports the pool as exhausted at once.
     """
     problem.validate()
     p_max = problem.p_max
@@ -420,7 +445,8 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     if mandatory:
         mp = np.array(sorted(mandatory), dtype=np.int64)
         tw = np.array([mandatory[int(p)] for p in mp])
-        gam = np.array([problem.t0 * math.log(int(p)) / TWO_PI for p in mp])
+        gam = np.array([0.0 if int(p) in problem.fixed_phases
+                        else problem.t0 * math.log(int(p)) / TWO_PI for p in mp])
         rows = _u_rows(spec, mp, tw, problem.sigma0, N, problem.series_order, gammas=gam)
         work = H2Element(R, work.coef - rows.sum(axis=0), work.tail_bound)
 
@@ -429,20 +455,23 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     n = np.arange(N + 1)
     weights = math.pi * R ** (2 * n + 2) / (n + 1)
     stored = [_stored_twists(spec, pool, q) for q in QUARTER_GRID]
-    u_phase, u_norm2 = _quarter_rows(spec, pool, stored, problem.sigma0, N,
-                                     problem.series_order, weights)
 
     tail = _embedding_tail(spec, np.array(sorted(mandatory), dtype=np.int64), R,
-                           problem.sigma0, N, problem.series_order) if mandatory else 0.0
-    tail += _embedding_tail(spec, pool, R, problem.sigma0, N, problem.series_order)
+                           problem.sigma0, N, problem.series_order)[0] if mandatory else 0.0
+    pool_tail, row_bound = _embedding_tail(spec, pool, R, problem.sigma0, N,
+                                           problem.series_order)
+    tail += pool_tail
     tail += beyond_pool_tail(spec, p_max, problem.r, problem.sigma0)
     tail_norm = tail * math.sqrt(math.pi) * R
 
+    # never-written pages of the row arrays cost no memory
     state = ApproximationState(
         problem=problem, work=work, mandatory=mandatory, accepted=[],
         pool_primes=pool, pool_mask=np.ones(len(pool), dtype=bool),
-        u_phase=u_phase, u_norm2=u_norm2, stored_twists=stored, weights=weights,
-        tail_bound=tail_norm)
+        u_phase=[np.empty((len(pool), N + 1), dtype=complex) for _ in QUARTER_GRID],
+        u_norm2=[np.empty(len(pool)) for _ in QUARTER_GRID],
+        stored_twists=stored, weights=weights,
+        row_bound=row_bound * (math.sqrt(math.pi) * R), tail_bound=tail_norm)
     state.trace.append(state.work_norm())
     return state
 
@@ -457,15 +486,40 @@ _DROP = len(QUARTER_GRID)
 
 
 def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (phase, prime) decreases 2 Re<W,u> - ||u||^2 and the pairings."""
-    decreases = np.empty((len(QUARTER_GRID), len(state.pool_primes)))
+    """Per (phase, built prime) decreases 2 Re<W,u> - ||u||^2 and the pairings."""
+    built = state.built
+    decreases = np.empty((len(QUARTER_GRID), built))
     pairings = np.empty_like(decreases)
     for k in range(len(QUARTER_GRID)):
-        c = (state.u_phase[k] @ cw).real
+        c = (state.u_phase[k][:built] @ cw).real
         pairings[k] = c
-        decreases[k] = 2.0 * c - state.u_norm2[k]
-    decreases[:, ~state.pool_mask] = -np.inf
+        decreases[k] = 2.0 * c - state.u_norm2[k][:built]
+    decreases[:, ~state.pool_mask[:built]] = -np.inf
     return decreases, pairings
+
+
+def _pool_scores(state: ApproximationState, cw: np.ndarray, acc_best: float,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_phase_scores`` after building rows as far as a prime can still win.
+
+    A move u scores 2 Re<u,W> - ||u||^2 <= 2 ||u|| ||W|| <= 2 ||W|| beta,
+    with beta = ``row_bound`` of its block.  Blocks are built one at a time
+    until that bound for the unbuilt rest is strictly below the best score
+    so far (this prefix's or ``acc_best``, the best move on an accepted
+    prime), so no unbuilt prime can win or tie.  When the best score is at
+    most ``tol`` the step is headed for a stall or a pair rescue, which read
+    the whole pool: the rest is built at once.
+    """
+    npool = len(state.pool_primes)
+    reach = 2.0 * state.work_norm() * (1.0 + 1e-9)
+    while True:
+        decreases, pairings = _phase_scores(state, cw)
+        if state.built == npool:
+            return decreases, pairings
+        best = max(float(np.max(decreases, initial=-math.inf)), acc_best)
+        if best > tol and reach * state.row_bound[state.built // _BLOCK] < best:
+            return decreases, pairings
+        _quarter_rows(state, npool if best <= tol and state.built else state.built + _BLOCK)
 
 
 def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
@@ -502,6 +556,7 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
 
 
 def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) -> None:
+    assert idx < state.built, "committing a pool prime whose rows are not built"
     state.work = H2Element(state.work.radius, state.work.coef - row, state.work.tail_bound)
     state.pool_mask[idx] = False
     state.accepted.append((int(state.pool_primes[idx]), float(twist % 1.0)))
@@ -530,6 +585,7 @@ def _accepted_gains(state: ApproximationState, cw: np.ndarray) -> np.ndarray:
 
 def _commit_rephase(state: ApproximationState, pos: int, k: int) -> None:
     idx = state.accepted_idx[pos]
+    assert idx < state.built, "rephasing a pool prime whose rows are not built"
     new_row = state.u_phase[k][idx]
     delta = new_row - state.accepted_rows[pos]
     state.work = H2Element(state.work.radius, state.work.coef - delta,
@@ -623,6 +679,13 @@ def greedy_rearrange(state: ApproximationState,
     section).  Stops at the norm target, after ``problem.max_steps`` moves,
     on pool exhaustion, or when no move -- including a joint two-prime
     rescue -- decreases the norm; the stall diagnostics are recorded.
+
+    Pool rows are built on demand (``_pool_scores``): a step extends the
+    built prefix block by block until 2 ||W|| ``row_bound`` of the unbuilt
+    rest is strictly below the best score, so every choice and every trace
+    value is the one a fully built pool gives.  A step whose best score is
+    not a decrease builds everything first, so the pair rescue and the
+    stall diagnostics see the whole pool.
     """
     problem = state.problem
     target = 0.5 * problem.eps if stop_norm is None else stop_norm
@@ -634,16 +697,16 @@ def greedy_rearrange(state: ApproximationState,
         norm2 = state.work_norm() ** 2
         tol = 1e-14 * max(norm2, 1e-300)
         cw = np.conj(state.work.coef) * state.weights
+        gains = _accepted_gains(state, cw)
+        acc_best = float(np.max(gains, initial=-math.inf))
         grow_best = -math.inf
         if np.any(state.pool_mask):
-            decreases, pairings = _phase_scores(state, cw)
+            decreases, pairings = _pool_scores(state, cw, acc_best, tol)
             flat = int(np.argmax(decreases))
             k, idx = np.unravel_index(flat, decreases.shape)
             grow_best = float(decreases[k, idx])
         else:
             pairings = np.zeros((len(QUARTER_GRID), len(state.pool_primes)))
-        gains = _accepted_gains(state, cw)
-        acc_best = float(np.max(gains, initial=-math.inf))
         if max(grow_best, acc_best) <= tol:
             if np.any(state.pool_mask) and _pair_rescue(state, pairings, gains):
                 steps += 2
@@ -792,18 +855,26 @@ def refine_sequence(problem: ApproximationProblem, stages: int,
     """Doubling schedule y_k = 2^k y0 with frozen phase reuse across stages.
 
     Stage k steers its enlarged mandatory floor (inheriting every previously
-    assigned twist bit-for-bit), then assigns the unsteered primes up to the
-    largest product prime by sampling: random twist vectors are drawn and
-    the one minimizing the surveyed error of the contiguous product is kept,
+    assigned twist), then assigns the unsteered primes up to the largest
+    product prime by sampling: random twist vectors are drawn and the one
+    minimizing the surveyed error of the contiguous product is kept,
     redrawing (up to max_draws) while the stage error exceeds the previous
     stage's.  Stage errors must stay within slack * 2^{1 + k beta} eps of
     the schedule and must not increase.
 
+    Inherited twists are product twists: a stage passes on theta_p + gamma_p
+    (mod 1) of every prime it assigned, and the next stage uses them as
+    ``fixed_phases``, not shifted again.  Only floor primes without an
+    inherited twist (and those with a ``preset_phases`` entry, every stage)
+    get gamma_p = t0 log p / 2 pi.  So an inherited twist describes the same
+    factor at every stage; with t0 = 0 it is the previous theta bit for bit.
+
     The pool cutoff ``p_max`` is the same at every stage and is never raised.
     A stage whose floor and inherited twists already cover every prime up to
     p_max has nothing left to steer: its core keeps every previous twist,
-    there are no filler primes, ``draws_used`` is 0, and (for t0 = 0) the
-    stage error equals the previous stage's.
+    there are no filler primes, ``draws_used`` is 0, and the stage error
+    equals the previous stage's (up to the rounding of the mod-1 reduction
+    when t0 != 0).
     """
     problem.validate()
     beta = problem.schedule_exponent()
@@ -815,11 +886,10 @@ def refine_sequence(problem: ApproximationProblem, stages: int,
     assigned: dict[int, float] = {}
     out: list[RefineStage] = []
     prev_error = math.inf
+    presets = {int(p): float(tw) for p, tw in problem.preset_phases.items()}
     for k in range(stages):
         y_k = problem.y * 2.0**k
-        presets = {p: tw for p, tw in assigned.items() if p <= y_k}
-        presets.update({int(p): float(tw) for p, tw in problem.preset_phases.items()})
-        fixed = {p: tw for p, tw in assigned.items() if p > y_k}
+        fixed = {p: tw for p, tw in assigned.items() if not (p <= y_k and p in presets)}
         prob_k = replace(problem, y=y_k, preset_phases=presets, fixed_phases=fixed)
         core = _approximate_impl(prob_k, eps_target=0.5 * problem.eps)
         core_phases = dict(core.phases.theta)
@@ -831,8 +901,7 @@ def refine_sequence(problem: ApproximationProblem, stages: int,
         def full_error(filler_twists: np.ndarray) -> float:
             theta = dict(core_phases)
             theta.update({p: float(t) for p, t in zip(filler, filler_twists)})
-            pa = PhaseAssignment(theta, t0=problem.t0,
-                                 shifted=frozenset(p for p in theta if p <= y_k))
+            pa = PhaseAssignment(theta, t0=problem.t0, shifted=core.phases.shifted)
             f = product_target(problem.spec, sorted(theta), pa, problem.sigma0)
             return disc_error_survey(problem.target, f, grid).max_error, pa
 
@@ -858,7 +927,7 @@ def refine_sequence(problem: ApproximationProblem, stages: int,
         if best_err > bound + 1e-12:
             raise RefineStall(
                 f"stage {k + 1}: error {best_err:.3e} exceeds schedule bound {bound:.3e}")
-        assigned = {p: float(t) for p, t in best_pa.theta.items()}
+        assigned = {p: float(best_pa.twist(p) % 1.0) for p in best_pa.theta}
         out.append(RefineStage(stage=k + 1, y=y_k, m_k=m_k,
                                core_primes=core.primes, core_error=core.max_error,
                                error=best_err, schedule_bound=bound, draws_used=used,

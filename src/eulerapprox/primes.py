@@ -1,19 +1,12 @@
-"""Prime enumeration and the binary prime-cache file.
+"""Prime enumeration.
 
 The sieve is built once per process and grows on demand; all consumers share
 the cached read-only array, which is safe under concurrent reads.
-
-Cache file format: the 5-byte magic ``EPRM1`` followed by the primes as
-little-endian unsigned 64-bit integers in ascending order.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-CACHE_MAGIC = b"EPRM1"
 
 _sieve_limit = 0
 _sieve_primes = np.empty(0, dtype=np.int64)
@@ -56,41 +49,3 @@ def primes_in_interval(lo: float, hi: float) -> np.ndarray:
     ps = primes_up_to(int(np.floor(hi)))
     return ps[ps > lo]
 
-
-def write_prime_cache(path: str, primes: np.ndarray) -> None:
-    arr = np.asarray(primes, dtype="<u8")
-    if arr.size and np.any(np.diff(arr.astype(np.int64)) <= 0):
-        raise ValueError("primes must be strictly ascending")
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(arr.tobytes())
-
-
-def read_prime_cache(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-        data = fh.read()
-    if len(data) % 8:
-        raise ValueError(f"{path}: truncated prime cache")
-    arr = np.frombuffer(data, dtype="<u8").astype(np.int64)
-    if arr.size and np.any(np.diff(arr) <= 0):
-        raise ValueError(f"{path}: primes not ascending")
-    return arr
-
-
-def cached_primes_up_to(n: int, cache_path: str | None = None) -> np.ndarray:
-    """primes_up_to with an optional on-disk cache.
-
-    A cache file that does not cover n is rebuilt and overwritten.
-    """
-    if cache_path and os.path.exists(cache_path):
-        arr = read_prime_cache(cache_path)
-        if arr.size and arr[-1] >= n:
-            k = int(np.searchsorted(arr, n, side="right"))
-            return arr[:k]
-    ps = primes_up_to(n)
-    if cache_path:
-        write_prime_cache(cache_path, ps)
-    return ps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import eulerapprox as ea
-from eulerapprox import cli
+from eulerapprox import approx, cli
 from eulerapprox.approx import (
     _BLOCK,
     _approximate_impl,
@@ -12,6 +12,7 @@ from eulerapprox.approx import (
     _commit_drop,
     _commit_rephase,
     _embedding_tail,
+    _quarter_rows,
     _u_rows,
     norm_to_max,
 )
@@ -144,6 +145,7 @@ def test_init_residual_pool_below_floor_rejected():
 def test_nu_rest_follows_grow_rephase_and_drop():
     prob = make_problem(p_max=300, contract=False)
     state = ea.init_residual(prob)
+    _quarter_rows(state, len(state.pool_primes))   # the stall path's full build
 
     def curvature_of_remaining_pool():
         # full log rows at twist 0 minus the leading term a_p^1 p^-sigma0 (-log p)^n / n!
@@ -200,6 +202,7 @@ def whole_pool_quarter(prob, pool, q):
 def test_blocked_pool_build_matches_whole_pool_rows(spec):
     prob = make_problem(spec=spec, p_max=60_000)
     state = ea.init_residual(prob)
+    _quarter_rows(state, len(state.pool_primes))   # the stall path's full build
     pool = state.pool_primes
     # three blocks, the last one partial
     assert 2 * _BLOCK < len(pool) < 3 * _BLOCK
@@ -226,7 +229,77 @@ def test_blocked_embedding_tail_matches_one_shot_sum(spec, order, series_order):
     tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
     one_shot = float(np.sum(terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1)))
     assert one_shot > 0
-    assert _embedding_tail(spec, primes, R, sigma0, order, series_order) == one_shot
+    assert _embedding_tail(spec, primes, R, sigma0, order, series_order)[0] == one_shot
+
+
+# ---------------------------------------------------------------------------
+# lazy pool build: rows only as far as the row-norm bound lets a prime win
+# ---------------------------------------------------------------------------
+
+
+@BUILD_SPECS
+def test_row_bound_dominates_every_gain(spec):
+    prob = make_problem(spec=spec, p_max=6_000)
+    state = ea.init_residual(prob)
+    pool = state.pool_primes
+    _quarter_rows(state, len(pool))
+    R, weights = prob.hardy_radius, state.weights
+    # beta_p = sqrt(pi) R sum_{m <= M} |c_m(p)| q_p^m from the majorant columns
+    q = np.exp((R - prob.sigma0) * np.log(pool.astype(float)))
+    _, terms = spec.log_series_tail(pool, q, prob.series_order)
+    beta = math.sqrt(math.pi) * R * np.sum(terms[:, :-1], axis=1)
+    # the greedy step reads per-block suffix maxima of beta_p
+    for b in range(len(state.row_bound)):
+        assert state.row_bound[b] == np.max(beta[b * _BLOCK:])
+    n = np.arange(prob.order + 1)
+    rng = np.random.default_rng(7)
+    residuals = [state.work.coef, state.u_phase[0][0], -state.u_phase[3][5]]
+    for _ in range(6):
+        z = rng.normal(size=prob.order + 1) + 1j * rng.normal(size=prob.order + 1)
+        residuals.append(z * float(rng.uniform(1e-4, 1.0)) / R ** n)
+    for w in residuals:
+        w_norm = math.sqrt(float(np.sum(np.abs(w) ** 2 * weights)))
+        cw = np.conj(w) * weights
+        for k in range(len(QUARTER_GRID)):
+            gain = 2.0 * (state.u_phase[k] @ cw).real - state.u_norm2[k]
+            assert np.all(2.0 * w_norm * beta >= gain)
+
+
+@pytest.mark.parametrize("phase_mode", ["quarter", "golden"])
+def test_lazy_steering_matches_full_pool(phase_mode):
+    prob, _ = ea.contract_target(make_problem(p_max=60_000, phase_mode=phase_mode))
+    lazy, full = ea.init_residual(prob), ea.init_residual(prob)
+    npool = len(full.pool_primes)
+    assert npool > 2 * _BLOCK
+    _quarter_rows(full, npool)
+    for stop in (1e-3, 1e-9):
+        ea.greedy_rearrange(lazy, stop_norm=stop)
+        ea.greedy_rearrange(full, stop_norm=stop)
+        assert lazy.accepted == full.accepted
+        assert lazy.accepted_idx == full.accepted_idx
+        assert np.array_equal(lazy.trace, full.trace)
+        assert np.array_equal(lazy.work.coef, full.work.coef)
+        assert lazy.stall == full.stall
+        if stop == 1e-3:
+            assert lazy.built == _BLOCK   # the first steps read block 0 only
+    # steering went past block 0
+    assert any(idx >= _BLOCK for idx in lazy.accepted_idx)
+
+
+def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
+    states = []
+    greedy = approx.greedy_rearrange
+
+    def keep(state, stop_norm=None):
+        states.append(state)
+        return greedy(state, stop_norm=stop_norm)
+
+    monkeypatch.setattr(approx, "greedy_rearrange", keep)
+    res = _approximate_impl(make_problem(p_max=1_000_000))
+    assert res.success
+    state = states[-1]
+    assert len(state.pool_primes) == 78_497
+    assert state.built <= 2 * _BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +492,22 @@ def test_refine_three_stages_monotone_and_reuse():
         for p, tw in prev.phases.theta.items():
             assert cur.phases.theta[p] == tw  # bit-identical reuse
         assert cur.y == 2 * prev.y
+
+
+def test_refine_with_shift_keeps_inherited_twists(tmp_path):
+    # inherited twists are product twists and are not shifted again, so a
+    # stage with nothing left to draw keeps the previous stage's product
+    out = tmp_path / "run"
+    code = cli.main(["refine", "--pmax", "5000", "--seed", "3", "--t0", "1.0",
+                     "--out", str(out)])
+    assert code == 0
+    rows = (out / "report.txt").read_text().splitlines()[2:]
+    stages = [line.split() for line in rows]
+    errors = [float(st[4]) for st in stages]
+    idle = [i for i, st in enumerate(stages) if int(st[6]) == 0]
+    assert idle and 0 not in idle
+    for i in idle:
+        assert abs(errors[i] - errors[i - 1]) <= 1e-12
 
 
 def test_refine_requires_positive_stage_count():

@@ -1,13 +1,6 @@
-import numpy as np
 import pytest
 
-from eulerapprox.primes import (
-    cached_primes_up_to,
-    primes_in_interval,
-    primes_up_to,
-    read_prime_cache,
-    write_prime_cache,
-)
+from eulerapprox.primes import primes_in_interval, primes_up_to
 
 
 def reference_sieve(n):
@@ -48,30 +41,3 @@ def test_interval():
     assert primes_in_interval(10, 20).tolist() == [11, 13, 17, 19]
     assert primes_in_interval(100, 100.5).tolist() == []
 
-
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "primes.bin")
-    ps = primes_up_to(10_000)
-    write_prime_cache(path, ps)
-    back = read_prime_cache(path)
-    assert np.array_equal(back, ps)
-    with open(path, "rb") as fh:
-        assert fh.read(5) == b"EPRM1"
-
-
-def test_cache_bad_magic(tmp_path):
-    path = str(tmp_path / "bad.bin")
-    with open(path, "wb") as fh:
-        fh.write(b"NOPE!" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        read_prime_cache(path)
-
-
-def test_cached_primes_rebuilds(tmp_path):
-    path = str(tmp_path / "cache.bin")
-    first = cached_primes_up_to(100, cache_path=path)
-    assert first[-1] == 97
-    wider = cached_primes_up_to(1000, cache_path=path)
-    assert wider[-1] == 997
-    again = cached_primes_up_to(500, cache_path=path)
-    assert again[-1] == 499
