@@ -37,7 +37,6 @@ from .approx import (
     product_target,
     refine_sequence,
 )
-from .exact import QI
 from .factors import (
     BranchTrackingError,
     EulerFactorSpec,
@@ -59,9 +58,6 @@ from .factors import (
     partial_product_exact,
     partial_product_grid,
     partition_blocks,
-    quotient_coefficients,
-    quotient_coefficients_by_division,
-    quotient_coefficients_exact,
     save_custom_spec,
     trivial_phases,
     zeta_spec,
@@ -70,9 +66,7 @@ from .hardy import (
     ExpPairing,
     H2Element,
     TargetZeroError,
-    complex_pairing,
     disc_quadrature,
-    exp_pairing,
     exp_pairing_quadrature,
     h2_norm,
     inner_product,

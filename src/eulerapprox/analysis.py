@@ -136,21 +136,29 @@ class ContourZeroError(RuntimeError):
     """A value on the contour is too close to zero to count windings."""
 
 
+#: sample doublings ``zero_count`` tries before it gives up
+_ZERO_COUNT_DOUBLINGS = 6
+#: sampled modulus below which ``zero_count`` treats the contour as passing through a zero
+_ZERO_GUARD = 1e-12
+#: local bisection rounds of ``min_modulus`` after its coarse scan
+_MIN_MODULUS_ROUNDS = 3
+
+
 def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
-               quadrature_n: int = 512, max_doublings: int = 6,
-               guard: float = 1e-12) -> int:
+               quadrature_n: int = 512) -> int:
     """Number of zeros of f inside the circle, by accumulated argument.
 
     No derivative is needed: the winding of the sampled values is summed
-    directly.  Sampling is doubled until the count stabilizes and every step
-    turns by less than pi/2; a sampled modulus below the guard aborts, since
-    the contour then (numerically) passes through a zero.
+    directly.  Sampling is doubled (up to ``_ZERO_COUNT_DOUBLINGS`` times)
+    until the count stabilizes and every step turns by less than pi/2; a
+    sampled modulus below ``_ZERO_GUARD`` aborts, since the contour then
+    (numerically) passes through a zero.
     """
     n = quadrature_n
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_ZERO_COUNT_DOUBLINGS + 1):
         vals = np.asarray(f(contour.points(n)), dtype=complex)
-        if float(np.min(np.abs(vals))) < guard:
+        if float(np.min(np.abs(vals))) < _ZERO_GUARD:
             raise ContourZeroError("zero on (or numerically on) the contour")
         w, incr = _winding(vals)
         step = float(np.max(np.abs(incr)))
@@ -163,7 +171,7 @@ def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
 
 
 def min_modulus(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
-                samples: int = 256, refine_rounds: int = 3) -> float:
+                samples: int = 256) -> float:
     """min |f| on the circle: coarse scan plus local bisection refinement."""
     if samples < 64:
         raise ValueError("samples >= 64")
@@ -172,7 +180,7 @@ def min_modulus(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
     k = int(np.argmin(vals))
     best = float(vals[k])
     lo, hi = ang[k] - TWO_PI / samples, ang[k] + TWO_PI / samples
-    for _ in range(refine_rounds):
+    for _ in range(_MIN_MODULUS_ROUNDS):
         grid = np.linspace(lo, hi, 9)
         v = np.abs(f(contour.center + contour.radius * np.exp(1j * grid)))
         j = int(np.argmin(v))

@@ -127,10 +127,12 @@ class ApproximationProblem:
             raise InvalidProblem(
                 "violated: 1/2 + r + 2 lambda + delta - sigma0 < 0 "
                 f"(= {0.5 + self.r + 2 * self.lam + self.delta - self.sigma0})")
-        if self.y < 2.0:
+        if not self.y >= 2.0:
             raise InvalidProblem(f"violated: y >= 2 (y={self.y})")
-        if self.eps <= 0:
-            raise InvalidProblem("violated: eps > 0")
+        if not self.eps > 0:
+            raise InvalidProblem(f"violated: eps > 0 (eps={self.eps})")
+        if not math.isfinite(self.t0):
+            raise InvalidProblem(f"violated: t0 finite (t0={self.t0})")
         if self.phase_mode not in ("quarter", "golden"):
             raise InvalidProblem(f"unknown phase mode {self.phase_mode!r}")
 
@@ -159,12 +161,16 @@ def product_target(spec: EulerFactorSpec, primes: Sequence[int],
     return g
 
 
-def contract_target(problem: ApproximationProblem,
-                    samples: int = 512) -> tuple[ApproximationProblem, float]:
+#: boundary samples of |s| = r on which ``contract_target`` measures its deviation
+_CONTRACT_SAMPLES = 512
+
+
+def contract_target(problem: ApproximationProblem) -> tuple[ApproximationProblem, float]:
     """Replace the target by s -> target(s / gamma^2); report the deviation.
 
-    The deviation is max |g(s) - g(s/gamma^2)| over a dense boundary sample
-    of |s| = r (the max of the analytic difference sits on the boundary).
+    The deviation is max |g(s) - g(s/gamma^2)| over ``_CONTRACT_SAMPLES``
+    equispaced points of |s| = r (the max of the analytic difference sits on
+    the boundary).
     """
     problem.validate()
     g = problem.target
@@ -173,7 +179,7 @@ def contract_target(problem: ApproximationProblem,
     def contracted(s: np.ndarray) -> np.ndarray:
         return g(np.asarray(s, dtype=complex) / gsq)
 
-    ang = TWO_PI * np.arange(samples) / samples
+    ang = TWO_PI * np.arange(_CONTRACT_SAMPLES) / _CONTRACT_SAMPLES
     pts = problem.r * np.exp(1j * ang)
     dev = float(np.max(np.abs(np.asarray(g(pts)) - np.asarray(contracted(pts)))))
     return replace(problem, target=contracted, contract=False), dev
@@ -182,11 +188,6 @@ def contract_target(problem: ApproximationProblem,
 # ---------------------------------------------------------------------------
 # pool machinery
 # ---------------------------------------------------------------------------
-
-
-def _stored_twists(spec: EulerFactorSpec, primes: np.ndarray, steering: float) -> np.ndarray:
-    """Product twists (steering + per-prime argument correction) mod 1."""
-    return np.mod(steering + spec.phase_correction(primes), 1.0)
 
 
 #: primes per block of the pool row build and of the embedding tail; small
@@ -370,7 +371,7 @@ class ApproximationState:
     pool_mask: np.ndarray                    # True = still available
     u_phase: list[np.ndarray]                # per steering phase: rows (npool, order+1)
     u_norm2: list[np.ndarray]
-    stored_twists: list[np.ndarray]
+    stored_twists: np.ndarray                # (quarter, npool): quarter + arg a_p^1 / 2pi, mod 1
     weights: np.ndarray                      # disc norm weights
     row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
     built: int = 0                           # pool primes whose rows are written
@@ -414,8 +415,9 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     The working residual is log(target) minus the mandatory log factors: the
     floor primes, shifted by t0 log p / 2 pi unless a fixed twist is given,
     and the ``fixed_phases`` primes, whose twists are product twists and are
-    not shifted again.  The pool gets its stored twists, one vector per
-    quarter phase, and empty row arrays: no row is built here.
+    not shifted again.  The pool gets its stored twists, one row per quarter
+    phase (the leading coefficients' phase correction is worked out once),
+    and empty row arrays: no row is built here.
     ``greedy_rearrange`` builds rows block by block (``_quarter_rows``) only
     as far as the bound ``row_bound`` says a prime can still win.  The
     certified tail covers the log-series cuts of the floor and of the whole
@@ -454,7 +456,8 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
 
     n = np.arange(N + 1)
     weights = math.pi * R ** (2 * n + 2) / (n + 1)
-    stored = [_stored_twists(spec, pool, q) for q in QUARTER_GRID]
+    stored = np.add.outer(QUARTER_GRID, spec.phase_correction(pool))
+    np.mod(stored, 1.0, out=stored)     # in place: no second (4, pool) array
 
     tail = _embedding_tail(spec, np.array(sorted(mandatory), dtype=np.int64), R,
                            problem.sigma0, N, problem.series_order)[0] if mandatory else 0.0
@@ -530,9 +533,10 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
     lnp = np.log(p.astype(float))
     mpow = _m_powers(problem.order, problem.series_order)
     direction = _taylor_direction(lnp, problem.order)
+    correction = problem.spec.phase_correction(p)
 
     def decrease_of(q: float) -> tuple[float, np.ndarray, float]:
-        tws = _stored_twists(problem.spec, p, q % 1.0)
+        tws = np.mod(q % 1.0 + correction, 1.0)
         row = _twisted_rows(problem.spec, p, lnp, tws, problem.sigma0, mpow, direction)[0]
         n2 = float(np.sum(np.abs(row) ** 2 * state.weights).real)
         d = 2.0 * float((row @ cw).real) - n2
@@ -768,12 +772,11 @@ class ApproximationResult:
         return "\n".join(f"{i} {v!r}" for i, v in enumerate(self.trace)) + "\n"
 
 
-def _survey(problem: ApproximationProblem, state: ApproximationState) -> SurveyResult:
-    phases = state.phase_assignment()
-    plist = sorted(set(state.mandatory) | set(state.accepted_primes()))
+def _survey(problem: ApproximationProblem, phases: PhaseAssignment) -> SurveyResult:
+    """Survey the product over the primes of ``phases`` against ``problem.target``."""
     grid = DiscGrid(center=0j, radius=problem.r,
                     boundary=problem.survey_boundary, rings=problem.survey_rings)
-    f = product_target(problem.spec, plist, phases, problem.sigma0)
+    f = product_target(problem.spec, sorted(phases.theta), phases, problem.sigma0)
     return disc_error_survey(problem.target, f, grid)
 
 
@@ -794,16 +797,15 @@ def _approximate_impl(problem: ApproximationProblem,
         state = greedy_rearrange(state, stop_norm=stop)
         # measure against the uncontracted target
         measured = replace(work_problem, target=original_target)
-        survey = _survey(measured, state)
+        survey = _survey(measured, state.phase_assignment())
         if survey.max_error <= eps_target or (state.stall and state.stall.pool_exhausted):
             break
         if state.stall and state.stall.best_decrease <= 0 and not state.stall.pool_exhausted:
             break
         stop /= 4.0
     phases = state.phase_assignment()
-    plist = tuple(sorted(set(state.mandatory) | set(state.accepted_primes())))
     return ApproximationResult(
-        problem=problem, primes=plist, phases=phases,
+        problem=problem, primes=tuple(sorted(phases.theta)), phases=phases,
         max_error=survey.max_error, argmax=survey.argmax,
         trace=tuple(state.trace), residual_norm=state.work_norm(),
         tail_bound=state.work.tail_bound + state.tail_bound,
@@ -849,18 +851,23 @@ class RefineStage:
     phases: PhaseAssignment
 
 
-def refine_sequence(problem: ApproximationProblem, stages: int,
-                    draws: int = 64, max_draws: int = 512,
-                    slack: float = 2.0) -> list[RefineStage]:
+#: filler draws per batch, the draw cap per stage, and the schedule slack of ``refine_sequence``
+_DRAWS = 64
+_MAX_DRAWS = 512
+_SLACK = 2.0
+
+
+def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineStage]:
     """Doubling schedule y_k = 2^k y0 with frozen phase reuse across stages.
 
     Stage k steers its enlarged mandatory floor (inheriting every previously
     assigned twist), then assigns the unsteered primes up to the largest
-    product prime by sampling: random twist vectors are drawn and the one
-    minimizing the surveyed error of the contiguous product is kept,
-    redrawing (up to max_draws) while the stage error exceeds the previous
-    stage's.  Stage errors must stay within slack * 2^{1 + k beta} eps of
-    the schedule and must not increase.
+    product prime by sampling: random twist vectors are drawn in batches of
+    ``_DRAWS`` and the one minimizing the surveyed error of the contiguous
+    product is kept, redrawing (up to ``_MAX_DRAWS``) while the stage error
+    exceeds the previous stage's or the schedule bound.  Stage errors must
+    stay within ``_SLACK`` * 2^{1 + k beta} eps of the schedule and must not
+    increase.
 
     Inherited twists are product twists: a stage passes on theta_p + gamma_p
     (mod 1) of every prime it assigned, and the next stage uses them as
@@ -881,7 +888,7 @@ def refine_sequence(problem: ApproximationProblem, stages: int,
     if beta >= 0:
         raise InvalidProblem(f"violated: 1/2 + r + 2 lambda + delta - sigma0 < 0 (= {beta})")
     if stages < 1:
-        raise ValueError("stages >= 1")
+        raise InvalidProblem(f"violated: stages >= 1 (stages={stages})")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(problem.seed)))
     assigned: dict[int, float] = {}
     out: list[RefineStage] = []
@@ -895,21 +902,19 @@ def refine_sequence(problem: ApproximationProblem, stages: int,
         core_phases = dict(core.phases.theta)
         m_k = max(core.primes)
         filler = [int(p) for p in primes_up_to(m_k) if int(p) not in core_phases]
-        grid = DiscGrid(0j, problem.r, problem.survey_boundary, problem.survey_rings)
-        bound = slack * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps
+        bound = _SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps
 
-        def full_error(filler_twists: np.ndarray) -> float:
+        def full_error(filler_twists: np.ndarray) -> tuple[float, PhaseAssignment]:
             theta = dict(core_phases)
             theta.update({p: float(t) for p, t in zip(filler, filler_twists)})
             pa = PhaseAssignment(theta, t0=problem.t0, shifted=core.phases.shifted)
-            f = product_target(problem.spec, sorted(theta), pa, problem.sigma0)
-            return disc_error_survey(problem.target, f, grid).max_error, pa
+            return _survey(problem, pa).max_error, pa
 
         if filler:
             best_err, best_pa = math.inf, None
             used = 0
-            while used < max_draws:
-                batch = min(draws, max_draws - used)
+            while used < _MAX_DRAWS:
+                batch = min(_DRAWS, _MAX_DRAWS - used)
                 for _ in range(batch):
                     err, pa = full_error(rng.random(len(filler)))
                     if err < best_err:

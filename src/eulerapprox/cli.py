@@ -11,9 +11,10 @@ skipped: that key never had an effect; a key an older manifest lacks, such as
 ``width_factor`` sets the relative width: below h ~ e^41 the paper's window
 holds no integer, so at desk scale only a wider window can pass.
 
-Exit codes: 0 success, 2 stall, 3 invalid config, 4 hypothesis failure,
-5 pool exhausted (``approximate`` steered every prime up to pmax and the
-surveyed error is still above eps; raise pmax or lower the floor y).
+Exit codes: 0 success, 2 stall, 3 invalid config (a malformed flag or value
+included), 4 hypothesis failure, 5 pool exhausted (``approximate`` steered
+every prime up to pmax and the surveyed error is still above eps; raise pmax
+or lower the floor y).
 """
 
 from __future__ import annotations
@@ -70,16 +71,17 @@ class RunConfig:
 
     def set(self, key: str, raw: str) -> None:
         if key not in CONFIG_KEYS:
-            raise KeyError(f"unknown config key {key!r}")
+            raise InvalidProblem(f"unknown config key {key!r}")
         default = CONFIG_KEYS[key]
-        if isinstance(default, bool):
-            self.values[key] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            self.values[key] = int(float(raw))
-        elif isinstance(default, float):
-            self.values[key] = float(raw)
-        else:
-            self.values[key] = raw
+        try:
+            if isinstance(default, int):
+                self.values[key] = int(float(raw))
+            elif isinstance(default, float):
+                self.values[key] = float(raw)
+            else:
+                self.values[key] = raw
+        except (ValueError, OverflowError):
+            raise InvalidProblem(f"{key} must be a finite number (got {raw!r})") from None
 
     def manifest_text(self) -> str:
         lines = [f"version = {__version__}", f"rng = {RNG_ALGORITHM}"]
@@ -91,15 +93,19 @@ class RunConfig:
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     cfg = RunConfig()
     if path:
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line or "=" not in line:
-                    continue
-                k, v = (t.strip() for t in line.split("=", 1))
-                if k in ("version", "rng", "workers"):
-                    continue
-                cfg.set(k, v)
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise InvalidProblem(f"cannot read config {path!r}: {exc}") from None
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line or "=" not in line:
+                continue
+            k, v = (t.strip() for t in line.split("=", 1))
+            if k in ("version", "rng", "workers"):
+                continue
+            cfg.set(k, v)
     for k, v in overrides.items():
         if v is not None:
             cfg.set(k, str(v))
@@ -113,7 +119,11 @@ def build_spec(cfg: RunConfig):
     if name == "chi4":
         return dirichlet_spec(4, [0, 1, 0, -1])
     if name.startswith("custom:"):
-        return load_custom_spec(name.split(":", 1)[1])
+        path = name.split(":", 1)[1]
+        try:
+            return load_custom_spec(path)
+        except (OSError, ValueError) as exc:
+            raise InvalidProblem(f"cannot load custom spec {path!r}: {exc}") from None
     raise InvalidProblem(f"unknown spec {name!r} (use zeta, chi4, or custom:<path>)")
 
 
@@ -122,7 +132,10 @@ def build_target(cfg: RunConfig):
     if t == "one":
         return lambda s: np.ones_like(np.asarray(s, dtype=complex))
     if t.startswith("exp:"):
-        a = float(t.split(":", 1)[1])
+        try:
+            a = float(t.split(":", 1)[1])
+        except ValueError:
+            raise InvalidProblem(f"exp target needs a number (got {t!r})") from None
         return lambda s: np.exp(a * np.asarray(s, dtype=complex))
     if t.startswith("product:"):
         spec = build_spec(cfg)
@@ -134,11 +147,14 @@ def build_target(cfg: RunConfig):
 
 def read_phases(path: str) -> dict[int, float]:
     theta = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) == 2:
-                theta[int(parts[0])] = float(parts[1])
+    try:
+        with open(path) as fh:
+            for line in fh:
+                parts = line.split()
+                if len(parts) == 2:
+                    theta[int(parts[0])] = float(parts[1])
+    except (OSError, ValueError) as exc:
+        raise InvalidProblem(f"cannot read phases file {path!r}: {exc}") from None
     return theta
 
 
@@ -207,10 +223,15 @@ def cmd_refine(cfg: RunConfig) -> int:
 
 def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
     spec = build_spec(cfg)
-    parts = h_grid.split(":")
-    if len(parts) != 3:
-        raise InvalidProblem("h grid must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = h_grid.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise InvalidProblem(f"h grid must be lo:hi:count (got {h_grid!r})") from None
+    # every window needs h > e; fit_c0 needs a nonempty, ascending grid
+    if not (count >= 1 and math.e < lo <= hi < math.inf and (lo < hi or count == 1)):
+        raise InvalidProblem(f"h grid needs e < lo < hi < inf and count >= 1 "
+                             f"(or lo = hi and count 1), got {h_grid!r}")
     hs = list(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
     wf = None   # empty: the paper's window (h, h (1 + log^-10 h)]
     if cfg["width_factor"] != "":
@@ -233,6 +254,8 @@ def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
 
 def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
                   compare_n: int | None, phases_path: str | None) -> int:
+    if samples < 1:
+        raise InvalidProblem(f"zero-scan needs samples >= 1 (got {samples})")
     spec = build_spec(cfg)
     theta = read_phases(phases_path) if phases_path else {}
     plist = [int(p) for p in primes_up_to(cfg["pmax"])]
@@ -256,6 +279,9 @@ def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
 
 
 def cmd_torus(cfg: RunConfig, n: int, r: float, eps_slab: float, samples: int) -> int:
+    if not (n >= 1 and samples >= 1 and 0 < eps_slab < r):
+        raise InvalidProblem(f"torus needs N >= 1, samples >= 1 and 0 < eps-slab < r "
+                             f"(got N={n}, samples={samples}, eps-slab={eps_slab}, r={r})")
     est, half = ball_volume_mc(n, r, samples, seed=cfg["seed"])
     slab = slab_bound_check(n, r, eps_slab, samples, seed=cfg["seed"])
     eq = equidistribution_test(t_max=10_000.0, n=min(n, 8), seed=cfg["seed"])
@@ -281,8 +307,15 @@ def cmd_report(run_dir: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an invalid config (exit 3), not argparse's 2."""
+
+    def error(self, message: str):
+        raise InvalidProblem(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="eulerapprox", description=__doc__)
+    parser = _Parser(prog="eulerapprox", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -318,12 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     p_rep = sub.add_parser("report", help="print the manifest and report of a run directory")
     p_rep.add_argument("run_dir")
 
-    args = parser.parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args.run_dir)
-
-    overrides = {k: getattr(args, k, None) for k in CONFIG_KEYS}
     try:
+        args = parser.parse_args(argv)
+        if args.command == "report":
+            return cmd_report(args.run_dir)
+        overrides = {k: getattr(args, k, None) for k in CONFIG_KEYS}
         cfg = load_config(args.config, overrides)
         if args.command == "approximate":
             return cmd_approximate(cfg)
@@ -339,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
                                  args.compare_n, args.phases)
         if args.command == "torus":
             return cmd_torus(cfg, args.N, args.r, args.eps_slab, args.samples)
-    except (InvalidProblem, KeyError) as exc:
+    except InvalidProblem as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 3
     except ApproximationStall as exc:

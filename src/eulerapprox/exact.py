@@ -1,9 +1,9 @@
 """Exact complex-rational arithmetic (numbers a + bi with a, b in Q).
 
-Backs the exact mode of the coefficient algebra: power-series division and
-the alternating-sum coefficient formula must agree *exactly*, and small
-partial products at integer exponents and quarter-turn phases stay inside
-Q(i), so equality checks need no tolerance.
+Backs ``factors.partial_product_exact``, the exact oracle for the float
+products: at an integer exponent and quarter-turn phases every factor of a
+character valued in {0, +-1, +-i} lies in Q(i), so the product does too and
+tests compare against it with no tolerance on the exact side.
 """
 
 from __future__ import annotations
@@ -32,22 +32,15 @@ class QI:
         o = QI.of(other)
         return QI(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QI":
         return QI(-self.re, -self.im)
 
     def __sub__(self, other: Scalar) -> "QI":
         return self + (-QI.of(other))
 
-    def __rsub__(self, other: Scalar) -> "QI":
-        return (-self) + QI.of(other)
-
     def __mul__(self, other: Scalar) -> "QI":
         o = QI.of(other)
         return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "QI":
         o = QI.of(other)
@@ -56,23 +49,10 @@ class QI:
             raise ZeroDivisionError("division by zero in Q(i)")
         return QI((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
 
-    def __rtruediv__(self, other: Scalar) -> "QI":
-        return QI.of(other) / self
-
-    def conj(self) -> "QI":
-        return QI(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
 
-QI_ZERO = QI(Fraction(0), Fraction(0))
 QI_ONE = QI(Fraction(1), Fraction(0))
 QI_I = QI(Fraction(0), Fraction(1))
 
@@ -83,28 +63,3 @@ QUARTER_UNITS = {
     Fraction(1, 2): -QI_ONE,
     Fraction(3, 4): QI_I,
 }
-
-
-def series_inverse(a: list[QI], order: int) -> list[QI]:
-    """Coefficients of 1/A(z) + O(z^{order+1}) for A with A(0) = a[0] != 0."""
-    if a[0].is_zero():
-        raise ZeroDivisionError("series has zero constant term")
-    inv0 = QI_ONE / a[0]
-    out = [inv0]
-    for k in range(1, order + 1):
-        s = QI_ZERO
-        for j in range(1, k + 1):
-            if j < len(a):
-                s = s + a[j] * out[k - j]
-        out.append(-inv0 * s)
-    return out
-
-
-def series_mul(a: list[QI], b: list[QI], order: int) -> list[QI]:
-    out = [QI_ZERO] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] = out[i + j] + ai * bj
-    return out

@@ -13,8 +13,10 @@ Euler product over primes.  There are two families (``EulerFactorSpec.kind``):
 Each family's arithmetic is written once, in the ``EulerFactorSpec`` methods
 ``leading``, ``phase_correction``, ``times_factor``, ``log_terms``,
 ``log_series_tail`` and ``growth``; the rest of the package reaches the
-factors through them.  Only the oracle routes that tests cross-check against
-still read ``kind``: ``eval_factor``, ``partial_product_exact``, ``log_factor``.
+factors through them.  Outside the spec's methods, ``kind`` is read only by
+the ``save_custom_spec`` guard and by the two oracle routes that tests
+cross-check against: ``eval_factor`` and ``log_factor``.  The exact oracle
+``partial_product_exact`` takes its character values from ``coeff_exact``.
 
 Everything here is immutable after construction and safe for concurrent
 read-only use.
@@ -30,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exact import QI, QI_ONE, QI_ZERO, QUARTER_UNITS, series_inverse, series_mul
+from .exact import QI, QI_ONE, QUARTER_UNITS
 from .hardy import TWO_PI, _winding
 from .primes import primes_in_interval
 
@@ -87,7 +89,6 @@ class EulerFactorSpec:
     modulus: int = 0
     character: tuple[complex, ...] = ()
     table: Mapping[int, Mapping[int, complex]] = field(default_factory=dict)
-    exact_table: Mapping[int, Mapping[int, QI]] = field(default_factory=dict)
     c_map: Mapping[float, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -124,13 +125,11 @@ class EulerFactorSpec:
         return complex(self.table.get(p, {}).get(m, 0.0))
 
     def coeff_exact(self, p: int, m: int) -> QI:
-        """a_p^m in Q(i): characters valued in {0, +-1, +-i}, or the exact table."""
+        """a_p^m in Q(i), for characters valued in {0, +-1, +-i}."""
         if self.kind == "dirichlet":
             a = self.coeff(p, m)
             if a.real in (-1.0, 0.0, 1.0) and a.imag in (-1.0, 0.0, 1.0):
                 return QI(Fraction(a.real), Fraction(a.imag))
-        elif self.exact_table:
-            return self.exact_table.get(p, {}).get(m, QI_ZERO)
         raise FactorDomainError("no exact coefficients for this spec")
 
     def a1(self, p: int) -> complex:
@@ -269,10 +268,9 @@ def dirichlet_spec(modulus: int, character: Sequence[complex]) -> EulerFactorSpe
 
 
 def custom_spec(table: Mapping[int, Mapping[int, complex]],
-                c_map: Mapping[float, float],
-                exact_table: Mapping[int, Mapping[int, QI]] | None = None) -> EulerFactorSpec:
+                c_map: Mapping[float, float]) -> EulerFactorSpec:
     return EulerFactorSpec(kind="custom", table={p: dict(r) for p, r in table.items()},
-                           exact_table=exact_table or {}, c_map=dict(c_map))
+                           c_map=dict(c_map))
 
 
 # -- custom spec file: rows "p m re im", headers "c_eps <eps> <c>" ----------
@@ -434,9 +432,10 @@ def partial_product_exact(spec: EulerFactorSpec, s: int, primes: Sequence[int],
     """Exact partial product in Q(i) at an integer exponent s >= 1.
 
     Phases are restricted to quarter turns so every factor argument
-    e^{-2 pi i q} p^{-s} lies in Q(i).  Characters valued in {0, +-1, +-i}
-    (zeta, chi mod 4) and custom specs with an exact table support this
-    mode.  Oracle route: tests check the float products against it.
+    e^{-2 pi i q} p^{-s} lies in Q(i); characters valued in {0, +-1, +-i}
+    (zeta, chi mod 4) support this mode, and other specs raise
+    FactorDomainError.  Oracle route: tests check the scalar
+    ``partial_product`` and the live ``partial_product_grid`` against it.
     """
     if s < 1:
         raise FactorDomainError("exact mode needs integer s >= 1")
@@ -448,93 +447,8 @@ def partial_product_exact(spec: EulerFactorSpec, s: int, primes: Sequence[int],
         if q not in QUARTER_UNITS:
             raise FactorDomainError(f"phase {q} is not a quarter turn")
         z = QUARTER_UNITS[q] * QI(Fraction(1, p**s), Fraction(0))
-        if spec.kind == "dirichlet":
-            acc = acc * (QI_ONE / (QI_ONE - spec.coeff_exact(p, 1) * z))
-        else:
-            fz = QI_ONE
-            zp = QI_ONE
-            for m in range(1, spec.table_degree(p) + 1):
-                zp = zp * z
-                a = spec.coeff_exact(p, m)
-                if not a.is_zero():
-                    fz = fz + a * zp
-            acc = acc * fz
+        acc = acc * (QI_ONE / (QI_ONE - spec.coeff_exact(p, 1) * z))
     return acc
-
-
-# ---------------------------------------------------------------------------
-# coefficients of f_p(z) / (1 + a_p^1 z)
-# ---------------------------------------------------------------------------
-
-
-def quotient_coefficients(spec: EulerFactorSpec, p: int, m_max: int) -> list[complex]:
-    """Coefficients b_2..b_{m_max} of f_p(z)/(1 + a_p^1 z) - 1.
-
-    Computed by the alternating sum
-    b_m = a_p^m - a_p^{m-1} a_p^1 + ... + (-1)^{m-2} a_p^2 (a_p^1)^{m-2},
-    which unrolls the recursion b_m = a_p^m - a_p^1 b_{m-1}.  A leading
-    coefficient with |a_p^1| > 1 puts a pole of the quotient inside |z| < 1
-    and is rejected.
-    """
-    if m_max < 2:
-        raise ValueError("m_max >= 2")
-    a1 = spec.a1(p)
-    if abs(a1) > 1.0 + 1e-12:
-        raise FactorDomainError(
-            f"|a_{p}^1|={abs(a1)} > 1: quotient by (1 + a1 z) has a pole in |z| < 1")
-    out = []
-    for m in range(2, m_max + 1):
-        s = 0.0 + 0j
-        sign = 1.0
-        for j in range(0, m - 1):
-            s += sign * spec.coeff(p, m - j) * a1**j
-            sign = -sign
-        out.append(s)
-    return out
-
-
-def quotient_coefficients_by_division(spec: EulerFactorSpec, p: int, m_max: int) -> list[complex]:
-    """Same coefficients via power-series division; independent oracle route."""
-    a1 = spec.a1(p)
-    f = [1.0 + 0j] + [spec.coeff(p, m) for m in range(1, m_max + 1)]
-    g = [1.0 + 0j, a1] + [0j] * (m_max - 1)
-    inv = [1.0 + 0j]
-    for k in range(1, m_max + 1):
-        acc = 0j
-        for j in range(1, k + 1):
-            if j < len(g):
-                acc += g[j] * inv[k - j]
-        inv.append(-acc)
-    q = [0j] * (m_max + 1)
-    for i in range(m_max + 1):
-        for j in range(m_max + 1 - i):
-            q[i + j] += f[i] * inv[j]
-    return q[2:]
-
-
-def quotient_coefficients_exact(spec: EulerFactorSpec, p: int, m_max: int,
-                                by_division: bool = False) -> list[QI]:
-    """Exact-rational version of the two quotient-coefficient routes."""
-    if m_max < 2:
-        raise ValueError("m_max >= 2")
-    a1 = spec.coeff_exact(p, 1)
-    if a1.abs2() > 1:
-        raise FactorDomainError("exact quotient rejected: |a_p^1| > 1")
-    if not by_division:
-        out = []
-        for m in range(2, m_max + 1):
-            s = QI_ZERO
-            a1p = QI_ONE
-            for j in range(0, m - 1):
-                term = spec.coeff_exact(p, m - j) * a1p
-                s = s + (term if j % 2 == 0 else -term)
-                a1p = a1p * a1
-            out.append(s)
-        return out
-    f = [QI_ONE] + [spec.coeff_exact(p, m) for m in range(1, m_max + 1)]
-    g = [QI_ONE, a1] + [QI_ZERO] * (m_max - 1)
-    q = series_mul(f, series_inverse(g, m_max), m_max)
-    return q[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -89,29 +89,6 @@ class H2Element:
 
     __rmul__ = __mul__
 
-    def save(self, path: str) -> None:
-        """Text form: header ``R <radius> tail <bound>``, rows ``n re im``."""
-        with open(path, "w") as fh:
-            fh.write(f"R {float(self.radius)!r} tail {float(self.tail_bound)!r}\n")
-            for n, a in enumerate(self.coef):
-                fh.write(f"{n} {float(a.real)!r} {float(a.imag)!r}\n")
-
-    @staticmethod
-    def load(path: str) -> "H2Element":
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 4 or header[0] != "R" or header[2] != "tail":
-                raise ValueError(f"{path}: bad element header")
-            radius, tail = float(header[1]), float(header[3])
-            rows = {}
-            for line in fh:
-                n, re, im = line.split()
-                rows[int(n)] = complex(float(re), float(im))
-        coef = np.zeros(max(rows) + 1 if rows else 1, dtype=complex)
-        for n, a in rows.items():
-            coef[n] = a
-        return H2Element(radius, coef, tail)
-
 
 def _check_radius(a: H2Element, b: H2Element) -> None:
     if abs(a.radius - b.radius) > 1e-15 * max(a.radius, b.radius):
@@ -126,15 +103,9 @@ def h2_norm(e: H2Element) -> float:
 def inner_product(f: H2Element, g: H2Element) -> float:
     """Real inner product Re integral f conj(g) in coefficient form."""
     _check_radius(f, g)
-    return float(complex_pairing(f, g).real)
-
-
-def complex_pairing(f: H2Element, g: H2Element) -> complex:
-    """integral f conj(g) over the disc (the full complex pairing)."""
-    _check_radius(f, g)
     n = max(f.order, g.order)
     a, b = f.pad(n), g.pad(n)
-    return complex(np.sum(a.coef * np.conj(b.coef) * a.weights()))
+    return float(np.sum(a.coef * np.conj(b.coef) * a.weights()).real)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +119,11 @@ def disc_quadrature(fn: Callable[[np.ndarray], np.ndarray], radius: float,
     """integral of fn over the disc |s| <= radius by a polar tensor rule.
 
     Gauss-Legendre in the radius times the trapezoid rule in the angle; node
-    counts are doubled until two successive estimates agree to tol.
+    counts are doubled until two successive estimates agree to tol.  Oracle
+    route: tests integrate the explicit log factors with it to check the
+    coefficient norm of the steering residual that ``init_residual`` builds.
+    ``quadrature_norm``, ``quadrature_inner_product`` and
+    ``exp_pairing_quadrature`` rest on it.
     """
     prev = None
     for _ in range(max_doublings + 1):
@@ -168,12 +143,19 @@ def disc_quadrature(fn: Callable[[np.ndarray], np.ndarray], radius: float,
 
 
 def quadrature_norm(e: H2Element) -> float:
-    """Norm of the polynomial part via 2-D quadrature (oracle route)."""
+    """Norm of the polynomial part via 2-D quadrature.
+
+    Oracle route: tests check the coefficient-form ``h2_norm`` against it.
+    """
     val = disc_quadrature(lambda s: np.abs(e(s)) ** 2, e.radius)
     return math.sqrt(max(0.0, float(val.real)))
 
 
 def quadrature_inner_product(f: H2Element, g: H2Element) -> float:
+    """Re integral f conj(g) via 2-D quadrature.
+
+    Oracle route: tests check the coefficient-form ``inner_product`` against it.
+    """
     _check_radius(f, g)
     val = disc_quadrature(lambda s: f(s) * np.conj(g(s)), f.radius)
     return float(val.real)
@@ -198,15 +180,19 @@ def _winding(vals: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.sum(incr)) / TWO_PI, incr
 
 
-def log_target(g: Callable[[np.ndarray], np.ndarray], radius: float, order: int = 64,
-               rel_tol: float = 1e-9) -> H2Element:
+#: relative tolerance of ``log_target``'s check of exp(series) against the samples
+_LOG_REL_TOL = 1e-9
+
+
+def log_target(g: Callable[[np.ndarray], np.ndarray], radius: float,
+               order: int = 64) -> H2Element:
     """Power-series coefficients of log g on |s| <= radius.
 
     Boundary values are sampled at 4*order equispaced points, the logarithm
     branch is unwrapped along the circle, and coefficients come from the FFT.
     A nonzero winding of g means a zero inside the disc; the exponentiated
     series is checked back against g at the samples and must match to
-    rel_tol, which makes the extraction self-validating.
+    ``_LOG_REL_TOL``, which makes the extraction self-validating.
     """
     m = 4 * max(1, order)
     ang = TWO_PI * np.arange(m) / m
@@ -229,7 +215,7 @@ def log_target(g: Callable[[np.ndarray], np.ndarray], radius: float, order: int 
     recon = elem(pts)
     err = float(np.max(np.abs(np.exp(recon) - vals)))
     scale = float(np.max(np.abs(vals)))
-    if err > rel_tol * max(1.0, scale):
+    if err > _LOG_REL_TOL * max(1.0, scale):
         raise TargetZeroError(
             f"log extraction residual {err:.3e} exceeds tolerance; "
             f"raise the order or shrink the disc")
@@ -309,11 +295,9 @@ def _factorials(n: int) -> np.ndarray:
     return out
 
 
-def exp_pairing(e: H2Element, x: float, sigma0: float = 0.75) -> complex:
-    """Convenience wrapper: pairing of e against e^{-x(s+sigma0)} at one x."""
-    return ExpPairing(e, sigma0).value(x)
-
-
 def exp_pairing_quadrature(e: H2Element, x: float, sigma0: float = 0.75) -> complex:
-    """Oracle route for the same pairing via 2-D quadrature."""
+    """The pairing of e against e^{-x(s+sigma0)} via 2-D quadrature.
+
+    Oracle route: tests check the closed form ``ExpPairing.value`` against it.
+    """
     return disc_quadrature(lambda s: np.exp(-x * (s + sigma0)) * np.conj(e(s)), e.radius)

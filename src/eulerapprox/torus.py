@@ -81,18 +81,21 @@ def exact_ball_volume(n: int, r: float) -> float:
     return total / (math.factorial(n) * float(np.prod(w)))
 
 
-def ball_volume_mc(n: int, r: float, sample_count: int, seed: int,
-                   streams: int = 4) -> tuple[float, float]:
+#: independent PCG64 streams of ``ball_volume_mc``, one SeedSequence child each
+_MC_STREAMS = 4
+
+
+def ball_volume_mc(n: int, r: float, sample_count: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo volume of the truncated weighted ball, with 3-sigma width.
 
     Returns (estimate, half_width) where half_width is three binomial
-    standard errors.
+    standard errors.  The samples are split over ``_MC_STREAMS`` streams.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     w = metric_weights(n)
-    seqs = np.random.SeedSequence(seed).spawn(streams)
-    per = [sample_count // streams] * streams
+    seqs = np.random.SeedSequence(seed).spawn(_MC_STREAMS)
+    per = [sample_count // _MC_STREAMS] * _MC_STREAMS
     per[0] += sample_count - sum(per)
     hits = 0
     for cnt, sq in zip(per, seqs):
@@ -150,6 +153,12 @@ def slab_bound_check(n: int, r: float, eps: float, sample_count: int,
 # ---------------------------------------------------------------------------
 
 
+#: orbit samples, histogram bins per axis and coordinate pairs of ``equidistribution_test``
+_EQ_SAMPLES = 200_000
+_EQ_BINS = 64
+_EQ_PAIRS = 10
+
+
 def _star_discrepancy_1d(samples: np.ndarray) -> float:
     s = np.sort(samples)
     n = len(s)
@@ -157,10 +166,10 @@ def _star_discrepancy_1d(samples: np.ndarray) -> float:
     return float(max(np.max(i / n - s), np.max(s - (i - 1) / n)))
 
 
-def _star_discrepancy_2d(x: np.ndarray, y: np.ndarray, bins: int) -> float:
-    hist, _, _ = np.histogram2d(x, y, bins=bins, range=[[0, 1], [0, 1]])
+def _star_discrepancy_2d(x: np.ndarray, y: np.ndarray) -> float:
+    hist, _, _ = np.histogram2d(x, y, bins=_EQ_BINS, range=[[0, 1], [0, 1]])
     cum = np.cumsum(np.cumsum(hist, axis=0), axis=1) / len(x)
-    edges = np.arange(1, bins + 1) / bins
+    edges = np.arange(1, _EQ_BINS + 1) / _EQ_BINS
     expect = np.outer(edges, edges)
     return float(np.max(np.abs(cum - expect)))
 
@@ -173,33 +182,29 @@ class EquidistributionResult:
     max_pairwise: float
 
 
-def equidistribution_test(t_max: float, n: int, bins: int = 64,
-                          sample_count: int = 200_000, seed: int = 0,
-                          freqs: np.ndarray | None = None,
-                          pair_draws: int = 10) -> EquidistributionResult:
+def equidistribution_test(t_max: float, n: int, seed: int = 0,
+                          freqs: np.ndarray | None = None) -> EquidistributionResult:
     """Histogram discrepancy of the orbit sampled at jittered-stratified t.
 
-    Per-coordinate star discrepancy uses the exact sorted-sample formula;
-    pairwise discrepancy uses a bins x bins prefix grid over pair_draws
-    random coordinate pairs.  Stratified t-samples keep the sampling noise
-    an order below the orbit's own boundary discrepancy, so doubling t_max
-    roughly halves the result for independent frequencies.
+    Per-coordinate star discrepancy uses the exact sorted-sample formula over
+    ``_EQ_SAMPLES`` t-samples; pairwise discrepancy uses a bins x bins prefix
+    grid (``_EQ_BINS``) over ``_EQ_PAIRS`` random coordinate pairs.
+    Stratified t-samples keep the sampling noise an order below the orbit's
+    own boundary discrepancy, so doubling t_max roughly halves the result for
+    independent frequencies.
     """
-    if bins < 8:
-        raise ValueError("bins >= 8")
     f = log_prime_frequencies(n) if freqs is None else np.asarray(freqs, dtype=float)[:n]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    ts = (np.arange(sample_count) + rng.random(sample_count)) * (t_max / sample_count)
+    ts = (np.arange(_EQ_SAMPLES) + rng.random(_EQ_SAMPLES)) * (t_max / _EQ_SAMPLES)
     orbits = np.mod(ts[:, None] * f[None, :], 1.0)
     per_coord = max(_star_discrepancy_1d(orbits[:, k]) for k in range(n))
     if n >= 2:
         pairs = set()
-        while len(pairs) < min(pair_draws, n * (n - 1) // 2):
+        while len(pairs) < min(_EQ_PAIRS, n * (n - 1) // 2):
             a, b = rng.integers(0, n, size=2)
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
-        pairwise = max(_star_discrepancy_2d(orbits[:, a], orbits[:, b], bins)
-                       for a, b in pairs)
+        pairwise = max(_star_discrepancy_2d(orbits[:, a], orbits[:, b]) for a, b in pairs)
     else:
         pairwise = 0.0
     return EquidistributionResult(t_max=t_max, coords=n, max_coordinate=per_coord,

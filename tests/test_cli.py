@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from eulerapprox import cli
 from eulerapprox.approx import _approximate_impl
@@ -67,3 +68,29 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     assert cfg["pmax"] == 3000
     assert "workers" not in cfg.values
     assert cfg["width_factor"] == ""   # the key is newer than this manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["approximate", "--pmax", "abc"],
+    ["approximate", "--target", "exp:abc"],
+    ["approximate", "--spec", "custom:/nonexistent"],
+    ["check-hypothesis", "--h-grid", "a:b:3"],
+    ["check-hypothesis", "--h-grid", "1e4:1e6:0"],
+    ["check-hypothesis", "--h-grid", "0:1e6:3"],
+    ["torus", "--N", "0"],
+    ["torus", "--N", "abc"],
+    ["approximate", "--no-such-flag", "1"],
+    # NaN slips past a plain `eps <= 0` or `y < 2` check
+    ["approximate", "--eps", "nan"],
+    ["approximate", "--y", "nan"],
+    ["approximate", "--t0", "nan"],
+    ["approximate", "--config", "/nonexistent"],
+    ["refine", "--stages", "0"],
+    ["zero-scan", "--samples", "0"],
+], ids=lambda argv: "_".join(argv))
+def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
+    # exit 3, not a traceback (1) or argparse's 2, which would read as a stall
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+    assert "Traceback" not in err

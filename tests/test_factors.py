@@ -12,8 +12,8 @@ from eulerapprox.factors import HypothesisError, interval_weights
 from eulerapprox.hardy import TWO_PI
 
 
-def make_custom(table, c_map=None, exact=None):
-    return ea.custom_spec(table, c_map or {0.05: 2.0}, exact_table=exact)
+def make_custom(table, c_map=None):
+    return ea.custom_spec(table, c_map or {0.05: 2.0})
 
 
 CHI4 = ea.dirichlet_spec(4, [0, 1, 0, -1])
@@ -89,6 +89,9 @@ def test_zeta_product_flipped_phases():
         exact_oracle = exact_oracle * (QI_ONE / (QI_ONE + QI(Fraction(1, p * p), Fraction(0))))
     assert exact.re == exact_oracle.re and exact.im == exact_oracle.im
     assert abs(exact.to_complex() - got) < 1e-12
+    # the live vectorized route at the same s
+    grid = ea.partial_product_grid(spec, np.array([2.0 + 0j]), ps, phases)[0]
+    assert abs(exact.to_complex() - grid) < 1e-12
 
 
 def test_zeta_error_monotone_and_close():
@@ -123,70 +126,6 @@ def test_phase_assignment_shift_invariant():
     assert restricted.gamma(3) == 0.0
     with pytest.raises(ValueError):
         ea.PhaseAssignment({2: 1.0})
-
-
-# ---------------------------------------------------------------------------
-# quotient coefficients
-# ---------------------------------------------------------------------------
-
-
-def test_quotient_zeta_alternating_pattern():
-    spec = ea.zeta_spec()
-    bs = ea.quotient_coefficients(spec, 5, 12)
-    for m, b in zip(range(2, 13), bs):
-        assert abs(b - (1.0 if m % 2 == 0 else 0.0)) < 1e-12
-    division = ea.quotient_coefficients_by_division(spec, 5, 12)
-    assert np.allclose(bs, division, atol=1e-12)
-
-
-def test_quotient_linear_only_table():
-    # a_p^m = 0 for m >= 2: the factor equals the divisor, every b_m vanishes
-    spec = make_custom({7: {1: 0.4 + 0.2j}})
-    bs = ea.quotient_coefficients(spec, 7, 10)
-    division = ea.quotient_coefficients_by_division(spec, 7, 10)
-    assert np.allclose(bs, division, atol=1e-13)
-    assert max(abs(b) for b in bs) < 1e-13
-
-
-def test_quotient_zero_leading_coefficient():
-    spec = make_custom({3: {1: 0.0, 2: 0.3, 3: 0.1}})
-    bs = ea.quotient_coefficients(spec, 3, 6)
-    assert bs[0] == 0.3 and bs[1] == 0.1
-    assert np.allclose(bs, ea.quotient_coefficients_by_division(spec, 3, 6))
-
-
-def test_quotient_rejects_large_leading():
-    # (1 + 0.9 z)^2 is zero free on the disc but its linear part is not
-    spec = make_custom({2: {1: 1.8, 2: 0.81}}, c_map={0.5: 2.0})
-    with pytest.raises(ea.FactorDomainError):
-        ea.quotient_coefficients(spec, 2, 6)
-
-
-def test_quotient_exact_routes_agree():
-    rngs = np.random.default_rng(11)
-    checked = 0
-    for _ in range(30):
-        table = {}
-        exact = {}
-        num = rngs.integers(-4, 5, size=8)
-        den = rngs.integers(2, 9, size=8)
-        row, erow = {}, {}
-        for m in range(1, 5):
-            a = QI(Fraction(int(num[2 * m - 2]), int(den[2 * m - 2]) * 4),
-                   Fraction(int(num[2 * m - 1]), int(den[2 * m - 1]) * 4))
-            erow[m] = a
-            row[m] = a.to_complex()
-        table[5] = row
-        exact[5] = erow
-        try:
-            spec = make_custom(table, c_map={0.3: 3.0}, exact=exact)
-        except ea.FactorDomainError:
-            continue
-        alt = ea.quotient_coefficients_exact(spec, 5, 9)
-        div = ea.quotient_coefficients_exact(spec, 5, 9, by_division=True)
-        assert all(x.re == y.re and x.im == y.im for x, y in zip(alt, div))
-        checked += 1
-    assert checked >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +433,12 @@ def test_exact_product_for_chi4():
     ps = [int(p) for p in ea.primes_up_to(30)]
     quarter = {p: Fraction(i % 4, 4) for i, p in enumerate(ps)}
     exact = ea.partial_product_exact(CHI4, 2, ps, quarter)
-    approx = ea.partial_product(CHI4, 2.0, ps,
-                                ea.PhaseAssignment({p: float(q) for p, q in quarter.items()}))
+    phases = ea.PhaseAssignment({p: float(q) for p, q in quarter.items()})
+    approx = ea.partial_product(CHI4, 2.0, ps, phases)
     assert abs(exact.to_complex() - approx) < 1e-12
+    # the live vectorized route at the same s
+    grid = ea.partial_product_grid(CHI4, np.array([2.0 + 0j]), ps, phases)[0]
+    assert abs(exact.to_complex() - grid) < 1e-12
     with pytest.raises(ea.FactorDomainError):
         ea.partial_product_exact(ea.dirichlet_spec(3, [0, 1, cmath.exp(2j * math.pi / 3)]),
                                  2, [2], {})
