@@ -133,6 +133,8 @@ class ApproximationProblem:
             raise InvalidProblem(f"violated: eps > 0 (eps={self.eps})")
         if not math.isfinite(self.t0):
             raise InvalidProblem(f"violated: t0 finite (t0={self.t0})")
+        if not self.seed >= 0:
+            raise InvalidProblem(f"violated: seed >= 0 (seed={self.seed})")
         if self.phase_mode not in ("quarter", "golden"):
             raise InvalidProblem(f"unknown phase mode {self.phase_mode!r}")
 
@@ -772,12 +774,16 @@ class ApproximationResult:
         return "\n".join(f"{i} {v!r}" for i, v in enumerate(self.trace)) + "\n"
 
 
+def _survey_grid(problem: ApproximationProblem) -> DiscGrid:
+    """The grid of |s| <= r on which ``_survey`` and the refine screen measure errors."""
+    return DiscGrid(center=0j, radius=problem.r,
+                    boundary=problem.survey_boundary, rings=problem.survey_rings)
+
+
 def _survey(problem: ApproximationProblem, phases: PhaseAssignment) -> SurveyResult:
     """Survey the product over the primes of ``phases`` against ``problem.target``."""
-    grid = DiscGrid(center=0j, radius=problem.r,
-                    boundary=problem.survey_boundary, rings=problem.survey_rings)
     f = product_target(problem.spec, sorted(phases.theta), phases, problem.sigma0)
-    return disc_error_survey(problem.target, f, grid)
+    return disc_error_survey(problem.target, f, _survey_grid(problem))
 
 
 def _approximate_impl(problem: ApproximationProblem,
@@ -856,6 +862,66 @@ _DRAWS = 64
 _MAX_DRAWS = 512
 _SLACK = 2.0
 
+#: Taylor and log-series orders of the refine screen's filler rows.  The screen
+#: is held against the exact survey product, not against the pool rows, so its
+#: certified tail only has to stay far below ``_SCREEN_ROUNDING``: with every
+#: zeta prime from 3 to 1e5 as a filler it is 2.3e-16 at r = 0.02 and 1.5e-15
+#: at r = 0.06.  Orders 64, as the pool rows use, take twice the time per draw.
+_SCREEN_ORDER = 24
+_SCREEN_SERIES_ORDER = 40
+
+#: rounding allowance of the refine screen, relative to max(|target| + |screen
+#: product|) on the survey grid.  The survey's product rounds a few ulp per
+#: factor over about 1e3 factors (<= 1e-12 relative); the screen's core product,
+#: summed rows, Horner sum and exp round alike.  Observed gaps are below 1e-14.
+_SCREEN_ROUNDING = 1e-10
+
+
+def _filler_screen(problem: ApproximationProblem, core_phases: PhaseAssignment,
+                   filler: Sequence[int]) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+    """Screen of a refine stage's filler draws: twists (draws, filler) -> (errors, delta).
+
+    The survey grid, the target on it and the core product (one
+    ``partial_product_grid`` call) are worked out once, and so are the
+    fillers' logarithms, m-powers and Taylor direction.  A draw's screen error
+    is max |target - core exp(P)| over the grid, where P is the sum of the
+    fillers' ``_twisted_rows`` (orders ``_SCREEN_ORDER`` and
+    ``_SCREEN_SERIES_ORDER``) at the drawn twists, summed by Horner on the
+    grid.  ``delta`` bounds |screen - surveyed error| of every draw of the
+    batch: the certified ``_embedding_tail`` T of the fillers at radius r and
+    those orders gives (e^T - 1) max |core exp(P)|, and ``_SCREEN_ROUNDING``
+    covers the rounding of both routes.
+    """
+    pts = _survey_grid(problem).points()
+    target = np.asarray(problem.target(pts), dtype=complex)
+    core = partial_product_grid(problem.spec, pts + problem.sigma0,
+                                sorted(core_phases.theta), core_phases)
+    ps = np.asarray(filler, dtype=np.int64)
+    lnp = np.log(ps.astype(float))
+    mpow = _m_powers(_SCREEN_ORDER, _SCREEN_SERIES_ORDER)
+    direction = _taylor_direction(lnp, _SCREEN_ORDER)
+    tail = _embedding_tail(problem.spec, ps, problem.r, problem.sigma0, _SCREEN_ORDER,
+                           _SCREEN_SERIES_ORDER)[0]
+    grow = math.expm1(tail)
+
+    def screen(twists: np.ndarray) -> tuple[np.ndarray, float]:
+        errs = np.empty(len(twists))
+        gaps = np.empty(len(twists))     # |screen - survey| bound per draw
+        for i, tw in enumerate(twists):
+            coef = _twisted_rows(problem.spec, ps, lnp, tw, problem.sigma0, mpow,
+                                 direction).sum(axis=0)
+            log_fill = np.full_like(pts, coef[-1])
+            for c in coef[-2::-1]:
+                log_fill *= pts
+                log_fill += c
+            prod = core * np.exp(log_fill)
+            size = np.abs(prod)
+            errs[i] = np.max(np.abs(target - prod))
+            gaps[i] = grow * np.max(size) + _SCREEN_ROUNDING * np.max(np.abs(target) + size)
+        return errs, float(np.max(gaps))   # a NaN delta makes every draw surveyed
+
+    return screen
+
 
 def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineStage]:
     """Doubling schedule y_k = 2^k y0 with frozen phase reuse across stages.
@@ -868,6 +934,17 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     exceeds the previous stage's or the schedule bound.  Stage errors must
     stay within ``_SLACK`` * 2^{1 + k beta} eps of the schedule and must not
     increase.
+
+    Draws are screened before they are surveyed (``_filler_screen``): every
+    draw of a batch gets a screen error e' with |e' - e| <= delta against its
+    surveyed error e, delta the batch's certified truncation tail plus a
+    rounding allowance.  Only draws with e' <= min(best so far, batch minimum
+    of e') + 2 delta are surveyed, in draw order with the strict-< rule.
+    Any other draw has e > e'_min + delta >= e of the batch's screen minimum
+    (or e > best so far), so it could never have been kept: the kept draw,
+    its error, ``draws_used`` and every stall message are those of surveying
+    every draw.  The batch is one ``rng.random((batch, fillers))`` call, the
+    same PCG64 doubles in the same order as one call per draw.
 
     Inherited twists are product twists: a stage passes on theta_p + gamma_p
     (mod 1) of every prime it assigned, and the next stage uses them as
@@ -911,12 +988,16 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
             return _survey(problem, pa).max_error, pa
 
         if filler:
+            screen = _filler_screen(problem, core.phases, filler)
             best_err, best_pa = math.inf, None
             used = 0
             while used < _MAX_DRAWS:
                 batch = min(_DRAWS, _MAX_DRAWS - used)
-                for _ in range(batch):
-                    err, pa = full_error(rng.random(len(filler)))
+                draws = rng.random((batch, len(filler)))
+                errs, delta = screen(draws)
+                cut = min(best_err, float(np.min(errs))) + 2.0 * delta
+                for tw in draws[~(errs > cut)]:    # a NaN screen error is surveyed
+                    err, pa = full_error(tw)
                     if err < best_err:
                         best_err, best_pa = err, pa
                 used += batch

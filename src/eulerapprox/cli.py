@@ -232,6 +232,8 @@ def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
     if not (count >= 1 and math.e < lo <= hi < math.inf and (lo < hi or count == 1)):
         raise InvalidProblem(f"h grid needs e < lo < hi < inf and count >= 1 "
                              f"(or lo = hi and count 1), got {h_grid!r}")
+    if not math.isfinite(cfg["lam"]):
+        raise InvalidProblem(f"lam must be a finite number (got {cfg['lam']})")
     hs = list(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
     wf = None   # empty: the paper's window (h, h (1 + log^-10 h)]
     if cfg["width_factor"] != "":
@@ -254,8 +256,10 @@ def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
 
 def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
                   compare_n: int | None, phases_path: str | None) -> int:
-    if samples < 1:
-        raise InvalidProblem(f"zero-scan needs samples >= 1 (got {samples})")
+    if not (samples >= 1 and 0 < cradius < math.inf and cfg["pmax"] >= 2):
+        raise InvalidProblem(f"zero-scan needs samples >= 1, a finite cradius > 0 and "
+                             f"pmax >= 2 (got samples={samples}, cradius={cradius}, "
+                             f"pmax={cfg['pmax']})")
     spec = build_spec(cfg)
     theta = read_phases(phases_path) if phases_path else {}
     plist = [int(p) for p in primes_up_to(cfg["pmax"])]
@@ -279,9 +283,10 @@ def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
 
 
 def cmd_torus(cfg: RunConfig, n: int, r: float, eps_slab: float, samples: int) -> int:
-    if not (n >= 1 and samples >= 1 and 0 < eps_slab < r):
-        raise InvalidProblem(f"torus needs N >= 1, samples >= 1 and 0 < eps-slab < r "
-                             f"(got N={n}, samples={samples}, eps-slab={eps_slab}, r={r})")
+    if not (n >= 1 and samples >= 1 and 0 < eps_slab < r and cfg["seed"] >= 0):
+        raise InvalidProblem(f"torus needs N >= 1, samples >= 1, 0 < eps-slab < r and "
+                             f"seed >= 0 (got N={n}, samples={samples}, eps-slab={eps_slab}, "
+                             f"r={r}, seed={cfg['seed']})")
     est, half = ball_volume_mc(n, r, samples, seed=cfg["seed"])
     slab = slab_bound_check(n, r, eps_slab, samples, seed=cfg["seed"])
     eq = equidistribution_test(t_max=10_000.0, n=min(n, 8), seed=cfg["seed"])

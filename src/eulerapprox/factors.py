@@ -25,6 +25,7 @@ read-only use.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,18 +213,12 @@ class EulerFactorSpec:
             terms *= (1.0 / ms)[None, :]      # in place: one (primes x order) array fewer
             return terms
         out = np.zeros((len(primes), order), dtype=complex)
-        for p in self.table:
+        for p, row in self.table.items():
             hit = primes == p
             if not hit.any():
                 continue
-            a = np.array([0j] + [self.coeff(p, m) for m in range(1, order + 1)])
-            c = np.zeros(order + 1, dtype=complex)
-            for m in range(1, order + 1):
-                acc = m * a[m]
-                for j in range(1, m):
-                    acc -= j * c[j] * a[m - j]
-                c[m] = acc / m
-            out[hit] = c[1:][None, :] * base[hit][:, None] ** ms[None, :]
+            c = _custom_log_coefficients(tuple(sorted(row.items())), order)
+            out[hit] = c[None, :] * base[hit][:, None] ** ms[None, :]
         return out
 
     def log_series_tail(self, primes: np.ndarray, q: np.ndarray,
@@ -253,6 +248,26 @@ class EulerFactorSpec:
         terms = ks[:, None] * ratio[:, None] ** ms[None, :]
         past = ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)
         return ks, np.column_stack([terms, past])
+
+
+@functools.lru_cache(maxsize=4096)
+def _custom_log_coefficients(row: tuple[tuple[int, complex], ...], order: int) -> np.ndarray:
+    """c_1..c_order of log(1 + sum_m a_m z^m) for one custom table row (read-only).
+
+    By the recurrence m c_m = m a_m - sum_{j<m} j c_j a_{m-j}.  Cached per
+    (row, order): the pool build, the golden search and the refine screen
+    ask for the same rows on every call of ``log_terms``.
+    """
+    coeffs = dict(row)
+    a = np.array([0j] + [complex(coeffs.get(m, 0.0)) for m in range(1, order + 1)])
+    c = np.zeros(order + 1, dtype=complex)
+    for m in range(1, order + 1):
+        acc = m * a[m]
+        for j in range(1, m):
+            acc -= j * c[j] * a[m - j]
+        c[m] = acc / m
+    c.flags.writeable = False
+    return c[1:]
 
 
 def zeta_spec() -> EulerFactorSpec:

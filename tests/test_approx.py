@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from eulerapprox.approx import (
     _commit_drop,
     _commit_rephase,
     _embedding_tail,
+    _filler_screen,
     _quarter_rows,
+    _survey,
     _u_rows,
     norm_to_max,
 )
-from eulerapprox.factors import QUARTER_GRID, twist_argument
+from eulerapprox.factors import QUARTER_GRID, PhaseAssignment, twist_argument
 from eulerapprox.hardy import disc_quadrature
 
 
@@ -178,12 +182,15 @@ def test_nu_rest_follows_grow_rephase_and_drop():
 # blocked pool build: bit-identical to one whole-pool _u_rows call per quarter
 # ---------------------------------------------------------------------------
 
+# the 7-line custom spec file: a c_eps header and six coefficient rows
+CUSTOM_7 = ea.custom_spec({2: {1: 0.25 + 0.1j, 2: 0.05}, 3: {1: -0.3}, 5: {1: 0.2j, 3: 0.01},
+                           7: {2: 0.1}}, {0.05: 2.0})
+
 BUILD_SPECS = pytest.mark.parametrize("spec", [
     ea.zeta_spec(),
     ea.dirichlet_spec(4, [0, 1, 0, -1]),
     ea.dirichlet_spec(5, [0, 1, 1j, -1j, -1]),
-    ea.custom_spec({2: {1: 0.25 + 0.1j, 2: 0.05}, 3: {1: -0.3}, 5: {1: 0.2j, 3: 0.01},
-                    7: {2: 0.1}}, {0.05: 2.0}),
+    CUSTOM_7,
 ], ids=["zeta", "chi4", "chi5", "custom"])
 
 
@@ -508,6 +515,121 @@ def test_refine_with_shift_keeps_inherited_twists(tmp_path):
     assert idle and 0 not in idle
     for i in idle:
         assert abs(errors[i] - errors[i - 1]) <= 1e-12
+
+
+# every prime up to 500 has a factor, so refine stages leave fillers to draw
+CUSTOM_WIDE = ea.custom_spec({int(p): {1: 0.8 * cmath.exp(2j * math.pi * int(p) / 7), 2: 0.1}
+                              for p in ea.primes_up_to(500)}, {0.05: 2.0})
+
+
+def refine_oracle(problem, stages):
+    """``refine_sequence`` with every filler draw surveyed, one ``rng.random`` call per draw.
+
+    Returns the finished stages and the stall message (None without a stall).
+    """
+    beta = problem.schedule_exponent()
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(problem.seed)))
+    assigned, out, prev_error = {}, [], math.inf
+    presets = {int(p): float(tw) for p, tw in problem.preset_phases.items()}
+    for k in range(stages):
+        y_k = problem.y * 2.0**k
+        fixed = {p: tw for p, tw in assigned.items() if not (p <= y_k and p in presets)}
+        core = _approximate_impl(replace(problem, y=y_k, preset_phases=presets,
+                                         fixed_phases=fixed), eps_target=0.5 * problem.eps)
+        m_k = max(core.primes)
+        filler = [int(p) for p in ea.primes_up_to(m_k) if int(p) not in core.phases.theta]
+        bound = approx._SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps
+        best_err, best_pa, used = core.max_error, core.phases, 0
+        if filler:
+            best_err = math.inf
+            while used < approx._MAX_DRAWS:
+                for _ in range(min(approx._DRAWS, approx._MAX_DRAWS - used)):
+                    theta = dict(core.phases.theta)
+                    theta.update(zip(filler, rng.random(len(filler)).tolist()))
+                    pa = PhaseAssignment(theta, t0=problem.t0, shifted=core.phases.shifted)
+                    err = _survey(problem, pa).max_error
+                    if err < best_err:
+                        best_err, best_pa = err, pa
+                    used += 1
+                if best_err <= min(prev_error, bound):
+                    break
+        if best_err > prev_error + 1e-12:
+            return out, (f"stage {k + 1}: error {best_err:.3e} exceeds previous "
+                         f"{prev_error:.3e} after {used} draws")
+        if best_err > bound + 1e-12:
+            return out, (f"stage {k + 1}: error {best_err:.3e} exceeds schedule bound "
+                         f"{bound:.3e}")
+        assigned = {p: float(best_pa.twist(p) % 1.0) for p in best_pa.theta}
+        out.append(ea.RefineStage(stage=k + 1, y=y_k, m_k=m_k, core_primes=core.primes,
+                                  core_error=core.max_error, error=best_err,
+                                  schedule_bound=bound, draws_used=used, phases=best_pa))
+        prev_error = best_err
+    return out, None
+
+
+def stage_bits(st):
+    """Every ``RefineStage`` field, floats and twists as their exact bits."""
+    pa = st.phases
+    return (st.stage, st.y.hex(), st.m_k, st.core_primes, st.core_error.hex(),
+            st.error.hex(), st.schedule_bound.hex(), st.draws_used,
+            sorted((p, float(th).hex()) for p, th in pa.theta.items()),
+            float(pa.t0).hex(), pa.shifted)
+
+
+@pytest.mark.parametrize("spec,kw", [
+    (ea.zeta_spec(), dict(p_max=500, seed=0)),
+    (ea.zeta_spec(), dict(p_max=500, seed=1)),
+    (ea.zeta_spec(), dict(p_max=500, seed=2)),
+    (ea.zeta_spec(), dict(p_max=500, seed=3)),
+    (ea.zeta_spec(), dict(p_max=2000, seed=2)),
+    (ea.zeta_spec(), dict(p_max=500, seed=3, t0=1.0)),
+    (ea.dirichlet_spec(4, [0, 1, 0, -1]), dict(p_max=200, seed=1)),
+    (CUSTOM_7, dict(p_max=500, eps=0.3)),
+    (CUSTOM_WIDE, dict(p_max=500, seed=1)),
+], ids=["zeta-s0", "zeta-s1", "zeta-s2", "zeta-s3", "zeta-s2-p2000", "zeta-s3-t0",
+        "chi4-s1", "custom7", "custom-wide"])
+def test_screened_refine_matches_draw_by_draw_oracle(spec, kw):
+    # the screen only decides which draws are surveyed: every stage field and
+    # stall message is that of surveying every draw in order
+    prob = make_problem(spec=spec, **kw)
+    want, stall = refine_oracle(prob, 3)
+    if stall is None:
+        got = ea.refine_sequence(prob, stages=3)
+    else:
+        with pytest.raises(ea.RefineStall) as exc:
+            ea.refine_sequence(prob, stages=3)
+        assert str(exc.value) == stall
+        got = ea.refine_sequence(prob, stages=len(want)) if want else []
+    assert [stage_bits(st) for st in got] == [stage_bits(st) for st in want]
+
+
+def test_screened_refine_surveys_few_draws(monkeypatch):
+    prob = make_problem(p_max=2000, seed=2)
+    calls = []
+    monkeypatch.setattr(approx, "_survey", lambda *a: calls.append(1) or _survey(*a))
+    stages = ea.refine_sequence(prob, stages=3)
+    draws = sum(st.draws_used for st in stages)
+    assert draws >= 192 and len(calls) <= draws // 8
+
+
+@pytest.mark.parametrize("spec", [
+    ea.zeta_spec(),
+    ea.dirichlet_spec(4, [0, 1, 0, -1]),
+    ea.dirichlet_spec(5, [0, 1, 1j, -1j, -1]),
+    CUSTOM_WIDE,
+], ids=["zeta", "chi4", "chi5", "custom-wide"])
+def test_filler_screen_is_within_delta_of_the_survey(spec):
+    prob = make_problem(spec=spec, p_max=2000)
+    core = _approximate_impl(prob, eps_target=0.5 * prob.eps)
+    filler = [int(p) for p in ea.primes_up_to(1000) if int(p) not in core.phases.theta]
+    draws = np.random.default_rng(5).random((48, len(filler)))
+    errs, delta = _filler_screen(prob, core.phases, filler)(draws)
+    assert 0.0 < delta < 1e-8   # a tight cut: about 1e-10 of the product's size
+    for tw, e in zip(draws, errs):
+        theta = dict(core.phases.theta)
+        theta.update(zip(filler, tw.tolist()))
+        pa = PhaseAssignment(theta, t0=prob.t0, shifted=core.phases.shifted)
+        assert abs(e - _survey(prob, pa).max_error) <= 1e-3 * delta
 
 
 def test_refine_requires_positive_stage_count():

@@ -87,6 +87,15 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     ["approximate", "--config", "/nonexistent"],
     ["refine", "--stages", "0"],
     ["zero-scan", "--samples", "0"],
+    # numpy raises on these (np.random.SeedSequence, the sieve) unless they are caught first
+    ["refine", "--seed", "-1", "--pmax", "2000"],
+    ["torus", "--seed", "-1", "--samples", "1000"],
+    ["zero-scan", "--pmax", "-5"],
+    # these would otherwise yield a verdict (exit 4 or 0) from a malformed input
+    ["check-hypothesis", "--lam", "nan"],
+    ["check-hypothesis", "--lam", "inf"],
+    ["zero-scan", "--cradius", "0"],
+    ["zero-scan", "--pmax", "1"],
 ], ids=lambda argv: "_".join(argv))
 def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     # exit 3, not a traceback (1) or argparse's 2, which would read as a stall
