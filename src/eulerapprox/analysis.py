@@ -153,11 +153,26 @@ def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
     until the count stabilizes and every step turns by less than pi/2; a
     sampled modulus below ``_ZERO_GUARD`` aborts, since the contour then
     (numerically) passes through a zero.
+
+    f must be pointwise: each value depends only on its own point.  A
+    doubling then evaluates only the new odd-index points, since
+    ``contour.points(2 n)[0::2]`` equals ``contour.points(n)`` bit for bit.
+    An n-sample estimate whose steps all stay under pi/2 is below n/4 turns,
+    so a small n caps the count (n <= 4 can only give 0); ``quadrature_n``
+    below 8 raises ValueError.
     """
+    if quadrature_n < 8:
+        raise ValueError("quadrature_n >= 8")
     n = quadrature_n
+    vals = np.asarray(f(contour.points(n)), dtype=complex)
     prev = None
-    for _ in range(_ZERO_COUNT_DOUBLINGS + 1):
-        vals = np.asarray(f(contour.points(n)), dtype=complex)
+    for doubling in range(_ZERO_COUNT_DOUBLINGS + 1):
+        if doubling:
+            n *= 2
+            both = np.empty(n, dtype=complex)
+            both[0::2] = vals
+            both[1::2] = f(np.ascontiguousarray(contour.points(n)[1::2]))
+            vals = both
         if float(np.min(np.abs(vals))) < _ZERO_GUARD:
             raise ContourZeroError("zero on (or numerically on) the contour")
         w, incr = _winding(vals)
@@ -166,13 +181,16 @@ def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
         if stable and prev is not None and round(w) == prev:
             return int(round(w))
         prev = int(round(w)) if stable else None
-        n *= 2
     raise ContourZeroError(f"winding failed to stabilize (last estimate {w})")
 
 
 def min_modulus(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
                 samples: int = 256) -> float:
-    """min |f| on the circle: coarse scan plus local bisection refinement."""
+    """min |f| on the circle: coarse scan plus local bisection refinement.
+
+    f must be pointwise: each value depends only on its own point.  The
+    coarse scan samples ``contour.points(samples)``.
+    """
     if samples < 64:
         raise ValueError("samples >= 64")
     ang = TWO_PI * np.arange(samples) / samples
@@ -188,6 +206,20 @@ def min_modulus(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
         span = (hi - lo) / 4
         lo, hi = grid[j] - span, grid[j] + span
     return best
+
+
+def _memo(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """f with its values kept per exact sample array (dtype, shape and bytes)."""
+    seen: dict[tuple, np.ndarray] = {}
+
+    def g(s: np.ndarray) -> np.ndarray:
+        s = np.asarray(s)
+        key = (s.dtype.str, s.shape, s.tobytes())
+        if key not in seen:
+            seen[key] = f(s)
+        return seen[key]
+
+    return g
 
 
 @dataclass(frozen=True)
@@ -208,7 +240,13 @@ def rouche_check(f: Callable[[np.ndarray], np.ndarray],
     On a pass, both zero counts are computed and must agree (they are equal
     whenever the dominance inequality holds on the whole contour); the
     counts are part of the result rather than assumed.
+
+    f and g must be pointwise: each value depends only on its own point.
+    Both are memoized for this call, so the dominance scan, the coarse scan
+    of ``min_modulus`` and the first stage of ``zero_count`` (which sample
+    the same points when ``samples`` is 512) share one evaluation.
     """
+    f, g = _memo(f), _memo(g)
     pts = contour.points(max(samples, 64))
     fd = np.abs(np.asarray(f(pts)) - np.asarray(g(pts)))
     max_diff = float(np.max(fd))

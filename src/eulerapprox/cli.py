@@ -256,8 +256,8 @@ def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
 
 def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
                   compare_n: int | None, phases_path: str | None) -> int:
-    if not (samples >= 1 and 0 < cradius < math.inf and cfg["pmax"] >= 2):
-        raise InvalidProblem(f"zero-scan needs samples >= 1, a finite cradius > 0 and "
+    if not (samples >= 8 and 0 < cradius < math.inf and cfg["pmax"] >= 2):
+        raise InvalidProblem(f"zero-scan needs samples >= 8, a finite cradius > 0 and "
                              f"pmax >= 2 (got samples={samples}, cradius={cradius}, "
                              f"pmax={cfg['pmax']})")
     spec = build_spec(cfg)

@@ -11,12 +11,13 @@ Euler product over primes.  There are two families (``EulerFactorSpec.kind``):
                    with declared growth constants c(eps).
 
 Each family's arithmetic is written once, in the ``EulerFactorSpec`` methods
-``leading``, ``phase_correction``, ``times_factor``, ``log_terms``,
-``log_series_tail`` and ``growth``; the rest of the package reaches the
-factors through them.  Outside the spec's methods, ``kind`` is read only by
-the ``save_custom_spec`` guard and by the two oracle routes that tests
-cross-check against: ``eval_factor`` and ``log_factor``.  The exact oracle
-``partial_product_exact`` takes its character values from ``coeff_exact``.
+``leading``, ``phase_correction``, ``times_factor``, ``fold_factors``,
+``log_terms``, ``log_series_tail`` and ``growth``; the rest of the package
+reaches the factors through them.  Outside the spec's methods, ``kind`` is
+read only by the ``save_custom_spec`` guard and by the two oracle routes that
+tests cross-check against: ``eval_factor`` and ``log_factor``.  The exact
+oracle ``partial_product_exact`` takes its character values from
+``coeff_exact``.
 
 Everything here is immutable after construction and safe for concurrent
 read-only use.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +44,9 @@ DEFAULT_SERIES_ORDER = 64
 
 #: quantized steering phases (turns)
 QUARTER_GRID = (0.0, 0.25, 0.5, 0.75)
+
+#: cells (primes x points) of one factor block in ``partial_product_grid``
+_PRODUCT_BLOCK_CELLS = 1 << 15
 
 
 class FactorDomainError(ValueError):
@@ -190,6 +195,35 @@ class EulerFactorSpec:
         if self.kind == "dirichlet":
             chi = self.character[p % self.modulus]
             return acc / (1.0 - z) if chi == 1 else acc / (1.0 - chi * z)
+        return acc * self._table_value(p, z)
+
+    def fold_factors(self, acc: np.ndarray, primes: Sequence[int], block: np.ndarray) -> None:
+        """acc <- acc * f_p(z_p) for the primes in order, in place; z_p = block[1 + i].
+
+        ``block`` has a spare row 0 and is overwritten.  Characters turn each
+        row into 1 - z (chi(p) = 1) or 1 - chi(p) z and fold them with one
+        sequential ``np.divide.reduce`` along the prime axis; custom rows
+        become their table polynomial (1 without a table row) and fold with
+        ``np.multiply.reduce``.  Every point sees the operations of
+        ``times_factor`` applied prime by prime, so the result is bit-identical.
+        """
+        z = block[1:]
+        if self.kind == "dirichlet":
+            chi = self.leading(primes)
+            other = chi != 1
+            if other.any():
+                z[other] = chi[other, None] * z[other]
+            np.subtract(1.0, z, out=z)
+            fold = np.divide
+        else:
+            for i, p in enumerate(primes):
+                z[i] = self._table_value(p, z[i])
+            fold = np.multiply
+        block[0] = acc
+        fold.reduce(block, axis=0, out=acc)
+
+    def _table_value(self, p: int, z):
+        """1 + sum_m a_p^m z^m of a custom factor, summed by powers of z."""
         row = self.table.get(p, {})
         fz = zp = 1.0 + 0j
         for m in range(1, self.table_degree(p) + 1):
@@ -197,7 +231,7 @@ class EulerFactorSpec:
             a = row.get(m)
             if a:
                 fz = fz + a * zp
-        return acc * fz
+        return fz
 
     def log_terms(self, primes: np.ndarray, base: np.ndarray, order: int) -> np.ndarray:
         """G[i, m-1] = c_m(p_i) B_i^m for m = 1..order, where log f_p(z) = sum_m c_m z^m.
@@ -359,6 +393,17 @@ class PhaseAssignment:
     def twist(self, p: int) -> float:
         return self.theta.get(p, 0.0) + self.gamma(p)
 
+    def twists(self, primes: list[int], logs: np.ndarray) -> np.ndarray:
+        """``twist`` for each prime, bit for bit; ``logs`` holds math.log(p) per prime."""
+        out = np.fromiter(map(self.theta.get, primes, itertools.repeat(0.0)), float,
+                          len(primes))
+        if self.t0 != 0.0:
+            gamma = self.t0 * logs / TWO_PI
+            if self.shifted is not None:
+                gamma[[p not in self.shifted for p in primes]] = 0.0
+            out += gamma
+        return out
+
     def primes(self) -> list[int]:
         return sorted(self.theta)
 
@@ -429,17 +474,40 @@ def partial_product(spec: EulerFactorSpec, s: complex, primes: Sequence[int],
 
 def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[int],
                          phases: PhaseAssignment | None = None) -> np.ndarray:
-    """Vectorized partial_product over an array of exponents s."""
+    """Vectorized partial_product over an array of exponents s (any shape).
+
+    The factor arguments of a block of primes x points (about
+    ``_PRODUCT_BLOCK_CELLS`` cells, one reused buffer) are built at once and
+    folded into the product by ``EulerFactorSpec.fold_factors``.  Each point
+    sees exactly the operations of the per-prime loop
+    ``acc = spec.times_factor(acc, p, exp(-2 pi i twist_p - s log p))`` over
+    the points as an array, so the result is bit-identical to it; tests keep
+    that loop as the oracle.
+    """
     phases = phases or trivial_phases()
     s = np.asarray(s, dtype=complex)
-    if np.any(s.real <= 0.0) and len(primes):
+    plist = list(map(int, primes))
+    if np.any(s.real <= 0.0) and plist:
         raise FactorDomainError("Re s must be positive for |p^{-s}| < 1")
-    acc = np.ones_like(s)
-    for p in primes:
-        p = int(p)
-        z = np.exp(-1j * TWO_PI * phases.twist(p) - s * math.log(p))
-        acc = spec.times_factor(acc, p, z)
-    return acc
+    if not plist or s.size == 0:
+        return np.ones_like(s)
+    # A lone point is taken twice: numpy may reorder a complex product that it
+    # reduces along one contiguous axis, and with two columns the fold's inner
+    # loop runs across points, never along the prime axis.
+    pts = s.ravel() if s.size > 1 else np.repeat(s.ravel(), 2)
+    acc = np.ones(pts.shape, dtype=complex)
+    rows = max(1, _PRODUCT_BLOCK_CELLS // pts.size)
+    block = np.empty((min(rows, len(plist)) + 1, pts.size), dtype=complex)
+    for lo in range(0, len(plist), rows):
+        ps = plist[lo:lo + rows]
+        z = block[1:len(ps) + 1]
+        # complex logs: the product with s needs no casting buffer
+        logs = np.fromiter(map(math.log, ps), complex, len(ps))
+        np.multiply(pts, logs[:, None], out=z)
+        np.subtract((-1j * TWO_PI * phases.twists(ps, logs.real))[:, None], z, out=z)
+        np.exp(z, out=z)
+        spec.fold_factors(acc, ps, block[:len(ps) + 1])
+    return acc[:s.size].reshape(s.shape)[()]
 
 
 def partial_product_exact(spec: EulerFactorSpec, s: int, primes: Sequence[int],

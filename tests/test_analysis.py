@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import eulerapprox as ea
-from eulerapprox.analysis import Circle, ContourZeroError, DiscGrid
+from eulerapprox.analysis import Circle, ContourZeroError, DiscGrid, RoucheResult
+from eulerapprox.hardy import TWO_PI, _winding
 
 
 def poly_from_roots(roots):
@@ -177,6 +178,163 @@ def test_zeta_partial_product_zero_free_on_strip_disc():
         return ea.partial_product_grid(spec, np.asarray(s, dtype=complex), ps)
 
     assert ea.zero_count(f, Circle(0.75 + 0j, 0.2)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the contour routines against their versions before sample sharing
+# ---------------------------------------------------------------------------
+
+
+def oracle_zero_count(f, contour, quadrature_n=512):
+    """zero_count before sample sharing: every stage evaluates all of its points."""
+    n = quadrature_n
+    prev = None
+    for _ in range(7):
+        vals = np.asarray(f(contour.points(n)), dtype=complex)
+        if float(np.min(np.abs(vals))) < 1e-12:
+            raise ContourZeroError("zero on (or numerically on) the contour")
+        w, incr = _winding(vals)
+        step = float(np.max(np.abs(incr)))
+        stable = step < 0.5 * math.pi and abs(w - round(w)) < 0.25
+        if stable and prev is not None and round(w) == prev:
+            return int(round(w))
+        prev = int(round(w)) if stable else None
+        n *= 2
+    raise ContourZeroError(f"winding failed to stabilize (last estimate {w})")
+
+
+def oracle_min_modulus(f, contour, samples=256):
+    ang = TWO_PI * np.arange(samples) / samples
+    vals = np.abs(f(contour.center + contour.radius * np.exp(1j * ang)))
+    k = int(np.argmin(vals))
+    best = float(vals[k])
+    lo, hi = ang[k] - TWO_PI / samples, ang[k] + TWO_PI / samples
+    for _ in range(3):
+        grid = np.linspace(lo, hi, 9)
+        v = np.abs(f(contour.center + contour.radius * np.exp(1j * grid)))
+        j = int(np.argmin(v))
+        best = min(best, float(v[j]))
+        span = (hi - lo) / 4
+        lo, hi = grid[j] - span, grid[j] + span
+    return best
+
+
+def oracle_rouche_check(f, g, contour, samples=256):
+    """rouche_check before the per-call memo: every routine evaluates f afresh."""
+    pts = contour.points(max(samples, 64))
+    max_diff = float(np.max(np.abs(np.asarray(f(pts)) - np.asarray(g(pts)))))
+    mf = oracle_min_modulus(f, contour, samples=max(samples, 64))
+    margin = mf - max_diff
+    if margin <= 0:
+        return RoucheResult(False, margin, mf, max_diff)
+    zf, zg = oracle_zero_count(f, contour), oracle_zero_count(g, contour)
+    assert zf == zg
+    return RoucheResult(True, margin, mf, max_diff, zf, zg)
+
+
+class Counted:
+    """f that records the points of every call."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __call__(self, s):
+        self.calls.append(np.array(s, dtype=complex))
+        return self.f(s)
+
+    def points(self):
+        return np.concatenate(self.calls) if self.calls else np.zeros(0, dtype=complex)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result with floats as float.hex, or the ContourZeroError it raised."""
+    try:
+        res = fn(*args, **kwargs)
+    except ContourZeroError as exc:
+        return "ContourZeroError", str(exc)
+    if isinstance(res, RoucheResult):
+        return (res.passed, res.margin.hex(), res.min_f.hex(), res.max_diff.hex(),
+                res.zeros_f, res.zeros_g)
+    return res.hex() if isinstance(res, float) else res
+
+
+def random_polynomials():
+    """The polynomials of test_zero_count_random_polynomials_refinement_invariant."""
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        deg = int(rng.integers(1, 7))
+        inside = int(rng.integers(0, deg + 1))
+        roots = []
+        for k in range(deg):
+            rad = rng.uniform(0.1, 0.8) if k < inside else rng.uniform(1.3, 3.0)
+            roots.append(rad * np.exp(2j * math.pi * rng.random()))
+        yield roots
+
+
+def test_zero_count_needs_eight_samples():
+    # fewer samples whose steps all stay under pi/2 can only wind less than once
+    c = Circle(0j, 1.0)
+    f = poly_from_roots([0.3 + 0.2j, -0.4])
+    assert ea.zero_count(f, c, quadrature_n=8) == 2
+    for n in (1, 4, 7):
+        with pytest.raises(ValueError):
+            ea.zero_count(f, c, quadrature_n=n)
+
+
+def test_zero_count_evaluates_each_point_once():
+    c = Circle(0j, 1.0)
+    # a root 0.002 inside the contour needs several doublings
+    for roots, n, doublings in (([0.998, -0.2j], 16, 5), ([0.3 + 0.2j], 512, 1)):
+        f = Counted(poly_from_roots(roots))
+        assert ea.zero_count(f, c, quadrature_n=n) == oracle_zero_count(f.f, c, n) == len(roots)
+        pts = f.points()
+        assert len(f.calls) == doublings + 1
+        assert len({complex(z) for z in pts}) == len(pts) == n << doublings
+        assert {complex(z) for z in pts} == {complex(z) for z in c.points(n << doublings)}
+
+
+def zeta_contour():
+    spec = ea.zeta_spec()
+    ps = [int(p) for p in ea.primes_up_to(10_000)]
+    qs = [p for p in ps if p <= 1000]
+    return (lambda s: ea.partial_product_grid(spec, s, ps),
+            lambda s: ea.partial_product_grid(spec, s, qs), Circle(0.8 + 40j, 0.02))
+
+
+def test_rouche_check_evaluates_each_distinct_sample_once():
+    f, g, c = zeta_contour()
+    cf, cg = Counted(f), Counted(g)
+    rr = ea.rouche_check(cf, cg, c, samples=512)
+    assert rr.passed and rr.zeros_f == rr.zeros_g == 0
+    # dominance scan = coarse scan = first zero_count stage; 3 x 9 refinement
+    # points; the 512 odd points of zero_count's doubling
+    assert [len(s) for s in cf.calls] == [512, 9, 9, 9, 512]
+    assert [len(s) for s in cg.calls] == [512, 512]
+    assert len(cf.points()) == 1024 + 27 and len(cg.points()) == 1024
+    shared = np.concatenate(cf.calls[::4])
+    assert {complex(z) for z in shared} == {complex(z) for z in c.points(1024)}
+
+
+def test_contour_routines_match_oracle_on_zeta_contour():
+    f, g, c = zeta_contour()
+    for samples in (100, 512):
+        assert outcome(ea.rouche_check, f, g, c, samples=samples) == \
+            outcome(oracle_rouche_check, f, g, c, samples=samples)
+    assert outcome(ea.min_modulus, f, c, 512) == outcome(oracle_min_modulus, f, c, 512)
+    assert ea.zero_count(f, c) == oracle_zero_count(f, c) == 0
+
+
+def test_contour_routines_match_oracle_on_random_polynomials():
+    c = Circle(0j, 1.0)
+    for roots in random_polynomials():
+        f = poly_from_roots(roots)
+        g = poly_from_roots([r * 1.001 for r in roots])
+        for n in (8, 256, 512):
+            assert outcome(ea.zero_count, f, c, n) == outcome(oracle_zero_count, f, c, n)
+        assert outcome(ea.min_modulus, f, c, 64) == outcome(oracle_min_modulus, f, c, 64)
+        for samples in (64, 512):
+            assert outcome(ea.rouche_check, f, g, c, samples) == \
+                outcome(oracle_rouche_check, f, g, c, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,8 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     ["check-hypothesis", "--lam", "inf"],
     ["zero-scan", "--cradius", "0"],
     ["zero-scan", "--pmax", "1"],
+    # fewer than 8 winding samples can only count 0 zeros
+    ["zero-scan", "--samples", "4"],
 ], ids=lambda argv: "_".join(argv))
 def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     # exit 3, not a traceback (1) or argparse's 2, which would read as a stall

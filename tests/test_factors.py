@@ -124,6 +124,10 @@ def test_phase_assignment_shift_invariant():
     assert pa.twist(3) == 0.9 + 2.0 * math.log(3) / (2 * math.pi)
     restricted = ea.PhaseAssignment({2: 0.1, 3: 0.9}, t0=2.0, shifted=frozenset([2]))
     assert restricted.gamma(3) == 0.0
+    ps = [2, 3, 5, 7]
+    logs = np.array([math.log(p) for p in ps])
+    for phases in (pa, restricted, ea.PhaseAssignment({3: 0.5})):
+        assert phases.twists(ps, logs).tolist() == [phases.twist(p) for p in ps]
     with pytest.raises(ValueError):
         ea.PhaseAssignment({2: 1.0})
 
@@ -417,6 +421,76 @@ def test_grid_factor_product_matches_scalar_custom():
         z = 0.3 - 0.4j
         assert ea.factor_value(spec, p, z) == ea.eval_factor(
             spec, p, z, m_max=max(1, spec.table_degree(p)))
+
+
+# ---------------------------------------------------------------------------
+# the blocked grid product against the per-prime loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_prime_product(spec, s, primes, phases=None):
+    """Oracle: one factor array per prime, folded into the product one at a time."""
+    phases = phases or ea.trivial_phases()
+    s = np.asarray(s, dtype=complex)
+    acc = np.ones_like(s)
+    for p in primes:
+        p = int(p)
+        z = np.exp(-1j * TWO_PI * phases.twist(p) - s * math.log(p))
+        acc = spec.times_factor(acc, p, z)
+    return acc
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    assert np.array_equal(got.reshape(-1).view(float), want.reshape(-1).view(float))
+
+
+PRODUCT_SPECS = pytest.mark.parametrize(
+    "spec", [ea.zeta_spec(), CHI4, CHI5, CUSTOM, make_custom({11: {}})],
+    ids=["zeta", "chi4", "chi5", "custom", "custom-no-rows"])
+PRODUCT_PRIMES = [int(p) for p in ea.primes_up_to(1500)]   # 239: no multiple of any block's rows
+
+
+def product_phases(shifted):
+    theta = {p: (0.37 * i) % 1.0 for i, p in enumerate(PRODUCT_PRIMES) if i % 3}
+    if not shifted:
+        return ea.PhaseAssignment(theta)
+    return ea.PhaseAssignment(theta, t0=1.7, shifted=frozenset(PRODUCT_PRIMES[::2]))
+
+
+@PRODUCT_SPECS
+@pytest.mark.parametrize("shifted", [False, True], ids=["t0=0", "t0-restricted"])
+def test_blocked_product_matches_per_prime_loop(spec, shifted):
+    phases = product_phases(shifted)
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 9, 512, 767, 1024, 4096):
+        s = 0.8 + 0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)) + 35j
+        assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases),
+                         per_prime_product(spec, s, PRODUCT_PRIMES, phases))
+    s = 0.7 + rng.random((3, 5)) + 1j * rng.random((3, 5))
+    assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases),
+                     per_prime_product(spec, s, PRODUCT_PRIMES, phases))
+    # On a 0-d s the loop leaves arrays after the first factor, and numpy's
+    # scalar complex product rounds differently from its array loop, so the
+    # bits are those of the loop over the one-point array.
+    s = np.asarray(0.9 - 2j)
+    got = ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases)
+    assert isinstance(got, np.complex128)
+    assert_same_bits(got, per_prime_product(spec, s.reshape(1), PRODUCT_PRIMES, phases)[0])
+    scalar_loop = per_prime_product(spec, s, PRODUCT_PRIMES, phases)
+    # a few roundings per factor on either side
+    assert abs(got - scalar_loop) <= 4 * len(PRODUCT_PRIMES) * np.finfo(float).eps * abs(got)
+    s = np.array([0.75 + 1j, 0.8 - 3j])
+    assert_same_bits(ea.partial_product_grid(spec, s, [], phases), np.ones(2, dtype=complex))
+
+
+@PRODUCT_SPECS
+def test_blocked_product_over_several_blocks_of_few_points(spec):
+    # 4,203 primes: two blocks at 9 points, one (with a doubled column) at 1
+    ps = [int(p) for p in ea.primes_up_to(40_000)]
+    for s in (np.array([0.9 + 10j]), 0.9 + 10j + 0.01 * np.arange(9)):
+        assert_same_bits(ea.partial_product_grid(spec, s, ps), per_prime_product(spec, s, ps))
 
 
 @FAMILIES
