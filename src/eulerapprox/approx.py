@@ -331,6 +331,15 @@ def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
 # ---------------------------------------------------------------------------
 
 
+#: move index of a drop in the accepted-move gains; k < _DROP rephases to quarter k
+_DROP = len(QUARTER_GRID)
+
+#: accepted positions the move arrays hold at first; they double when full.
+#: Sized to the pool, they would reach numpy's huge-page threshold (4 MB) and
+#: make sparse rows resident in 2 MB pages.
+_MOVE_ROWS = 64
+
+
 @dataclass
 class StallInfo:
     """Why greedy steering stopped short of its norm target.
@@ -363,6 +372,15 @@ class ApproximationState:
     arrays is unwritten.  ``row_bound[b]`` bounds the disc norm ||u|| of
     every row, at any twist, of the primes in blocks b, b+1, ...; greedy
     steering reads it to decide how far the build must go.
+
+    The accepted primes are kept as their moves, not as their rows:
+    ``move_rows[k][a]`` is the rephase u_k - c (k < ``_DROP``) or the drop
+    -c of accepted position a with current row c, and ``move_norm2[k][a]``
+    its disc norm, so the current row is -``move_rows[_DROP][a]``.  Only
+    the first ``len(accepted_idx)`` rows are live; the arrays start at
+    ``_MOVE_ROWS`` rows and double when full, so they grow with the
+    accepted count, not with the pool.  ``_commit``, ``_commit_rephase``
+    and ``_commit_drop`` update them where the accepted set changes.
     """
 
     problem: ApproximationProblem
@@ -376,9 +394,10 @@ class ApproximationState:
     stored_twists: np.ndarray                # (quarter, npool): quarter + arg a_p^1 / 2pi, mod 1
     weights: np.ndarray                      # disc norm weights
     row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
+    move_rows: list[np.ndarray]              # per accepted-prime move: rows (capacity, order+1)
+    move_norm2: list[np.ndarray]
     built: int = 0                           # pool primes whose rows are written
     accepted_idx: list[int] = field(default_factory=list)
-    accepted_rows: list[np.ndarray] = field(default_factory=list)
     trace: list[float] = field(default_factory=list)
     tail_bound: float = 0.0
     stall: StallInfo | None = None
@@ -398,7 +417,8 @@ class ApproximationState:
         return H2Element(self.work.radius, coef, self.work.tail_bound + self.tail_bound)
 
     def work_norm(self) -> float:
-        return self.work.coeff_norm()
+        """``work.coeff_norm()``, from the stored ``weights``."""
+        return math.sqrt(float(np.sum(np.abs(self.work.coef) ** 2 * self.weights)))
 
     def accepted_primes(self) -> list[int]:
         return [p for p, _ in self.accepted]
@@ -476,7 +496,9 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         u_phase=[np.empty((len(pool), N + 1), dtype=complex) for _ in QUARTER_GRID],
         u_norm2=[np.empty(len(pool)) for _ in QUARTER_GRID],
         stored_twists=stored, weights=weights,
-        row_bound=row_bound * (math.sqrt(math.pi) * R), tail_bound=tail_norm)
+        row_bound=row_bound * (math.sqrt(math.pi) * R),
+        move_rows=[np.empty((_MOVE_ROWS, N + 1), dtype=complex) for _ in range(_DROP + 1)],
+        move_norm2=[np.empty(_MOVE_ROWS) for _ in range(_DROP + 1)], tail_bound=tail_norm)
     state.trace.append(state.work_norm())
     return state
 
@@ -484,10 +506,6 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
 # ---------------------------------------------------------------------------
 # greedy steering
 # ---------------------------------------------------------------------------
-
-
-#: move index of a drop in the accepted-move gains; k < _DROP rephases to quarter k
-_DROP = len(QUARTER_GRID)
 
 
 def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,20 +521,21 @@ def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray
     return decreases, pairings
 
 
-def _pool_scores(state: ApproximationState, cw: np.ndarray, acc_best: float,
+def _pool_scores(state: ApproximationState, cw: np.ndarray, norm: float, acc_best: float,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """``_phase_scores`` after building rows as far as a prime can still win.
 
     A move u scores 2 Re<u,W> - ||u||^2 <= 2 ||u|| ||W|| <= 2 ||W|| beta,
-    with beta = ``row_bound`` of its block.  Blocks are built one at a time
-    until that bound for the unbuilt rest is strictly below the best score
-    so far (this prefix's or ``acc_best``, the best move on an accepted
-    prime), so no unbuilt prime can win or tie.  When the best score is at
-    most ``tol`` the step is headed for a stall or a pair rescue, which read
-    the whole pool: the rest is built at once.
+    with ||W|| = ``norm`` and beta = ``row_bound`` of its block.  Blocks
+    are built one at a time until that bound for the unbuilt rest is
+    strictly below the best score so far (this prefix's or ``acc_best``,
+    the best move on an accepted prime), so no unbuilt prime can win or
+    tie.  When the best score is at most ``tol`` the step is headed for a
+    stall or a pair rescue, which read the whole pool: the rest is built
+    at once.
     """
     npool = len(state.pool_primes)
-    reach = 2.0 * state.work_norm() * (1.0 + 1e-9)
+    reach = 2.0 * norm * (1.0 + 1e-9)
     while True:
         decreases, pairings = _phase_scores(state, cw)
         if state.built == npool:
@@ -561,13 +580,44 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
     return best[1], best[2], best[0]
 
 
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """``a`` with twice the rows; only ``a``'s rows of the result are written."""
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray) -> None:
+    """Write the move rows and norms of accepted position ``pos``, current row ``cur``.
+
+    The moves are u_k - cur for k < ``_DROP`` (u_k the prime's quarter-k
+    row) and -cur; their norms are summed row by row as one (moves, order+1)
+    array, the arithmetic of a whole-list gains pass.  Full arrays double
+    one at a time, each old one freed before the next is copied, and only
+    their live rows are copied, so no page past them is touched.
+    """
+    if pos == len(state.move_norm2[0]):
+        for m in (state.move_rows, state.move_norm2):
+            for k in range(_DROP + 1):
+                m[k] = _doubled(m[k])
+    idx = state.accepted_idx[pos]
+    d = np.empty((_DROP + 1, len(cur)), dtype=complex)
+    for k in range(_DROP):
+        np.subtract(state.u_phase[k][idx], cur, out=d[k])
+    np.negative(cur, out=d[_DROP])
+    n2 = np.sum(np.abs(d) ** 2 * state.weights[None, :], axis=1)
+    for k in range(_DROP + 1):
+        state.move_rows[k][pos] = d[k]
+        state.move_norm2[k][pos] = n2[k]
+
+
 def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) -> None:
     assert idx < state.built, "committing a pool prime whose rows are not built"
     state.work = H2Element(state.work.radius, state.work.coef - row, state.work.tail_bound)
     state.pool_mask[idx] = False
     state.accepted.append((int(state.pool_primes[idx]), float(twist % 1.0)))
     state.accepted_idx.append(int(idx))
-    state.accepted_rows.append(row)
+    _write_moves(state, len(state.accepted_idx) - 1, row)
 
 
 def _accepted_gains(state: ApproximationState, cw: np.ndarray) -> np.ndarray:
@@ -575,41 +625,38 @@ def _accepted_gains(state: ApproximationState, cw: np.ndarray) -> np.ndarray:
 
     Shape (_DROP + 1, accepted positions): rephasing to quarter k < _DROP, or
     dropping the factor.  These recover the residues of early quantized
-    choices that the shrinking pool cannot cancel.
+    choices that the shrinking pool cannot cancel.  Only the pairings are
+    new per step: one product per move over the live prefix of
+    ``move_rows``, less the stored norms.
     """
-    gains = np.empty((_DROP + 1, len(state.accepted_idx)))
-    if not state.accepted_idx:
-        return gains
-    idx = np.asarray(state.accepted_idx, dtype=np.int64)
-    cur = np.asarray(state.accepted_rows)
+    n = len(state.accepted_idx)
+    gains = np.empty((_DROP + 1, n))
     for k in range(_DROP + 1):
-        d = -cur if k == _DROP else state.u_phase[k][idx] - cur
-        gains[k] = 2.0 * (d @ cw).real - np.sum(np.abs(d) ** 2 * state.weights[None, :],
-                                                axis=1).real
+        gains[k] = 2.0 * (state.move_rows[k][:n] @ cw).real - state.move_norm2[k][:n]
     return gains
 
 
 def _commit_rephase(state: ApproximationState, pos: int, k: int) -> None:
     idx = state.accepted_idx[pos]
     assert idx < state.built, "rephasing a pool prime whose rows are not built"
-    new_row = state.u_phase[k][idx]
-    delta = new_row - state.accepted_rows[pos]
-    state.work = H2Element(state.work.radius, state.work.coef - delta,
+    state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[k][pos],
                            state.work.tail_bound)
-    state.accepted_rows[pos] = new_row
+    _write_moves(state, pos, state.u_phase[k][idx])
     p = int(state.pool_primes[idx])
     state.accepted[pos] = (p, float(state.stored_twists[k][idx] % 1.0))
 
 
 def _commit_drop(state: ApproximationState, pos: int) -> None:
     idx = state.accepted_idx[pos]
-    state.work = H2Element(state.work.radius,
-                           state.work.coef + state.accepted_rows[pos],
+    n = len(state.accepted_idx)
+    # W - (-c) is W + c bit for bit
+    state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[_DROP][pos],
                            state.work.tail_bound)
+    for m in state.move_rows + state.move_norm2:
+        m[pos:n - 1] = m[pos + 1:n]
     state.pool_mask[idx] = True
     del state.accepted[pos]
     del state.accepted_idx[pos]
-    del state.accepted_rows[pos]
 
 
 def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndarray) -> bool:
@@ -631,19 +678,18 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
             for k in range(len(QUARTER_GRID)):
                 deltas.append(state.u_phase[k][idx])
                 meta.append(("grow", int(idx), k, int(state.pool_primes[idx])))
-    if state.accepted_idx:
-        idx = np.asarray(state.accepted_idx, dtype=np.int64)
-        cur = np.asarray(state.accepted_rows)
-        # a rephase onto the quarter the prime already has moves nothing
-        moved = np.ones(gains.shape, dtype=bool)
-        for k in range(_DROP):
-            moved[k] = np.any(state.u_phase[k][idx] != cur, axis=1)
-        pos, ks = np.nonzero(moved.T)   # candidates in (position, move) order
-        for j in np.argsort(-gains[ks, pos], kind="stable")[:48]:
-            a, k = int(pos[j]), int(ks[j])
-            deltas.append(-cur[a] if k == _DROP else state.u_phase[k][idx[a]] - cur[a])
-            meta.append(("drop" if k == _DROP else "rephase", a, k,
-                         int(state.pool_primes[idx[a]])))
+    # a rephase onto the quarter the prime already has moves nothing
+    # (u_k - c is zero exactly when u_k equals c, for finite rows)
+    n = len(state.accepted_idx)
+    moved = np.ones(gains.shape, dtype=bool)
+    for k in range(_DROP):
+        moved[k] = np.any(state.move_rows[k][:n] != 0, axis=1)
+    pos, ks = np.nonzero(moved.T)   # candidates in (position, move) order
+    for j in np.argsort(-gains[ks, pos], kind="stable")[:48]:
+        a, k = int(pos[j]), int(ks[j])
+        deltas.append(state.move_rows[k][a])
+        meta.append(("drop" if k == _DROP else "rephase", a, k,
+                     int(state.pool_primes[state.accepted_idx[a]])))
     if len(deltas) < 2:
         return False
     deltas = np.asarray(deltas)
@@ -692,22 +738,28 @@ def greedy_rearrange(state: ApproximationState,
     value is the one a fully built pool gives.  A step whose best score is
     not a decrease builds everything first, so the pair rescue and the
     stall diagnostics see the whole pool.
+
+    Moves on accepted primes are scored from the state's move rows and
+    norms (``move_rows``, ``move_norm2``), which the commits keep current,
+    so a step computes only their pairings with the residual.  The
+    residual norm is computed once per step.
     """
     problem = state.problem
     target = 0.5 * problem.eps if stop_norm is None else stop_norm
     steps = 0
+    norm = state.work_norm()
     while steps < problem.max_steps:
-        if state.work_norm() <= target:
+        if norm <= target:
             state.stall = None
             return state
-        norm2 = state.work_norm() ** 2
+        norm2 = norm ** 2
         tol = 1e-14 * max(norm2, 1e-300)
         cw = np.conj(state.work.coef) * state.weights
         gains = _accepted_gains(state, cw)
         acc_best = float(np.max(gains, initial=-math.inf))
         grow_best = -math.inf
         if np.any(state.pool_mask):
-            decreases, pairings = _pool_scores(state, cw, acc_best, tol)
+            decreases, pairings = _pool_scores(state, cw, norm, acc_best, tol)
             flat = int(np.argmax(decreases))
             k, idx = np.unravel_index(flat, decreases.shape)
             grow_best = float(decreases[k, idx])
@@ -715,6 +767,7 @@ def greedy_rearrange(state: ApproximationState,
             pairings = np.zeros((len(QUARTER_GRID), len(state.pool_primes)))
         if max(grow_best, acc_best) <= tol:
             if np.any(state.pool_mask) and _pair_rescue(state, pairings, gains):
+                norm = state.work_norm()
                 steps += 2
                 continue
             rephase_best = float(np.max(gains[:_DROP], initial=-math.inf))
@@ -736,9 +789,10 @@ def greedy_rearrange(state: ApproximationState,
                 if gdec > grow_best:
                     row, twist = grow, gtw
             _commit(state, int(idx), row, twist)
-        state.trace.append(state.work_norm())
+        norm = state.work_norm()
+        state.trace.append(norm)
         steps += 1
-    state.stall = StallInfo(0.0, 0.0, False) if state.work_norm() > target else None
+    state.stall = StallInfo(0.0, 0.0, False) if norm > target else None
     return state
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .analysis import Circle, fit_c0, min_modulus, rouche_check, zero_count
+from .analysis import Circle, _memo, fit_c0, min_modulus, rouche_check, zero_count
 from .approx import (
     ApproximationProblem,
     ApproximationStall,
@@ -264,7 +264,8 @@ def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
     theta = read_phases(phases_path) if phases_path else {}
     plist = [int(p) for p in primes_up_to(cfg["pmax"])]
     pa = PhaseAssignment({p: theta.get(p, 0.0) for p in plist}, t0=cfg["t0"])
-    f = product_target(spec, plist, pa, 0.0)
+    # zero_count, min_modulus and rouche_check sample some of the same points
+    f = _memo(product_target(spec, plist, pa, 0.0))
     contour = Circle(center, cradius)
     count = zero_count(f, contour, quadrature_n=samples)
     m = min_modulus(f, contour, samples=max(64, samples))

@@ -9,12 +9,18 @@ import eulerapprox as ea
 from eulerapprox import approx, cli
 from eulerapprox.approx import (
     _BLOCK,
+    _DROP,
+    _MOVE_ROWS,
+    _accepted_gains,
     _approximate_impl,
     _commit,
     _commit_drop,
     _commit_rephase,
     _embedding_tail,
     _filler_screen,
+    _golden_refine,
+    _pair_rescue,
+    _phase_scores,
     _quarter_rows,
     _survey,
     _u_rows,
@@ -307,6 +313,124 @@ def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
     state = states[-1]
     assert len(state.pool_primes) == 78_497
     assert state.built <= 2 * _BLOCK
+
+
+# ---------------------------------------------------------------------------
+# moves on accepted primes: kept rows, bit-identical to a whole-list pass
+# ---------------------------------------------------------------------------
+
+
+def whole_list_gains(state, rows, cw):
+    """Gains of every accepted-prime move, rebuilt from the current rows ``rows``."""
+    gains = np.empty((_DROP + 1, len(rows)))
+    if not rows:
+        return gains
+    idx = np.asarray(state.accepted_idx, dtype=np.int64)
+    cur = np.asarray(rows)
+    for k in range(_DROP + 1):
+        d = -cur if k == _DROP else state.u_phase[k][idx] - cur
+        gains[k] = 2.0 * (d @ cw).real - np.sum(np.abs(d) ** 2 * state.weights[None, :],
+                                                axis=1).real
+    return gains
+
+
+@pytest.mark.parametrize("spec", [ea.zeta_spec(), CUSTOM_7], ids=["zeta", "custom"])
+def test_move_rows_match_whole_list_gains(spec):
+    prob = make_problem(spec=spec, p_max=2000, contract=False)
+    state = ea.init_residual(prob)
+    _quarter_rows(state, len(state.pool_primes))
+    rng = np.random.default_rng(5)
+    probes = [rng.normal(size=prob.order + 1) + 1j * rng.normal(size=prob.order + 1)
+              for _ in range(2)]
+    rows, work = [], state.work.coef    # tracked here with the whole-list arithmetic
+
+    def check():
+        n = len(rows)
+        assert len(state.accepted_idx) == n
+        cur = np.asarray(rows).reshape(n, prob.order + 1)
+        for k in range(_DROP):
+            assert np.array_equal(state.move_rows[k][:n],
+                                  state.u_phase[k][state.accepted_idx] - cur)
+        assert np.array_equal(state.move_rows[_DROP][:n], -cur)
+        assert np.array_equal(state.work.coef, work)
+        assert state.work_norm() == state.work.coeff_norm()
+        for w in [state.work.coef] + probes:
+            cw = np.conj(w) * state.weights
+            assert np.array_equal(_accepted_gains(state, cw), whole_list_gains(state, rows, cw))
+
+    def grow(idx, row, twist):
+        nonlocal work
+        _commit(state, idx, row, twist)
+        rows.append(row)
+        work = work - row
+        check()
+
+    def rephase(pos, k):
+        nonlocal work
+        new = state.u_phase[k][state.accepted_idx[pos]]
+        work = work - (new - rows[pos])
+        _commit_rephase(state, pos, k)
+        rows[pos] = new
+        check()
+
+    def drop(pos):
+        nonlocal work
+        work = work + rows[pos]
+        _commit_drop(state, pos)
+        del rows[pos]
+        check()
+
+    check()
+    grow(0, state.u_phase[1][0], state.stored_twists[1][0])     # one row
+    for idx in range(1, _MOVE_ROWS + 6):                         # past one doubling
+        k = int(rng.integers(len(QUARTER_GRID)))
+        grow(idx, state.u_phase[k][idx], state.stored_twists[k][idx])
+    assert len(state.move_norm2[0]) == 2 * _MOVE_ROWS
+    cw = np.conj(state.work.coef) * state.weights
+    row, twist, _ = _golden_refine(state, cw, 80, QUARTER_GRID[2])
+    grow(80, row, twist)
+    idx = state.accepted_idx[5]
+    rephase(5, next(k for k in range(len(QUARTER_GRID))
+                    if state.stored_twists[k][idx] % 1.0 != state.accepted[5][1]))
+    rephase(len(rows) - 1, 3)                                    # the golden row
+    drop(0)
+    drop(len(rows) // 2)
+    drop(len(rows) - 1)
+
+    cw = np.conj(state.work.coef) * state.weights
+    _, pairings = _phase_scores(state, cw)
+    before = dict(zip(state.accepted, rows))
+    assert _pair_rescue(state, pairings, _accepted_gains(state, cw))
+    # zeta's pair rephases an accepted prime; the custom spec's grows two primes
+    assert (spec is CUSTOM_7) != bool(set(before) - set(state.accepted))
+    rows = [before[(p, tw)] if (p, tw) in before else
+            next(state.u_phase[k][idx] for k in range(len(QUARTER_GRID))
+                 if state.stored_twists[k][idx] % 1.0 == tw)
+            for (p, tw), idx in zip(state.accepted, state.accepted_idx)]
+    work = state.work.coef   # the pair's rows are re-derived above, its residual taken as is
+    check()
+    grow(90, state.u_phase[0][90], state.stored_twists[0][90])
+
+
+@pytest.mark.parametrize("kw,accepted", [
+    (dict(p_max=1_000_000), 4),
+    (dict(p_max=20_000, y=7.0, target=exp_target(-0.1)), 600),   # 600 greedy steps
+], ids=["large-pool", "steer"])
+def test_move_rows_grow_with_the_accepted_count(monkeypatch, kw, accepted):
+    states = []
+    greedy = approx.greedy_rearrange
+
+    def keep(state, stop_norm=None):
+        states.append(state)
+        return greedy(state, stop_norm=stop_norm)
+
+    monkeypatch.setattr(approx, "greedy_rearrange", keep)
+    prob = make_problem(**kw)
+    _approximate_impl(prob)
+    state = states[-1]
+    assert len(state.accepted) == accepted
+    total = sum(m.nbytes for m in state.move_rows + state.move_norm2)
+    assert total <= max(128, 2 * accepted) * (_DROP + 1) * (prob.order + 1) * 16
 
 
 # ---------------------------------------------------------------------------

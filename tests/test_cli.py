@@ -105,3 +105,32 @@ def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare-n", "1000"]], ids=["alone", "compare"])
+def test_zero_scan_evaluates_each_product_sample_once(tmp_path, monkeypatch, compare):
+    samples = []   # (primes, sample array) of every product evaluation
+    make = cli.product_target
+
+    def counting(spec, primes, phases, sigma0):
+        h = make(spec, primes, phases, sigma0)
+
+        def g(s):
+            samples.append((len(primes), np.array(s)))
+            return h(s)
+
+        return g
+
+    monkeypatch.setattr(cli, "product_target", counting)
+    argv = ["zero-scan", "--pmax", "2000", "--center-re", "1.5", "--cradius", "0.2",
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv + compare) == 0
+    if compare:   # dominance holds, so rouche_check runs to the end
+        assert "zeros_truncated 0\n" in (tmp_path / "run" / "report.txt").read_text()
+    f = [s for n, s in samples if n == 303]   # the full product; g has 168 primes
+    # zero_count's 512 points and their 512 odd midpoints, then 3 rounds of 9
+    # refinement points; min_modulus' coarse scan and rouche_check repeat these arrays
+    assert [len(s) for s in f] == [512, 512, 9, 9, 9]
+    pts = np.concatenate(f)
+    # only min_modulus' refinement rounds may repeat a point
+    assert len(np.unique(pts)) >= len(pts) - 27
