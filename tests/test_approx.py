@@ -13,6 +13,7 @@ from eulerapprox.approx import (
     _MOVE_ROWS,
     _accepted_gains,
     _approximate_impl,
+    _character_tail_majorant,
     _commit,
     _commit_drop,
     _commit_rephase,
@@ -245,6 +246,88 @@ def test_blocked_embedding_tail_matches_one_shot_sum(spec, order, series_order):
     assert _embedding_tail(spec, primes, R, sigma0, order, series_order)[0] == one_shot
 
 
+def per_prime_pass(spec, primes, R, sigma0, order, series_order):
+    """The embedding tail's per-prime pass over every prime, with no stop rule.
+
+    Returns the total (one sum over the per-prime bounds), the per-prime
+    bounds, and the row bound of ``_embedding_tail`` (per block, the largest
+    row sum over that block onward).  Primes are taken 8,192 at a time only
+    to keep the temporaries small; each prime's arithmetic does not depend on
+    the others.
+    """
+    bounds, beta = np.empty(len(primes)), np.empty(len(primes))
+    ms = np.arange(1, series_order + 1, dtype=float)
+    for lo in range(0, len(primes), 8192):
+        ps = primes[lo:lo + 8192]
+        lnp = np.log(ps.astype(float))
+        q = np.exp((R - sigma0) * lnp)
+        _, terms = spec.log_series_tail(ps, q, series_order)
+        a = ms[None, :] * lnp[:, None] * R
+        la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
+        tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
+        bounds[lo:lo + 8192] = terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1)
+        beta[lo:lo + 8192] = np.sum(terms[:, :-1], axis=1)
+    block_max = np.array([np.max(beta[lo:lo + _BLOCK]) for lo in range(0, len(primes), _BLOCK)])
+    return float(np.sum(bounds)), bounds, np.maximum.accumulate(block_max[::-1])[::-1]
+
+
+@BUILD_SPECS
+@pytest.mark.parametrize("p_max,y,radius,order,series_order", [
+    (1_000_000, 2, 0.04, 64, 64),     # approx-pool: the pass stops after one block
+    (20_000, 7, 0.04, 64, 64),        # approx-steer's pool
+    (20_000, 2, 0.02, 24, 40),        # the refine screen's orders at radius r
+    (60_000, 2, 0.04, 8, 2),          # low orders: every block counts
+], ids=["pool-1e6", "steer-2e4", "screen", "low-orders"])
+def test_embedding_tail_matches_per_prime_pass(spec, p_max, y, radius, order, series_order):
+    primes = ea.primes_up_to(p_max)
+    primes = primes[primes > y]
+    want_total, _, want_bound = per_prime_pass(spec, primes, radius, 0.75, order, series_order)
+    total, bound = _embedding_tail(spec, primes, radius, 0.75, order, series_order)
+    assert total.hex() == want_total.hex()
+    assert np.array_equal(bound, want_bound)
+
+
+@pytest.mark.parametrize("p_max,radius,order,series_order", [
+    (60_000, 0.03, 20, 20), (20_000, 0.03, 24, 40), (60_000, 0.02, 16, 16),
+])
+def test_embedding_tail_near_stop_margin_matches_per_prime_pass(p_max, radius, order,
+                                                                series_order):
+    # the majorant past the first block lies between 2^-60 and 2^-50 of that
+    # block's sum (lost in it as a float in the first two configurations),
+    # so the pass runs on past the first block
+    spec = ea.zeta_spec()
+    primes = ea.primes_up_to(p_max)[1:]
+    args = (radius, 0.75, order, series_order)
+    want_total, bounds, want_bound = per_prime_pass(spec, primes, *args)
+    head = float(np.sum(bounds[:_BLOCK]))
+    rest = _character_tail_majorant(int(primes[_BLOCK - 1]), int(primes[-1]), *args)
+    assert 2.0**-60 < rest / head < 2.0**-50
+    total, bound = _embedding_tail(spec, primes, *args)
+    assert total.hex() == want_total.hex()
+    assert np.array_equal(bound, want_bound)
+
+
+@pytest.mark.parametrize("p_max", [20_000, 200_000])
+@pytest.mark.parametrize("radius,sigma0", [(0.02, 0.75), (0.04, 0.75), (0.06, 0.8), (0.1, 0.7)])
+@pytest.mark.parametrize("order,series_order", [(64, 64), (24, 40), (8, 2), (2, 1)])
+def test_character_tail_majorant_bounds_the_rest(p_max, radius, sigma0, order, series_order):
+    primes = ea.primes_up_to(p_max)[1:]
+    _, bounds, _ = per_prime_pass(ea.zeta_spec(), primes, radius, sigma0, order,
+                                  series_order)
+    ends = list(range(_BLOCK, len(primes), _BLOCK)) + [len(primes)]
+    for hi in ends:
+        rest = float(np.sum(bounds[hi:]))
+        majorant = _character_tail_majorant(int(primes[hi - 1]), int(primes[-1]), radius,
+                                            sigma0, order, series_order)
+        assert majorant >= rest
+        assert (majorant == 0.0) == (hi == len(primes))
+    if order <= 8:   # not negligible: the pass must run past the first block
+        total = float(np.sum(bounds))
+        first = _character_tail_majorant(int(primes[_BLOCK - 1]), int(primes[-1]), radius,
+                                         sigma0, order, series_order)
+        assert total + first != total
+
+
 # ---------------------------------------------------------------------------
 # lazy pool build: rows only as far as the row-norm bound lets a prime win
 # ---------------------------------------------------------------------------
@@ -302,17 +385,39 @@ def test_lazy_steering_matches_full_pool(phase_mode):
 def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
     states = []
     greedy = approx.greedy_rearrange
+    handed = {"log_series_tail": 0, "phase_correction": 0}   # primes per spec method
 
     def keep(state, stop_norm=None):
         states.append(state)
         return greedy(state, stop_norm=stop_norm)
 
+    def counting(name):
+        method = getattr(ea.EulerFactorSpec, name)
+
+        def wrapped(self, primes, *args):
+            handed[name] += np.size(primes)
+            return method(self, primes, *args)
+
+        return wrapped
+
     monkeypatch.setattr(approx, "greedy_rearrange", keep)
-    res = _approximate_impl(make_problem(p_max=1_000_000))
+    for name in handed:
+        monkeypatch.setattr(ea.EulerFactorSpec, name, counting(name))
+    prob = make_problem(p_max=1_000_000)
+    res = _approximate_impl(prob)
     assert res.success
     state = states[-1]
-    assert len(state.pool_primes) == 78_497
+    pool = state.pool_primes
+    assert len(pool) == 78_497
     assert state.built <= 2 * _BLOCK
+    # set-up and steering work out the embedding tail of block 0, the row
+    # bound at the first prime of each other block and the floor prime 2,
+    # and the stored twists of the built blocks only
+    for name, count in handed.items():
+        assert count <= 2 * _BLOCK + -(-len(pool) // _BLOCK), name
+    monkeypatch.undo()
+    whole = np.mod(np.add.outer(QUARTER_GRID, prob.spec.phase_correction(pool)), 1.0)
+    assert np.array_equal(state.stored_twists[:, :state.built], whole[:, :state.built])
 
 
 # ---------------------------------------------------------------------------
