@@ -68,14 +68,11 @@ class ApproximationProblem:
 
     ``target`` maps local coordinates (vectorized over numpy arrays) to
     values; the product approximant is evaluated at exponent s + sigma0.
-    ``preset_phases`` pins twists for primes at or below the floor y, which
-    are shifted by t0 log p / 2 pi like every floor prime; ``fixed_phases``
-    freezes product twists, not shifted again, of any primes (used by
-    schedules).
-    With ``contract`` the target is replaced by s -> target(s/gamma_c^2),
-    which is analytic on the enlarged disc whenever the original is analytic
-    on |s| <= r; disable it only for targets already analytic and zero-free
-    beyond radius gamma_c * r.
+    Floor primes (at or below y) enter at twist 0, shifted by t0 log p / 2 pi;
+    ``fixed_phases`` freezes product twists, not shifted again, of any primes
+    (used by schedules).  ``approximate`` steers against the contracted
+    target s -> target(s/gamma_c^2) (``contract_target``), which is analytic
+    on the enlarged disc whenever the original is analytic on |s| <= r.
     """
 
     spec: EulerFactorSpec
@@ -91,14 +88,10 @@ class ApproximationProblem:
     p_max: int = 100_000
     seed: int = 0
     order: int = 64
-    series_order: int = 64
     phase_mode: str = "quarter"
-    preset_phases: Mapping[int, float] = field(default_factory=dict)
     fixed_phases: Mapping[int, float] = field(default_factory=dict)
-    contract: bool = True
     survey_boundary: int = 256
     survey_rings: int = 4
-    max_steps: int = 600
 
     @property
     def r0(self) -> float:
@@ -184,7 +177,7 @@ def contract_target(problem: ApproximationProblem) -> tuple[ApproximationProblem
     ang = TWO_PI * np.arange(_CONTRACT_SAMPLES) / _CONTRACT_SAMPLES
     pts = problem.r * np.exp(1j * ang)
     dev = float(np.max(np.abs(np.asarray(g(pts)) - np.asarray(contracted(pts)))))
-    return replace(problem, target=contracted, contract=False), dev
+    return replace(problem, target=contracted), dev
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +188,9 @@ def contract_target(problem: ApproximationProblem) -> tuple[ApproximationProblem
 #: primes per block of the pool row build and of the embedding tail; small
 #: enough that a block's temporaries stay a few MB next to the stored rows
 _BLOCK = 2048
+
+#: log-series order of the pool, floor and fixed-twist rows (m = 1..64)
+_SERIES_ORDER = 64
 
 
 def _m_powers(order: int, series_order: int) -> np.ndarray:
@@ -260,7 +256,7 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
     """
     p = state.problem
     pool = state.pool_primes
-    mpow = _m_powers(p.order, p.series_order)
+    mpow = _m_powers(p.order, _SERIES_ORDER)
     for lo in range(state.built, min(stop, len(pool)), _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         ps = pool[blk]
@@ -487,7 +483,7 @@ class ApproximationState:
         p = self.problem
         rest = self.pool_primes[self.pool_mask]
         ref = np.zeros(len(rest))   # reference twist 0, leading-coefficient argument included
-        full = _u_rows(p.spec, rest, ref, p.sigma0, p.order, p.series_order)
+        full = _u_rows(p.spec, rest, ref, p.sigma0, p.order, _SERIES_ORDER)
         leading = _u_rows(p.spec, rest, ref, p.sigma0, p.order, 1)
         return (full - leading).sum(axis=0)
 
@@ -515,9 +511,9 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     """Build the steering state on the disc of radius gamma * r.
 
     The working residual is log(target) minus the mandatory log factors: the
-    floor primes, shifted by t0 log p / 2 pi unless a fixed twist is given,
-    and the ``fixed_phases`` primes, whose twists are product twists and are
-    not shifted again.  The pool gets empty stored-twist and row arrays, one
+    floor primes at twist 0, shifted by t0 log p / 2 pi unless a fixed twist
+    is given, and the ``fixed_phases`` primes, whose twists are product twists
+    and are not shifted again.  The pool gets empty stored-twist and row arrays, one
     row per quarter phase: no twist or row is written here.
     ``greedy_rearrange`` builds them block by block (``_quarter_rows``, which
     works out a block's phase correction once) only as far as the bound
@@ -541,10 +537,7 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     L = log_target(problem.target, R, order=N)
 
     all_ps = primes_up_to(int(p_max))
-    mand_ps = [int(p) for p in all_ps[all_ps <= problem.y]]
-    mandatory: dict[int, float] = {}
-    for p in mand_ps:
-        mandatory[p] = float(problem.preset_phases.get(p, 0.0)) % 1.0
+    mandatory = {int(p): 0.0 for p in all_ps[all_ps <= problem.y]}
     for p, tw in problem.fixed_phases.items():
         mandatory[int(p)] = float(tw) % 1.0
 
@@ -554,7 +547,7 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         tw = np.array([mandatory[int(p)] for p in mp])
         gam = np.array([0.0 if int(p) in problem.fixed_phases
                         else problem.t0 * math.log(int(p)) / TWO_PI for p in mp])
-        rows = _u_rows(spec, mp, tw, problem.sigma0, N, problem.series_order, gammas=gam)
+        rows = _u_rows(spec, mp, tw, problem.sigma0, N, _SERIES_ORDER, gammas=gam)
         work = H2Element(R, work.coef - rows.sum(axis=0), work.tail_bound)
 
     pool = all_ps[(all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))]
@@ -563,9 +556,9 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     weights = math.pi * R ** (2 * n + 2) / (n + 1)
 
     tail = _embedding_tail(spec, np.array(sorted(mandatory), dtype=np.int64), R,
-                           problem.sigma0, N, problem.series_order)[0] if mandatory else 0.0
+                           problem.sigma0, N, _SERIES_ORDER)[0] if mandatory else 0.0
     pool_tail, row_bound = _embedding_tail(spec, pool, R, problem.sigma0, N,
-                                           problem.series_order)
+                                           _SERIES_ORDER)
     tail += pool_tail
     tail += beyond_pool_tail(spec, p_max, problem.r, problem.sigma0)
     tail_norm = tail * math.sqrt(math.pi) * R
@@ -587,6 +580,10 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
 # ---------------------------------------------------------------------------
 # greedy steering
 # ---------------------------------------------------------------------------
+
+
+#: greedy moves per ``greedy_rearrange`` call (a pair rescue counts as two)
+_MAX_STEPS = 600
 
 
 def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -633,7 +630,7 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
     problem = state.problem
     p = np.array([state.pool_primes[idx]])
     lnp = np.log(p.astype(float))
-    mpow = _m_powers(problem.order, problem.series_order)
+    mpow = _m_powers(problem.order, _SERIES_ORDER)
     direction = _taylor_direction(lnp, problem.order)
     correction = problem.spec.phase_correction(p)
 
@@ -802,14 +799,13 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
     return True
 
 
-def greedy_rearrange(state: ApproximationState,
-                     stop_norm: float | None = None) -> ApproximationState:
+def greedy_rearrange(state: ApproximationState, stop_norm: float) -> ApproximationState:
     """Steer pool primes into the product until the residual norm is small.
 
     Each step scores every available (prime, quarter phase) pair and every
     move on an accepted prime by the exact norm decrease and commits the
     best strictly decreasing one (optionally phase-refined by golden
-    section).  Stops at the norm target, after ``problem.max_steps`` moves,
+    section).  Stops at the norm ``stop_norm``, after ``_MAX_STEPS`` moves,
     on pool exhaustion, or when no move -- including a joint two-prime
     rescue -- decreases the norm; the stall diagnostics are recorded.
 
@@ -826,11 +822,10 @@ def greedy_rearrange(state: ApproximationState,
     residual norm is computed once per step.
     """
     problem = state.problem
-    target = 0.5 * problem.eps if stop_norm is None else stop_norm
     steps = 0
     norm = state.work_norm()
-    while steps < problem.max_steps:
-        if norm <= target:
+    while steps < _MAX_STEPS:
+        if norm <= stop_norm:
             state.stall = None
             return state
         norm2 = norm ** 2
@@ -873,7 +868,7 @@ def greedy_rearrange(state: ApproximationState,
         norm = state.work_norm()
         state.trace.append(norm)
         steps += 1
-    state.stall = StallInfo(0.0, 0.0, False) if norm > target else None
+    state.stall = StallInfo(0.0, 0.0, False) if norm > stop_norm else None
     return state
 
 
@@ -925,11 +920,7 @@ def _approximate_impl(problem: ApproximationProblem,
                       eps_target: float | None = None) -> ApproximationResult:
     problem.validate()
     eps_target = problem.eps if eps_target is None else eps_target
-    original_target = problem.target
-    dev = 0.0
-    work_problem = problem
-    if problem.contract:
-        work_problem, dev = contract_target(problem)
+    work_problem, dev = contract_target(problem)
     state = init_residual(work_problem)
     R = work_problem.hardy_radius
     stop = 0.5 * eps_target * math.sqrt(math.pi) * (R - problem.r)
@@ -937,8 +928,7 @@ def _approximate_impl(problem: ApproximationProblem,
     for _ in range(3):   # steering rounds, the norm target divided by 4 each time
         state = greedy_rearrange(state, stop_norm=stop)
         # measure against the uncontracted target
-        measured = replace(work_problem, target=original_target)
-        survey = _survey(measured, state.phase_assignment())
+        survey = _survey(problem, state.phase_assignment())
         if survey.max_error <= eps_target or (state.stall and state.stall.pool_exhausted):
             break
         if state.stall and state.stall.best_decrease <= 0 and not state.stall.pool_exhausted:
@@ -1084,8 +1074,7 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     Inherited twists are product twists: a stage passes on theta_p + gamma_p
     (mod 1) of every prime it assigned, and the next stage uses them as
     ``fixed_phases``, not shifted again.  Only floor primes without an
-    inherited twist (and those with a ``preset_phases`` entry, every stage)
-    get gamma_p = t0 log p / 2 pi.  So an inherited twist describes the same
+    inherited twist get gamma_p = t0 log p / 2 pi.  So an inherited twist describes the same
     factor at every stage; with t0 = 0 it is the previous theta bit for bit.
 
     The pool cutoff ``p_max`` is the same at every stage and is never raised.
@@ -1097,19 +1086,15 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     """
     problem.validate()
     beta = problem.schedule_exponent()
-    if beta >= 0:
-        raise InvalidProblem(f"violated: 1/2 + r + 2 lambda + delta - sigma0 < 0 (= {beta})")
     if stages < 1:
         raise InvalidProblem(f"violated: stages >= 1 (stages={stages})")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(problem.seed)))
     assigned: dict[int, float] = {}
     out: list[RefineStage] = []
     prev_error = math.inf
-    presets = {int(p): float(tw) for p, tw in problem.preset_phases.items()}
     for k in range(stages):
         y_k = problem.y * 2.0**k
-        fixed = {p: tw for p, tw in assigned.items() if not (p <= y_k and p in presets)}
-        prob_k = replace(problem, y=y_k, preset_phases=presets, fixed_phases=fixed)
+        prob_k = replace(problem, y=y_k, fixed_phases=assigned)
         core = _approximate_impl(prob_k, eps_target=0.5 * problem.eps)
         core_phases = dict(core.phases.theta)
         m_k = max(core.primes)

@@ -1,11 +1,23 @@
 """Experiment runner: approximate / refine / check-hypothesis / zero-scan / torus / report.
 
-Configuration is flat ``key = value`` text; every flag mirrors a config key
-and command-line values win.  Each run writes a manifest echoing the full
-configuration plus seed and version, so pointing --config at a previous
-manifest replays the run (a ``workers`` line from older manifests is
-skipped: that key never had an effect; a key an older manifest lacks, such as
-``width_factor``, takes its default).
+Configuration is flat ``key = value`` text.  ``COMMAND_KEYS`` lists each
+subcommand's keys; every key is a flag (``eps_slab`` is ``--eps-slab``), and
+command-line values win over the config file:
+
+* approximate: spec target sigma0 radius eps y gamma lam delta t0 pmax
+  phase_grid seed out; refine: the same and stages;
+* check-hypothesis: spec lam width_factor h_grid (lo:hi:count, log spaced) out;
+* zero-scan: spec t0 pmax center_re center_im cradius samples compare_n
+  (also check dominance over the product truncated there) phases (a phases
+  file of product twists) out; an empty compare_n or phases is off;
+* torus: seed N r eps_slab samples out.
+
+A flag of another subcommand is an invalid config.  Each run's manifest lists
+every key of its subcommand plus version and rng, so --config <manifest>
+replays the run.  Replay skips version, rng, workers (it never had an effect)
+and the keys of other subcommands (older manifests list every subcommand's
+keys); it rejects a key that no subcommand has, and a key the manifest lacks,
+such as ``width_factor``, takes its default.
 
 ``check-hypothesis`` tests the paper's window (h, h (1 + log^-10 h)] unless
 ``width_factor`` sets the relative width: below h ~ e^41 the paper's window
@@ -23,7 +35,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +42,6 @@ from . import __version__
 from .analysis import Circle, _memo, fit_c0, min_modulus, rouche_check, zero_count
 from .approx import (
     ApproximationProblem,
-    ApproximationStall,
     InvalidProblem,
     RefineStall,
     _approximate_impl,
@@ -42,7 +52,7 @@ from .factors import PhaseAssignment, dirichlet_spec, load_custom_spec, zeta_spe
 from .primes import primes_up_to
 from .torus import RNG_ALGORITHM, ball_volume_mc, equidistribution_test, slab_bound_check
 
-CONFIG_KEYS = {
+_PROBLEM_KEYS = {
     "spec": "zeta",
     "target": "exp:0.1",
     "sigma0": 0.75,
@@ -56,23 +66,38 @@ CONFIG_KEYS = {
     "pmax": 100_000,
     "phase_grid": "quarter",
     "seed": 0,
-    "stages": 3,
-    "width_factor": "",
     "out": "run",
 }
 
+#: subcommand -> its config keys and their defaults; a default's type is the
+#: key's type.  The table makes each subcommand's flags and manifest lines.
+COMMAND_KEYS = {
+    "approximate": _PROBLEM_KEYS,
+    "refine": {**_PROBLEM_KEYS, "stages": 3},
+    "check-hypothesis": {"spec": "zeta", "lam": 0.01, "width_factor": "",
+                         "h_grid": "1e4:1e6:20", "out": "run"},
+    "zero-scan": {"spec": "zeta", "t0": 0.0, "pmax": 100_000, "center_re": 0.75,
+                  "center_im": 0.0, "cradius": 0.02, "samples": 512, "compare_n": "",
+                  "phases": "", "out": "run"},
+    "torus": {"seed": 0, "N": 4, "r": 0.8, "eps_slab": 0.05, "samples": 200_000,
+              "out": "run"},
+}
 
-@dataclass
+_ALL_KEYS = frozenset(k for keys in COMMAND_KEYS.values() for k in keys)
+
+
 class RunConfig:
-    values: dict = field(default_factory=lambda: dict(CONFIG_KEYS))
+    def __init__(self, command: str):
+        self.command = command
+        self.values = dict(COMMAND_KEYS[command])
 
     def __getitem__(self, key):
         return self.values[key]
 
     def set(self, key: str, raw: str) -> None:
-        if key not in CONFIG_KEYS:
-            raise InvalidProblem(f"unknown config key {key!r}")
-        default = CONFIG_KEYS[key]
+        if key not in self.values:
+            raise InvalidProblem(f"unknown config key {key!r} for {self.command}")
+        default = COMMAND_KEYS[self.command][key]
         try:
             if isinstance(default, int):
                 self.values[key] = int(float(raw))
@@ -90,8 +115,8 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    cfg = RunConfig()
+def load_config(command: str, path: str | None, overrides: dict) -> RunConfig:
+    cfg = RunConfig(command)
     if path:
         try:
             with open(path) as fh:
@@ -103,7 +128,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             if not line or "=" not in line:
                 continue
             k, v = (t.strip() for t in line.split("=", 1))
-            if k in ("version", "rng", "workers"):
+            if k in ("version", "rng", "workers") or (k in _ALL_KEYS and k not in cfg.values):
                 continue
             cfg.set(k, v)
     for k, v in overrides.items():
@@ -166,6 +191,18 @@ def build_problem(cfg: RunConfig) -> ApproximationProblem:
         p_max=cfg["pmax"], seed=cfg["seed"], phase_mode=cfg["phase_grid"])
 
 
+def _optional(cfg: RunConfig, key: str, kind: type):
+    """The value of a key whose empty value means off: None, or ``kind`` of it."""
+    raw = cfg[key]
+    if raw == "":
+        return None
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidProblem(f"{key} must be {noun} (got {raw!r})") from None
+
+
 def _write(outdir: str, name: str, text: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, name), "w") as fh:
@@ -221,8 +258,9 @@ def cmd_refine(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
+def cmd_check_hypothesis(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
+    h_grid = cfg["h_grid"]
     try:
         lo, hi, count = h_grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -235,15 +273,10 @@ def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
     if not math.isfinite(cfg["lam"]):
         raise InvalidProblem(f"lam must be a finite number (got {cfg['lam']})")
     hs = list(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
-    wf = None   # empty: the paper's window (h, h (1 + log^-10 h)]
-    if cfg["width_factor"] != "":
-        try:
-            wf = float(cfg["width_factor"])
-        except ValueError:
-            wf = math.nan
-        if not (math.isfinite(wf) and wf > 0):
-            raise InvalidProblem(f"width_factor must be a positive number "
-                                 f"(got {cfg['width_factor']!r})")
+    # None: the paper's window (h, h (1 + log^-10 h)]
+    wf = _optional(cfg, "width_factor", float)
+    if wf is not None and not (math.isfinite(wf) and wf > 0):
+        raise InvalidProblem(f"width_factor must be a positive number (got {wf!r})")
     report = fit_c0(spec, cfg["lam"], hs, width_factor=wf)
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
@@ -254,19 +287,20 @@ def cmd_check_hypothesis(cfg: RunConfig, h_grid: str) -> int:
     return 0 if ok else 4
 
 
-def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
-                  compare_n: int | None, phases_path: str | None) -> int:
+def cmd_zero_scan(cfg: RunConfig) -> int:
+    cradius, samples = cfg["cradius"], cfg["samples"]
     if not (samples >= 8 and 0 < cradius < math.inf and cfg["pmax"] >= 2):
         raise InvalidProblem(f"zero-scan needs samples >= 8, a finite cradius > 0 and "
                              f"pmax >= 2 (got samples={samples}, cradius={cradius}, "
                              f"pmax={cfg['pmax']})")
+    compare_n = _optional(cfg, "compare_n", int)
     spec = build_spec(cfg)
-    theta = read_phases(phases_path) if phases_path else {}
+    theta = read_phases(cfg["phases"]) if cfg["phases"] else {}
     plist = [int(p) for p in primes_up_to(cfg["pmax"])]
     pa = PhaseAssignment({p: theta.get(p, 0.0) for p in plist}, t0=cfg["t0"])
     # zero_count, min_modulus and rouche_check sample some of the same points
     f = _memo(product_target(spec, plist, pa, 0.0))
-    contour = Circle(center, cradius)
+    contour = Circle(complex(cfg["center_re"], cfg["center_im"]), cradius)
     count = zero_count(f, contour, quadrature_n=samples)
     m = min_modulus(f, contour, samples=max(64, samples))
     lines = [f"zero_count {count}", f"min_modulus {m!r}"]
@@ -283,7 +317,8 @@ def cmd_zero_scan(cfg: RunConfig, center: complex, cradius: float, samples: int,
     return 0
 
 
-def cmd_torus(cfg: RunConfig, n: int, r: float, eps_slab: float, samples: int) -> int:
+def cmd_torus(cfg: RunConfig) -> int:
+    n, r, eps_slab, samples = cfg["N"], cfg["r"], cfg["eps_slab"], cfg["samples"]
     if not (n >= 1 and samples >= 1 and 0 < eps_slab < r and cfg["seed"] >= 0):
         raise InvalidProblem(f"torus needs N >= 1, samples >= 1, 0 < eps-slab < r and "
                              f"seed >= 0 (got N={n}, samples={samples}, eps-slab={eps_slab}, "
@@ -320,40 +355,26 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidProblem(message)
 
 
+#: subcommand -> (runner, help line); ``report`` reads a run directory, not a config
+COMMANDS = {
+    "approximate": (cmd_approximate, "greedy disc approximation run"),
+    "refine": (cmd_refine, "doubling-floor schedule run"),
+    "check-hypothesis": (cmd_check_hypothesis, "short-interval sum report"),
+    "zero-scan": (cmd_zero_scan, "winding-number zero count on a circle"),
+    "torus": (cmd_torus, "volume, slab, and equidistribution checks"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="eulerapprox", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, help_line) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="key = value config file (or a prior manifest)")
-        for key, default in CONFIG_KEYS.items():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, default=None,
-                           help=f"config key {key} (default {default})")
-
-    p_appr = sub.add_parser("approximate", help="greedy disc approximation run")
-    add_common(p_appr)
-    p_ref = sub.add_parser("refine", help="doubling-floor schedule run")
-    add_common(p_ref)
-    p_hyp = sub.add_parser("check-hypothesis", help="short-interval sum report")
-    add_common(p_hyp)
-    p_hyp.add_argument("--h-grid", default="1e4:1e6:20", help="lo:hi:count, log spaced")
-    p_zero = sub.add_parser("zero-scan", help="winding-number zero count on a circle")
-    add_common(p_zero)
-    p_zero.add_argument("--center-re", type=float, default=None)
-    p_zero.add_argument("--center-im", type=float, default=0.0)
-    p_zero.add_argument("--cradius", type=float, default=None)
-    p_zero.add_argument("--samples", type=int, default=512)
-    p_zero.add_argument("--compare-n", type=int, default=None,
-                        help="also run the dominance check against the product truncated here")
-    p_zero.add_argument("--phases", default=None, help="phases file for the product twists")
-    p_tor = sub.add_parser("torus", help="volume, slab, and equidistribution checks")
-    add_common(p_tor)
-    p_tor.add_argument("--N", type=int, default=4)
-    p_tor.add_argument("--r", type=float, default=0.8)
-    p_tor.add_argument("--eps-slab", type=float, default=0.05)
-    p_tor.add_argument("--samples", type=int, default=200_000)
+        for key, default in COMMAND_KEYS[command].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=f"config key {key} (default {default!r})")
     p_rep = sub.add_parser("report", help="print the manifest and report of a run directory")
     p_rep.add_argument("run_dir")
 
@@ -361,29 +382,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "report":
             return cmd_report(args.run_dir)
-        overrides = {k: getattr(args, k, None) for k in CONFIG_KEYS}
-        cfg = load_config(args.config, overrides)
-        if args.command == "approximate":
-            return cmd_approximate(cfg)
-        if args.command == "refine":
-            return cmd_refine(cfg)
-        if args.command == "check-hypothesis":
-            return cmd_check_hypothesis(cfg, args.h_grid)
-        if args.command == "zero-scan":
-            center = complex(args.center_re if args.center_re is not None else cfg["sigma0"],
-                             args.center_im)
-            cradius = args.cradius if args.cradius is not None else cfg["radius"]
-            return cmd_zero_scan(cfg, center, cradius, args.samples,
-                                 args.compare_n, args.phases)
-        if args.command == "torus":
-            return cmd_torus(cfg, args.N, args.r, args.eps_slab, args.samples)
+        overrides = {k: getattr(args, k) for k in COMMAND_KEYS[args.command]}
+        return COMMANDS[args.command][0](load_config(args.command, args.config, overrides))
     except InvalidProblem as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 3
-    except ApproximationStall as exc:
-        print(f"stall: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,9 +14,10 @@ Each family's arithmetic is written once, in the ``EulerFactorSpec`` methods
 ``leading``, ``phase_correction``, ``times_factor``, ``fold_factors``,
 ``log_terms``, ``log_series_tail`` and ``growth``; the rest of the package
 reaches the factors through them.  Outside the spec's methods, ``kind`` is
-read only by the ``save_custom_spec`` guard and by the two oracle routes that
-tests cross-check against: ``eval_factor`` and ``log_factor``.  The exact
-oracle ``partial_product_exact`` takes its character values from
+read only by the ``save_custom_spec`` guard, by ``approx._embedding_tail``
+(its closed-form majorant holds for characters only) and by the two oracle
+routes that tests cross-check against: ``eval_factor`` and ``log_factor``.
+The exact oracle ``partial_product_exact`` takes its character values from
 ``coeff_exact``.
 
 Everything here is immutable after construction and safe for concurrent
@@ -48,6 +49,11 @@ QUARTER_GRID = (0.0, 0.25, 0.5, 0.75)
 #: cells (primes x points) of one factor block in ``partial_product_grid``
 _PRODUCT_BLOCK_CELLS = 1 << 15
 
+#: radius rho of the circle just inside |z| = 1 on which custom factors are
+#: checked zero-free, so that ``log_series_tail``'s Cauchy bound
+#: |c_m| <= K rho^-m holds
+_ZERO_FREE_RADIUS = 1.0 - 1e-3
+
 
 class FactorDomainError(ValueError):
     """Factor argument outside the open unit disc, or a rejected spec."""
@@ -66,16 +72,16 @@ class HypothesisError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _check_polynomial_zero_free(coeffs: Sequence[complex], radius: float = 1.0 - 1e-3,
-                                samples: int = 1024) -> bool:
-    """Winding-number test: True iff 1 + sum_m c_m z^m has no zero in |z| < radius.
+def _check_polynomial_zero_free(coeffs: Sequence[complex]) -> bool:
+    """Winding-number test: True iff 1 + sum_m c_m z^m has no zero in |z| < rho.
 
-    The factor polynomial is cheap, so the contour is sampled densely and the
-    accumulated argument increment must vanish.
+    rho is ``_ZERO_FREE_RADIUS``.  The factor polynomial is cheap, so the
+    contour is sampled densely (1024 points) and the accumulated argument
+    increment must vanish.
     """
     poly = np.concatenate(([1.0 + 0j], np.asarray(coeffs, dtype=complex)))
-    ang = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-    z = radius * np.exp(1j * ang)
+    ang = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    z = _ZERO_FREE_RADIUS * np.exp(1j * ang)
     vals = np.polyval(poly[::-1], z)
     if np.min(np.abs(vals)) < 1e-12:
         return False
@@ -271,7 +277,7 @@ class EulerFactorSpec:
             terms = q[:, None] ** ms[None, :] / ms[None, :]
             past = q ** (order + 1) / ((order + 1) * (1.0 - q))
             return np.ones_like(q), np.column_stack([terms, past])
-        rho = 1.0 - 1e-3
+        rho = _ZERO_FREE_RADIUS
         ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
         ks = np.zeros_like(q)
         for p in self.table:
@@ -404,12 +410,9 @@ class PhaseAssignment:
             out += gamma
         return out
 
-    def primes(self) -> list[int]:
-        return sorted(self.theta)
 
-
-def trivial_phases(primes: Sequence[int] | None = None, t0: float = 0.0) -> PhaseAssignment:
-    return PhaseAssignment({int(p): 0.0 for p in (primes or [])}, t0=t0)
+def trivial_phases(primes: Sequence[int] | None = None) -> PhaseAssignment:
+    return PhaseAssignment({int(p): 0.0 for p in (primes or [])})
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +568,14 @@ def branch_threshold(spec: EulerFactorSpec, eps: float, r: float, sigma0: float)
     return (1.0 + c) ** (1.0 / expo)
 
 
-def _tracked_log(spec: EulerFactorSpec, p: int, z: complex, steps: int = 128) -> complex:
+def _tracked_log(spec: EulerFactorSpec, p: int, z: complex) -> complex:
     """log f_p(z) by continuous branch tracking along the ray 0 -> z.
 
-    Accumulates argument increments of the factor value along the segment;
-    fails if the value passes too close to 0 for the increments to be safe.
+    Accumulates argument increments of the factor value along the segment,
+    in 128 steps or, on a retry, 1024; fails if the value passes too close
+    to 0 for the increments to be safe.
     """
-    for n in (steps, 8 * steps):
+    for n in (128, 1024):
         vals = np.array([factor_value(spec, p, t * z) for t in np.linspace(0.0, 1.0, n + 1)])
         if np.min(np.abs(vals)) < 1e-12:
             raise BranchTrackingError(f"factor value at p={p} passes through 0")

@@ -110,7 +110,7 @@ def test_init_residual_self_target():
     y = 7.0
     mand = [2, 3, 5, 7]
     target = ea.product_target(spec, mand, ea.trivial_phases(mand), 0.75)
-    prob = make_problem(target=target, y=y, p_max=2000, contract=False)
+    prob = make_problem(target=target, y=y, p_max=2000)
     state = ea.init_residual(prob)
     assert state.work_norm() < 1e-9
     # the reported residual keeps the pool curvature visible
@@ -121,7 +121,7 @@ def test_init_residual_self_target():
 def test_init_residual_norm_matches_quadrature_oracle():
     spec = ea.zeta_spec()
     sigma0, y, p_max = 0.75, 11.0, 300
-    prob = make_problem(target=one_target, y=y, p_max=p_max, contract=False)
+    prob = make_problem(target=one_target, y=y, p_max=p_max)
     state = ea.init_residual(prob)
     mand = [2, 3, 5, 7, 11]
     pool = [int(p) for p in ea.primes_up_to(p_max) if p > y]
@@ -154,7 +154,7 @@ def test_init_residual_pool_below_floor_rejected():
 
 
 def test_nu_rest_follows_grow_rephase_and_drop():
-    prob = make_problem(p_max=300, contract=False)
+    prob = make_problem(p_max=300)
     state = ea.init_residual(prob)
     _quarter_rows(state, len(state.pool_primes))   # the stall path's full build
 
@@ -163,7 +163,7 @@ def test_nu_rest_follows_grow_rephase_and_drop():
         taken = set(state.accepted_primes())
         rest = np.array([p for p in state.pool_primes if p not in taken], dtype=np.int64)
         full = _u_rows(prob.spec, rest, np.zeros(len(rest)), prob.sigma0, prob.order,
-                       prob.series_order)
+                       approx._SERIES_ORDER)
         lnp = np.log(rest.astype(float))
         n = np.arange(prob.order + 1)
         fact = np.array([math.factorial(int(k)) for k in n], dtype=float)
@@ -205,7 +205,7 @@ def whole_pool_quarter(prob, pool, q):
     """Twists, rows and disc norms of the pool at steering phase q, in one call each."""
     spec = prob.spec
     tws = np.mod(q + spec.phase_correction(pool), 1.0)
-    rows = _u_rows(spec, pool, tws, prob.sigma0, prob.order, prob.series_order)
+    rows = _u_rows(spec, pool, tws, prob.sigma0, prob.order, approx._SERIES_ORDER)
     n = np.arange(prob.order + 1)
     weights = math.pi * prob.hardy_radius ** (2 * n + 2) / (n + 1)
     norm2 = np.array([np.sum(np.abs(row) ** 2 * weights) for row in rows])
@@ -342,7 +342,7 @@ def test_row_bound_dominates_every_gain(spec):
     R, weights = prob.hardy_radius, state.weights
     # beta_p = sqrt(pi) R sum_{m <= M} |c_m(p)| q_p^m from the majorant columns
     q = np.exp((R - prob.sigma0) * np.log(pool.astype(float)))
-    _, terms = spec.log_series_tail(pool, q, prob.series_order)
+    _, terms = spec.log_series_tail(pool, q, approx._SERIES_ORDER)
     beta = math.sqrt(math.pi) * R * np.sum(terms[:, :-1], axis=1)
     # the greedy step reads per-block suffix maxima of beta_p
     for b in range(len(state.row_bound)):
@@ -387,7 +387,7 @@ def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
     greedy = approx.greedy_rearrange
     handed = {"log_series_tail": 0, "phase_correction": 0}   # primes per spec method
 
-    def keep(state, stop_norm=None):
+    def keep(state, stop_norm):
         states.append(state)
         return greedy(state, stop_norm=stop_norm)
 
@@ -441,7 +441,7 @@ def whole_list_gains(state, rows, cw):
 
 @pytest.mark.parametrize("spec", [ea.zeta_spec(), CUSTOM_7], ids=["zeta", "custom"])
 def test_move_rows_match_whole_list_gains(spec):
-    prob = make_problem(spec=spec, p_max=2000, contract=False)
+    prob = make_problem(spec=spec, p_max=2000)
     state = ea.init_residual(prob)
     _quarter_rows(state, len(state.pool_primes))
     rng = np.random.default_rng(5)
@@ -525,7 +525,7 @@ def test_move_rows_grow_with_the_accepted_count(monkeypatch, kw, accepted):
     states = []
     greedy = approx.greedy_rearrange
 
-    def keep(state, stop_norm=None):
+    def keep(state, stop_norm):
         states.append(state)
         return greedy(state, stop_norm=stop_norm)
 
@@ -547,7 +547,7 @@ def test_greedy_zero_residual_takes_no_steps():
     spec = ea.zeta_spec()
     mand = [2, 3]
     target = ea.product_target(spec, mand, ea.trivial_phases(mand), 0.75)
-    prob = make_problem(target=target, y=3.0, p_max=500, contract=False)
+    prob = make_problem(target=target, y=3.0, p_max=500)
     state = ea.init_residual(prob)
     state = ea.greedy_rearrange(state, stop_norm=1e-8)
     assert state.accepted == []
@@ -559,7 +559,7 @@ def test_greedy_single_term_residual_one_step():
     gens = [2, 3, 43]
     theta = {2: 0.0, 3: 0.0, 43: 0.75}
     target = ea.product_target(spec, gens, ea.PhaseAssignment(theta), 0.75)
-    prob = make_problem(target=target, y=3.0, p_max=500, contract=False, eps=1e-8)
+    prob = make_problem(target=target, y=3.0, p_max=500, eps=1e-8)
     state = ea.init_residual(prob)
     state = ea.greedy_rearrange(state, stop_norm=1e-10)
     assert state.accepted == [(43, 0.75)]
@@ -568,7 +568,7 @@ def test_greedy_single_term_residual_one_step():
 
 
 def test_greedy_trace_monotone():
-    prob = make_problem(p_max=5000, max_steps=200)
+    prob = make_problem(p_max=5000)
     contracted, _ = ea.contract_target(prob)
     state = ea.init_residual(contracted)
     state = ea.greedy_rearrange(state, stop_norm=1e-6)
@@ -598,12 +598,12 @@ def test_approximate_constant_one_log_norm():
 def test_approximate_vanishing_target_rejected():
     bad = lambda s: 50.0 * (np.asarray(s, dtype=complex) - 0.005)
     with pytest.raises(ea.TargetZeroError):
-        ea.approximate(make_problem(target=bad, contract=False))
+        ea.approximate(make_problem(target=bad))
 
 
 def test_approximate_stall_is_reported_with_result():
     # floor demand beyond pool capacity: an honest stall
-    prob = make_problem(y=11.0, p_max=3000, eps=0.02, max_steps=250)
+    prob = make_problem(y=11.0, p_max=3000, eps=0.02)
     with pytest.raises(ea.ApproximationStall) as exc:
         ea.approximate(prob)
     res = exc.value.result
@@ -624,13 +624,14 @@ def test_realizable_target_recovery_small():
     gens = [int(p) for p in ea.primes_up_to(50)]
     theta = {p: float(rng.choice([0.0, 0.25, 0.5, 0.75])) for p in gens}
     target = ea.product_target(spec, gens, ea.PhaseAssignment(theta), 0.75)
-    presets = {p: theta[p] for p in gens if p <= 43}
-    prob = make_problem(target=target, y=43.0, eps=1e-6, p_max=10_000,
-                        preset_phases=presets, contract=False, max_steps=200)
-    res = ea.approximate(prob)
-    assert res.max_error < 1e-6
-    assert set(gens) <= set(res.primes)
-    assert res.phases.theta[47] == theta[47]
+    pinned = {p: theta[p] for p in gens if p <= 43}
+    # t0 = 0, so pinned product twists leave the same work residual as floor twists
+    prob = make_problem(target=target, y=43.0, eps=1e-6, p_max=10_000, fixed_phases=pinned)
+    state = ea.greedy_rearrange(ea.init_residual(prob), stop_norm=1e-12)
+    phases = state.phase_assignment()
+    assert _survey(prob, phases).max_error < 1e-6
+    assert set(gens) <= set(phases.theta)
+    assert phases.theta[47] == theta[47]
 
 
 def test_surrogate_bounds_survey_error():
@@ -640,7 +641,7 @@ def test_surrogate_bounds_survey_error():
     for k in range(20):
         a = float(rng.uniform(-0.3, 0.3))
         prob = make_problem(target=exp_target(a), eps=0.3, p_max=2000,
-                            seed=k, max_steps=300)
+                            seed=k)
         res = _approximate_impl(prob)
         C = norm_to_max(prob.hardy_radius, prob.r)
         m = C * (res.residual_norm + res.tail_bound)
@@ -759,12 +760,10 @@ def refine_oracle(problem, stages):
     beta = problem.schedule_exponent()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(problem.seed)))
     assigned, out, prev_error = {}, [], math.inf
-    presets = {int(p): float(tw) for p, tw in problem.preset_phases.items()}
     for k in range(stages):
         y_k = problem.y * 2.0**k
-        fixed = {p: tw for p, tw in assigned.items() if not (p <= y_k and p in presets)}
-        core = _approximate_impl(replace(problem, y=y_k, preset_phases=presets,
-                                         fixed_phases=fixed), eps_target=0.5 * problem.eps)
+        core = _approximate_impl(replace(problem, y=y_k, fixed_phases=assigned),
+                                 eps_target=0.5 * problem.eps)
         m_k = max(core.primes)
         filler = [int(p) for p in ea.primes_up_to(m_k) if int(p) not in core.phases.theta]
         bound = approx._SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps

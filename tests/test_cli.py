@@ -35,8 +35,9 @@ def test_every_output_file_parses_back(tmp_path):
             for line in path.read_text().splitlines():
                 if path.name == "manifest.txt":
                     key, value = line.split(" = ")
-                    if isinstance(cli.CONFIG_KEYS.get(key), (int, float)) or (
-                            key == "width_factor" and value):
+                    default = cli.COMMAND_KEYS[argv[0]].get(key)
+                    if isinstance(default, (int, float)) or (
+                            key in ("width_factor", "compare_n") and value):
                         parse_number(value)
                 else:
                     # labels are identifiers (c0, half_width, success); the rest are
@@ -49,25 +50,28 @@ def test_every_output_file_parses_back(tmp_path):
     assert "zeros_truncated" not in (tmp_path / "zero-scan" / "report.txt").read_text()
     assert "zeros_truncated 0\n" in (tmp_path / "zero-scan-dominated" / "report.txt").read_text()
 
-    wide = cli.load_config(str(tmp_path / "hypothesis-wide" / "manifest.txt"), {})
-    assert wide["width_factor"] == "0.01"
-    assert cli.load_config(str(tmp_path / "hypothesis" / "manifest.txt"), {})["width_factor"] == ""
+    def replayed(name):
+        return cli.load_config("check-hypothesis", str(tmp_path / name / "manifest.txt"), {})
+
+    assert replayed("hypothesis-wide")["width_factor"] == "0.01"
+    assert replayed("hypothesis")["width_factor"] == ""
     assert cli.main(["check-hypothesis", "--width-factor", "0", "--out",
                      str(tmp_path / "hypothesis-zero")]) == 3
 
     heatmap = tmp_path / "approximate" / "heatmap.txt"
     rows = np.array([[float(t) for t in line.split()] for line in heatmap.read_text().splitlines()])
-    problem = cli.build_problem(cli.load_config(None, {"pmax": 2000}))
+    problem = cli.build_problem(cli.load_config("approximate", None, {"pmax": 2000}))
     assert np.array_equal(rows, _approximate_impl(problem).survey.rows)
 
 
 def test_manifest_with_workers_line_still_replays(tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("version = 0.1.0\nrng = numpy-PCG64\nworkers = 4\npmax = 3000\n")
-    cfg = cli.load_config(str(manifest), {})
+    cfg = cli.load_config("approximate", str(manifest), {})
     assert cfg["pmax"] == 3000
     assert "workers" not in cfg.values
-    assert cfg["width_factor"] == ""   # the key is newer than this manifest
+    # the key is newer than this manifest
+    assert cli.load_config("check-hypothesis", str(manifest), {})["width_factor"] == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -98,6 +102,11 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     ["zero-scan", "--pmax", "1"],
     # fewer than 8 winding samples can only count 0 zeros
     ["zero-scan", "--samples", "4"],
+    ["zero-scan", "--compare-n", "abc"],
+    # a flag of another subcommand would otherwise be accepted and ignored
+    ["torus", "--pmax", "5"],
+    ["zero-scan", "--sigma0", "0.8"],
+    ["check-hypothesis", "--seed", "1"],
 ], ids=lambda argv: "_".join(argv))
 def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     # exit 3, not a traceback (1) or argparse's 2, which would read as a stall
@@ -105,6 +114,97 @@ def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def replay_argv(tmp_path):
+    """Per subcommand, a quick run that sets every one of its keys but out off its default."""
+    phases = tmp_path / "phases.txt"
+    phases.write_text("2 0.25\n3 0.5\n7 0.75\n")
+    problem = ["--target", "exp:-0.05", "--sigma0", "0.76", "--radius", "0.019",
+               "--y", "3", "--gamma", "1.9", "--lam", "0.011", "--delta", "0.009",
+               "--t0", "0.5", "--pmax", "2000", "--seed", "1"]
+    return {
+        "approximate": ["approximate", "--spec", "chi4", "--phase-grid", "golden",
+                        "--eps", "0.025"] + problem,
+        "refine": ["refine", "--spec", "zeta", "--phase-grid", "quarter", "--eps", "0.2",
+                   "--stages", "2"] + problem,
+        "check-hypothesis": ["check-hypothesis", "--spec", "chi4", "--lam", "0.02",
+                             "--width-factor", "0.01", "--h-grid", "1e4:1e5:3"],
+        "zero-scan": ["zero-scan", "--spec", "chi4", "--t0", "0.5", "--pmax", "2000",
+                      "--center-re", "1.5", "--center-im", "3", "--cradius", "0.2",
+                      "--samples", "64", "--compare-n", "1000", "--phases", str(phases)],
+        "torus": ["torus", "--seed", "2", "--N", "3", "--r", "0.7", "--eps-slab", "0.1",
+                  "--samples", "1000"],
+    }
+
+
+def manifest_keys(run):
+    return [line.split(" = ")[0] for line in (run / "manifest.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
+def test_manifest_lists_exactly_its_subcommand_keys(tmp_path, command):
+    argv = replay_argv(tmp_path)[command]
+    flags = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+    assert flags == set(cli.COMMAND_KEYS[command]) - {"out"}
+    cli.main(argv + ["--out", str(tmp_path / "run")])
+    keys = manifest_keys(tmp_path / "run")
+    assert keys[:2] == ["version", "rng"]
+    assert sorted(keys[2:]) == sorted(cli.COMMAND_KEYS[command])
+
+
+@pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
+def test_manifest_replays_every_output(tmp_path, command):
+    first, again = tmp_path / "first", tmp_path / "again"
+    code = cli.main(replay_argv(tmp_path)[command] + ["--out", str(first)])
+    assert code in (0, 2, 4)
+    assert cli.main([command, "--config", str(first / "manifest.txt"),
+                     "--out", str(again)]) == code
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.txt")
+    assert names and names == sorted(p.name for p in again.iterdir()
+                                     if p.name != "manifest.txt")
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+# every key of every subcommand before each subcommand recorded only its own
+OLD_MANIFEST = """version = 0.1.0
+rng = numpy-PCG64
+delta = 0.01
+eps = 0.1
+gamma = 2.0
+lam = 0.01
+out = old
+phase_grid = quarter
+pmax = 2000
+radius = 0.02
+seed = 1
+sigma0 = 0.75
+spec = zeta
+stages = 2
+t0 = 0.0
+target = exp:0.1
+width_factor = 0.01
+y = 2.0
+"""
+
+
+@pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
+def test_old_manifest_replays_into_each_subcommand(tmp_path, command):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(OLD_MANIFEST)
+    old = dict(line.split(" = ") for line in OLD_MANIFEST.splitlines())
+    assert len(old) == 18   # the 16 keys, version and rng
+    cfg = cli.load_config(command, str(manifest), {})
+    for key, default in cli.COMMAND_KEYS[command].items():
+        want = old[key] if key in old else str(default)
+        assert str(cfg[key]) == want, key
+    run = tmp_path / "run"
+    assert cli.main([command, "--config", str(manifest), "--out", str(run)]) == 0
+    assert sorted(manifest_keys(run)[2:]) == sorted(cli.COMMAND_KEYS[command])
+    # a key that no subcommand has is still rejected
+    manifest.write_text(OLD_MANIFEST + "bogus = 1\n")
+    assert cli.main([command, "--config", str(manifest), "--out", str(run)]) == 3
 
 
 @pytest.mark.parametrize("compare", [[], ["--compare-n", "1000"]], ids=["alone", "compare"])
