@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,6 +192,13 @@ _BLOCK = 2048
 #: log-series order of the pool, floor and fixed-twist rows (m = 1..64)
 _SERIES_ORDER = 64
 
+#: leading Taylor coefficients a greedy step pairs with the residual for every
+#: move; the rest of a row enters its score only through a bound.  The disc
+#: weights pi R^(2n+2) / (n+1) make the head decide: on the approx-steer
+#: config (R = 0.04) a step works out the exact pairing of 1.3 moves on
+#: average at 8, 5.2 at 4 and 533 at 2.
+_HEAD = 8
+
 
 def _m_powers(order: int, series_order: int) -> np.ndarray:
     """m^n for m = 1..series_order (rows) and n = 0..order (columns)."""
@@ -242,22 +249,49 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
                          _taylor_direction(lnp, order))
 
 
+def _write_norms(state: ApproximationState, rows: np.ndarray, norm2: np.ndarray,
+                 tail: np.ndarray) -> np.ndarray:
+    """Write the screen norms of ``rows``: ||u||^2 into ``norm2``, ||u[h:]|| into ``tail``.
+
+    h is the head width of ``state.head``; ``norm2_max`` follows.  A zero
+    row (a rephase onto the prime's own quarter, or a custom spec's prime
+    with no factor) scores exactly 0, below any screen bar, and gets +inf
+    in ``norm2`` so that the screen passes it over.  Returns ||u||^2,
+    summed as ``_quarter_rows`` always has, so it is bit-identical to the
+    stored ``u_norm2`` and ``move_norm2``.
+    """
+    sq = np.abs(rows) ** 2 * state.weights[None, :]
+    n2 = sq.sum(axis=1)
+    norm2[:] = n2
+    small = np.flatnonzero(n2 == 0.0)      # a zero row, or one whose norm underflows
+    norm2[small[~rows[small].any(axis=1)]] = np.inf
+    tail[:] = np.sqrt(sq[:, state.head.shape[-1]:].sum(axis=1))
+    state.norm2_max = max(state.norm2_max, float(n2.max()))
+    return n2
+
+
 def _quarter_rows(state: ApproximationState, stop: int) -> None:
     """Build the stored twists, quarter rows and disc norms of the pool up to ``stop``.
 
     Writes each quarter's stored twists (quarter + the leading coefficient's
     phase correction, mod 1), ``_u_rows`` of the pool at those twists and
     the rows' disc norms into ``state.stored_twists`` / ``state.u_phase`` /
-    ``state.u_norm2`` from ``state.built`` on, whole blocks of ``_BLOCK``
-    primes at a time, until ``stop`` primes (or the pool) are covered;
-    ``state.built`` follows.  A block's phase correction, logarithms and
+    ``state.u_norm2``, and their screen entries into ``state.head`` /
+    ``state.head_norm2`` / ``state.tail_norm``, from ``state.built`` on,
+    whole blocks of ``_BLOCK`` primes at a time, until ``stop`` primes (or
+    the pool) are covered; ``state.built`` follows.  A block's phase correction, logarithms and
     direction are computed once and shared by every quarter.  Each twist
     and row is bit-identical to one whole-pool pass per quarter.
     """
     p = state.problem
     pool = state.pool_primes
     mpow = _m_powers(p.order, _SERIES_ORDER)
-    for lo in range(state.built, min(stop, len(pool)), _BLOCK):
+    blocks = range(state.built, min(stop, len(pool)), _BLOCK)
+    rows = min(blocks[-1] + _BLOCK, len(pool)) if blocks else 0
+    if rows > len(state.head):      # the screen stores grow with the build
+        state.head, state.head_norm2, state.tail_norm = (
+            _resized(a, rows) for a in (state.head, state.head_norm2, state.tail_norm))
+    for lo in blocks:
         blk = slice(lo, lo + _BLOCK)
         ps = pool[blk]
         stored = state.stored_twists[:, blk]
@@ -268,7 +302,9 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
         for k, tws in enumerate(stored):
             out = _twisted_rows(p.spec, ps, lnp, tws, p.sigma0, mpow, direction,
                                 out=state.u_phase[k][blk])
-            state.u_norm2[k][blk] = np.sum(np.abs(out) ** 2 * state.weights[None, :], axis=1)
+            state.u_norm2[k][blk] = _write_norms(state, out, state.head_norm2[blk, k],
+                                                 state.tail_norm[blk, k])
+            state.head[blk, k] = out[:, :state.head.shape[-1]]
         state.built = min(lo + _BLOCK, len(pool))
 
 
@@ -409,9 +445,12 @@ def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
 _DROP = len(QUARTER_GRID)
 
 #: accepted positions the move arrays hold at first; they double when full.
-#: Sized to the pool, they would reach numpy's huge-page threshold (4 MB) and
-#: make sparse rows resident in 2 MB pages.
+#: Sized to the pool, they would reach numpy's huge-page threshold and make
+#: sparse rows resident in 2 MB pages.
 _MOVE_ROWS = 64
+
+#: numpy madvises huge pages for arrays of at least this many bytes
+_HUGE_PAGE_ARRAY = 4 << 20
 
 
 @dataclass
@@ -456,6 +495,26 @@ class ApproximationState:
     ``_MOVE_ROWS`` rows and double when full, so they grow with the
     accepted count, not with the pool.  ``_commit``, ``_commit_rephase``
     and ``_commit_drop`` update them where the accepted set changes.
+
+    Greedy steps screen every move by its head (``_best_move``).
+    ``head[i, k]`` holds the first h = min(``_HEAD``, order + 1)
+    coefficients of pool row ``u_phase[k][i]``, ``head_norm2[i, k]`` its
+    ``u_norm2``, and ``tail_norm[i, k]`` the disc norm of the rest of the
+    row.  They are written for the built prefix only.  They span the pool
+    when its head store stays below ``_HUGE_PAGE_ARRAY``, and otherwise
+    hold the built prefix and grow with it, since a sparse first block
+    would be resident in 2 MB pages (a 78,497-prime pool: +1 MB of RSS).  A
+    move's head pairing is worked out from its prime's pool head and its
+    current row's (``_accepted_best``), so the moves keep no heads;
+    ``move_head_norm2`` and ``move_tail`` at [a, k] hold the ``move_norm2``
+    and tail norm of ``move_rows[k][a]``, and ``move_index[a]`` is
+    ``accepted_idx[a]``; they live, double and shift with the move rows.  A
+    screen norm is +inf, and the screen passes the row over, while the
+    prime is accepted and where the row is zero (``_write_norms``; a
+    dropped prime gets its plain norms back, which only costs the screen a
+    few exact rows).  ``norm2_max`` is the
+    largest ||u||^2 written to either store, for the screen's rounding
+    slack.
     """
 
     problem: ApproximationProblem
@@ -472,6 +531,13 @@ class ApproximationState:
     row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
     move_rows: list[np.ndarray]              # per accepted-prime move: rows (capacity, order+1)
     move_norm2: list[np.ndarray]
+    head: np.ndarray                         # (built, quarter, h): u[:h]
+    head_norm2: np.ndarray                   # (built, quarter): ||u||^2, +inf while accepted
+    tail_norm: np.ndarray                    # (built, quarter): ||u[h:]||
+    move_head_norm2: np.ndarray              # (capacity, move): ``move_norm2``, +inf if zero
+    move_index: np.ndarray                   # (capacity,): ``accepted_idx`` as an array
+    move_tail: np.ndarray                    # (capacity, move), as ``tail_norm``
+    norm2_max: float = 0.0                   # largest ||u||^2 written to the screen stores
     built: int = 0                           # pool primes whose rows are written
     accepted_idx: list[int] = field(default_factory=list)
     trace: list[float] = field(default_factory=list)
@@ -563,16 +629,24 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     tail += beyond_pool_tail(spec, p_max, problem.r, problem.sigma0)
     tail_norm = tail * math.sqrt(math.pi) * R
 
-    # never-written pages of the row arrays cost no memory
+    # never-written pages of the row arrays cost no memory; the screen
+    # stores take the whole pool only below numpy's huge-page threshold
+    nq, h = len(QUARTER_GRID), min(_HEAD, N + 1)
+    screened = len(pool) if len(pool) * nq * h * 16 < _HUGE_PAGE_ARRAY else 0
     state = ApproximationState(
         problem=problem, work=work, mandatory=mandatory, accepted=[],
         pool_primes=pool, pool_mask=np.ones(len(pool), dtype=bool),
         u_phase=[np.empty((len(pool), N + 1), dtype=complex) for _ in QUARTER_GRID],
         u_norm2=[np.empty(len(pool)) for _ in QUARTER_GRID],
-        stored_twists=np.empty((len(QUARTER_GRID), len(pool))), weights=weights,
+        stored_twists=np.empty((nq, len(pool))), weights=weights,
         row_bound=row_bound * (math.sqrt(math.pi) * R),
         move_rows=[np.empty((_MOVE_ROWS, N + 1), dtype=complex) for _ in range(_DROP + 1)],
-        move_norm2=[np.empty(_MOVE_ROWS) for _ in range(_DROP + 1)], tail_bound=tail_norm)
+        move_norm2=[np.empty(_MOVE_ROWS) for _ in range(_DROP + 1)],
+        head=np.empty((screened, nq, h), dtype=complex),
+        head_norm2=np.empty((screened, nq)), tail_norm=np.empty((screened, nq)),
+        move_head_norm2=np.empty((_MOVE_ROWS, _DROP + 1)),
+        move_index=np.empty(_MOVE_ROWS, dtype=np.int64),
+        move_tail=np.empty((_MOVE_ROWS, _DROP + 1)), tail_bound=tail_norm)
     state.trace.append(state.work_norm())
     return state
 
@@ -587,7 +661,11 @@ _MAX_STEPS = 600
 
 
 def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (phase, built prime) decreases 2 Re<W,u> - ||u||^2 and the pairings."""
+    """Per (phase, built prime) decreases 2 Re<W,u> - ||u||^2 and the pairings.
+
+    The full pass: the stall path and the pair rescue read every pairing,
+    and ``_pool_best`` falls back on it where its screen cannot decide.
+    """
     built = state.built
     decreases = np.empty((len(QUARTER_GRID), built))
     pairings = np.empty_like(decreases)
@@ -599,9 +677,131 @@ def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray
     return decreases, pairings
 
 
-def _pool_scores(state: ApproximationState, cw: np.ndarray, norm: float, acc_best: float,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_phase_scores`` after building rows as far as a prime can still win.
+#: relative rounding slack of the head screen.  A score 2 Re<u,W> - ||u||^2
+#: and its head part, summed over at most 65 complex terms in any order (FMA
+#: included), and the bounds themselves round by well under 1e-13 (||u|| ||W||
+#: + ||u||^2); 1e-12 leaves a margin of ten.
+_SCORE_ROUNDING = 1e-12
+
+
+class _Screen(NamedTuple):
+    """What one greedy step's screens share (``_best_move``)."""
+
+    cw: np.ndarray          # conj(W) * weights: the full pairing's vector
+    head_cw: np.ndarray     # conj(2 cw[:h]) as 2h floats (``_real_pairing``)
+    tail_w: float           # 2 ||W[h:]||
+    slack: float            # rounding slack, _SCORE_ROUNDING (||W|| sqrt(M) + M)
+
+
+def _screen_of(state: ApproximationState, cw: np.ndarray, norm: float) -> _Screen:
+    """The step's screen; M = ``norm2_max`` bounds ||u||^2 of every screened row."""
+    h = state.head.shape[-1]
+    tail = 2.0 * math.sqrt(max(float(np.dot(state.work.coef[h:], cw[h:]).real), 0.0))
+    m2 = state.norm2_max
+    return _Screen(cw, np.conj(2.0 * cw[:h]).view(np.float64), tail,
+                   _SCORE_ROUNDING * (norm * math.sqrt(m2) + m2))
+
+
+def _real_pairing(rows: np.ndarray, screen: _Screen) -> np.ndarray:
+    """2 Re<u[:h], W[:h]> per row of ``rows``, (count, h) complex, as one real product.
+
+    Re(u c) = u_r c_r - u_i c_i, so the complex rows seen as interleaved
+    floats meet conj(c) seen the same way.  The product reads as many bytes
+    as a complex one, but its result is a contiguous real array, which the
+    screen's gathers and comparisons read faster than a complex one's real
+    part.
+    """
+    return rows.view(np.float64) @ screen.head_cw
+
+
+def _head_pairings(state: ApproximationState, screen: _Screen) -> np.ndarray:
+    """2 Re<u[:h], W[:h]> of every built pool row, (built, quarter): one product."""
+    built, nq, h = state.built, state.head.shape[1], state.head.shape[2]
+    return _real_pairing(state.head[:built].reshape(-1, h), screen).reshape(built, nq)
+
+
+def _exact_scores(rows: Sequence[np.ndarray], norm2: Sequence[np.ndarray], ks: np.ndarray,
+                  ids: np.ndarray, cw: np.ndarray) -> np.ndarray:
+    """2 Re<W,u> - ||u||^2 of the rows ``rows[k][i]``, bit-identical to a full pass.
+
+    OpenBLAS gemv gives a row the same bits for any row count >= 2 and any
+    offset, and a 1-row product takes another numpy path, so one row is
+    scored in a pair with itself.
+    """
+    picked = [rows[k][i] for k, i in zip(ks, ids)]
+    mat = np.array(picked if len(picked) > 1 else picked * 2)
+    n2 = np.array([norm2[k][i] for k, i in zip(ks, ids)])
+    return 2.0 * (mat @ cw).real[:len(picked)] - n2
+
+
+def _best_move(rows: Sequence[np.ndarray], norm2: Sequence[np.ndarray], centre: np.ndarray,
+               tail: np.ndarray, screen: _Screen, bar: float) -> tuple[float, int, int] | None:
+    """The best score over ``rows[k][:count]`` if it reaches ``bar``: (score, k, i).
+
+    ``centre`` and ``tail`` are (count, len(rows)) arrays: each row's head
+    score 2 Re<u[:h], W[:h]> - ||u||^2, up to rounding, and its tail norm
+    ||u[h:]||.  With t = ||u[h:]|| ||W[h:]|| (Cauchy-Schwarz) and s the
+    rounding slack, a row's computed score lies in [centre - 2t - s, centre
+    + 2t + s].  A row whose ``centre`` is -inf (its screen norm +inf) is
+    out; its score is below ``bar`` or it may not be taken.
+
+    The floor is max(``bar``, the lower bound of the row of largest centre),
+    and the exact score is worked out (``_exact_scores``) only for the rows
+    whose upper bound reaches it; a row whose centre is below the floor less
+    the largest 2t cannot, and is dropped without its own bound.  Every
+    other row is strictly below that row or below ``bar``, so it can
+    neither win nor tie.  So when the best score is at least ``bar``, the
+    result is that score and the (k, i) of the first row that has it, in
+    (k, i) order, as ``np.argmax`` of a full pass gives them; otherwise it
+    is a score below ``bar``, -inf when no row is left.  Returns None when
+    anything is not finite (a non-finite row makes the top, the largest
+    tail or the slack non-finite); the caller then runs the full pass.
+    """
+    count, nk = centre.shape
+    centre, tail = centre.reshape(-1), tail.reshape(-1)
+    j = int(np.argmax(centre))
+    top = float(centre[j] - tail[j] * screen.tail_w)     # a lower bound, less the slack
+    floor = max(top, bar) - 2.0 * screen.slack
+    reach = float(np.max(tail)) * screen.tail_w
+    if not (math.isfinite(top) and math.isfinite(floor) and math.isfinite(reach)
+            and bar < math.inf):
+        return None
+    near = np.flatnonzero(centre >= floor - reach)
+    flat = near[centre[near] + tail[near] * screen.tail_w >= floor]
+    if not len(flat):
+        return -math.inf, 0, 0
+    ks, ids = np.divmod(np.sort(flat % nk * count + flat // nk), count)
+    scores = _exact_scores(rows, norm2, ks, ids, screen.cw)
+    if not np.all(np.isfinite(scores)):
+        return None
+    j = int(np.argmax(scores))
+    return float(scores[j]), int(ks[j]), int(ids[j])
+
+
+def _pool_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
+               bar: float) -> tuple[float, int, int]:
+    """The best (score, quarter, index) of the built pool rows if it reaches ``bar``.
+
+    Screened by ``_best_move`` from ``heads``, the ``_head_pairings`` of the
+    built prefix; falls back on ``_phase_scores`` below two built rows or
+    where the screen is not finite.
+    """
+    built = state.built
+    if built >= 2:
+        found = _best_move(state.u_phase, state.u_norm2, heads - state.head_norm2[:built],
+                           state.tail_norm[:built], screen, bar)
+        if found is not None:
+            return found
+    if not built:
+        return -math.inf, 0, 0
+    decreases, _ = _phase_scores(state, screen.cw)
+    k, idx = np.unravel_index(int(np.argmax(decreases)), decreases.shape)
+    return float(decreases[k, idx]), int(k), int(idx)
+
+
+def _pool_scores(state: ApproximationState, screen: _Screen, heads: np.ndarray, norm: float,
+                 acc_best: float, tol: float) -> tuple[float, int, int]:
+    """``_pool_best`` after building rows as far as a prime can still win.
 
     A move u scores 2 Re<u,W> - ||u||^2 <= 2 ||u|| ||W|| <= 2 ||W|| beta,
     with ||W|| = ``norm`` and beta = ``row_bound`` of its block.  Blocks
@@ -611,17 +811,23 @@ def _pool_scores(state: ApproximationState, cw: np.ndarray, norm: float, acc_bes
     tie.  When the best score is at most ``tol`` the step is headed for a
     stall or a pair rescue, which read the whole pool: the rest is built
     at once.
+
+    The prefix is screened against the bar max(``acc_best``, ``tol``): the
+    pool's best is exact whenever it reaches the bar, and below it the step
+    takes the accepted move or stalls whatever the exact value.
     """
     npool = len(state.pool_primes)
     reach = 2.0 * norm * (1.0 + 1e-9)
+    bar = max(acc_best, tol)     # a NaN acc_best stays NaN: the screen falls back
     while True:
-        decreases, pairings = _phase_scores(state, cw)
+        found = _pool_best(state, screen, heads, bar)
         if state.built == npool:
-            return decreases, pairings
-        best = max(float(np.max(decreases, initial=-math.inf)), acc_best)
+            return found
+        best = max(found[0], acc_best)
         if best > tol and reach * state.row_bound[state.built // _BLOCK] < best:
-            return decreases, pairings
+            return found
         _quarter_rows(state, npool if best <= tol and state.built else state.built + _BLOCK)
+        heads = _head_pairings(state, screen)
 
 
 def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
@@ -658,9 +864,9 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
     return best[1], best[2], best[0]
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """``a`` with twice the rows; only ``a``'s rows of the result are written."""
-    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+def _resized(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` with ``rows`` rows; only ``a``'s rows of the result are written."""
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
     out[:len(a)] = a
     return out
 
@@ -677,13 +883,17 @@ def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray) -> None:
     if pos == len(state.move_norm2[0]):
         for m in (state.move_rows, state.move_norm2):
             for k in range(_DROP + 1):
-                m[k] = _doubled(m[k])
+                m[k] = _resized(m[k], 2 * pos)
+        state.move_head_norm2, state.move_index, state.move_tail = (
+            _resized(a, 2 * pos) for a in (state.move_head_norm2, state.move_index,
+                                          state.move_tail))
     idx = state.accepted_idx[pos]
+    state.move_index[pos] = idx
     d = np.empty((_DROP + 1, len(cur)), dtype=complex)
     for k in range(_DROP):
         np.subtract(state.u_phase[k][idx], cur, out=d[k])
     np.negative(cur, out=d[_DROP])
-    n2 = np.sum(np.abs(d) ** 2 * state.weights[None, :], axis=1)
+    n2 = _write_norms(state, d, state.move_head_norm2[pos], state.move_tail[pos])
     for k in range(_DROP + 1):
         state.move_rows[k][pos] = d[k]
         state.move_norm2[k][pos] = n2[k]
@@ -693,6 +903,7 @@ def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) 
     assert idx < state.built, "committing a pool prime whose rows are not built"
     state.work = H2Element(state.work.radius, state.work.coef - row, state.work.tail_bound)
     state.pool_mask[idx] = False
+    state.head_norm2[idx] = np.inf
     state.accepted.append((int(state.pool_primes[idx]), float(twist % 1.0)))
     state.accepted_idx.append(int(idx))
     _write_moves(state, len(state.accepted_idx) - 1, row)
@@ -714,6 +925,37 @@ def _accepted_gains(state: ApproximationState, cw: np.ndarray) -> np.ndarray:
     return gains
 
 
+def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
+                   tol: float) -> tuple[float, int, int]:
+    """The best (gain, move, position) of ``_accepted_gains`` if it is above ``tol``.
+
+    Screened by ``_best_move`` against the bar ``tol``: below it the step
+    stalls, and the stall path scores every move in full.  A move u_k - c
+    of accepted position a takes its head pairing as that of u_k, read from
+    ``heads`` (the ``_head_pairings`` of the pool) at the prime's index,
+    less that of c, one product over the drop moves -c; the difference from
+    the stored row's own head pairing is rounding, which the slack covers
+    since M bounds ||u_k||^2 and ||c||^2.  Falls back on ``_accepted_gains``
+    below two accepted primes or where the screen is not finite.
+    """
+    n = len(state.accepted_idx)
+    if n >= 2:
+        drop = _real_pairing(state.move_rows[_DROP][:n, :state.head.shape[-1]], screen)
+        centre = np.empty((n, _DROP + 1))
+        np.add(heads[state.move_index[:n]], drop[:, None], out=centre[:, :_DROP])
+        centre[:, _DROP] = drop
+        centre -= state.move_head_norm2[:n]
+        found = _best_move(state.move_rows, state.move_norm2, centre, state.move_tail[:n],
+                           screen, tol)
+        if found is not None:
+            return found
+    if not n:
+        return -math.inf, 0, 0
+    gains = _accepted_gains(state, screen.cw)
+    move, pos = np.unravel_index(int(np.argmax(gains)), gains.shape)
+    return float(gains[move, pos]), int(move), int(pos)
+
+
 def _commit_rephase(state: ApproximationState, pos: int, k: int) -> None:
     idx = state.accepted_idx[pos]
     assert idx < state.built, "rephasing a pool prime whose rows are not built"
@@ -730,9 +972,11 @@ def _commit_drop(state: ApproximationState, pos: int) -> None:
     # W - (-c) is W + c bit for bit
     state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[_DROP][pos],
                            state.work.tail_bound)
-    for m in state.move_rows + state.move_norm2:
+    for m in state.move_rows + state.move_norm2 + [state.move_head_norm2, state.move_tail,
+                                                   state.move_index]:
         m[pos:n - 1] = m[pos + 1:n]
     state.pool_mask[idx] = True
+    state.head_norm2[idx] = [n2[idx] for n2 in state.u_norm2]
     del state.accepted[pos]
     del state.accepted_idx[pos]
 
@@ -820,6 +1064,13 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
     norms (``move_rows``, ``move_norm2``), which the commits keep current,
     so a step computes only their pairings with the residual.  The
     residual norm is computed once per step.
+
+    Both move groups are screened by their first ``_HEAD`` coefficients
+    plus a certified bound on the rest (``_best_move``); the full pairing
+    is worked out only for moves that can win, with the arithmetic of a
+    full pass, so the choice, its score and the trace are bit-identical to
+    scoring every move in full.  A step whose best score is not a decrease
+    scores both groups in full (``_accepted_gains``, ``_phase_scores``).
     """
     problem = state.problem
     steps = 0
@@ -830,22 +1081,24 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
             return state
         norm2 = norm ** 2
         tol = 1e-14 * max(norm2, 1e-300)
-        cw = np.conj(state.work.coef) * state.weights
-        gains = _accepted_gains(state, cw)
-        acc_best = float(np.max(gains, initial=-math.inf))
+        screen = _screen_of(state, np.conj(state.work.coef) * state.weights, norm)
+        heads = _head_pairings(state, screen)
+        acc_best, move, pos = _accepted_best(state, screen, heads, tol)
         grow_best = -math.inf
         if np.any(state.pool_mask):
-            decreases, pairings = _pool_scores(state, cw, norm, acc_best, tol)
-            flat = int(np.argmax(decreases))
-            k, idx = np.unravel_index(flat, decreases.shape)
-            grow_best = float(decreases[k, idx])
-        else:
-            pairings = np.zeros((len(QUARTER_GRID), len(state.pool_primes)))
+            grow_best, k, idx = _pool_scores(state, screen, heads, norm, acc_best, tol)
         if max(grow_best, acc_best) <= tol:
-            if np.any(state.pool_mask) and _pair_rescue(state, pairings, gains):
-                norm = state.work_norm()
-                steps += 2
-                continue
+            cw = screen.cw
+            gains = _accepted_gains(state, cw)
+            if np.any(state.pool_mask):
+                decreases, pairings = _phase_scores(state, cw)
+                grow_best = float(decreases.flat[int(np.argmax(decreases))])
+                if _pair_rescue(state, pairings, gains):
+                    norm = state.work_norm()
+                    steps += 2
+                    continue
+            else:
+                pairings = np.zeros((len(QUARTER_GRID), len(state.pool_primes)))
             rephase_best = float(np.max(gains[:_DROP], initial=-math.inf))
             state.stall = StallInfo(max(grow_best, rephase_best),
                                     float(np.max(np.abs(pairings), initial=0.0)),
@@ -853,18 +1106,17 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
             return state
         if acc_best > grow_best:
             # the first move wins a tie, then the first position
-            move, pos = np.unravel_index(int(np.argmax(gains)), gains.shape)
             if move == _DROP:
-                _commit_drop(state, int(pos))
+                _commit_drop(state, pos)
             else:
-                _commit_rephase(state, int(pos), int(move))
+                _commit_rephase(state, pos, move)
         else:
             row, twist = state.u_phase[k][idx], float(state.stored_twists[k][idx])
             if problem.phase_mode == "golden":
-                grow, gtw, gdec = _golden_refine(state, cw, int(idx), QUARTER_GRID[k])
+                grow, gtw, gdec = _golden_refine(state, screen.cw, idx, QUARTER_GRID[k])
                 if gdec > grow_best:
                     row, twist = grow, gtw
-            _commit(state, int(idx), row, twist)
+            _commit(state, idx, row, twist)
         norm = state.work_norm()
         state.trace.append(norm)
         steps += 1

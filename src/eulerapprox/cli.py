@@ -99,20 +99,33 @@ class RunConfig:
             raise InvalidProblem(f"unknown config key {key!r} for {self.command}")
         default = COMMAND_KEYS[self.command][key]
         try:
-            if isinstance(default, int):
-                self.values[key] = int(float(raw))
-            elif isinstance(default, float):
-                self.values[key] = float(raw)
-            else:
-                self.values[key] = raw
-        except (ValueError, OverflowError):
+            value = float(raw) if isinstance(default, (int, float)) else raw
+        except ValueError:
             raise InvalidProblem(f"{key} must be a finite number (got {raw!r})") from None
+        if isinstance(default, int):
+            if not value.is_integer():     # 1e6 is an integer, 3.7 and inf are not
+                raise InvalidProblem(f"{key} must be an integer (got {raw!r})")
+            value = int(value)
+        self.values[key] = value
 
     def manifest_text(self) -> str:
+        """The config as ``key = value`` lines, file paths absolute so any directory replays it."""
         lines = [f"version = {__version__}", f"rng = {RNG_ALGORITHM}"]
         for k in sorted(self.values):
-            lines.append(f"{k} = {self.values[k]}")
+            lines.append(f"{k} = {_manifest_value(k, self.values[k])}")
         return "\n".join(lines) + "\n"
+
+
+#: config keys whose value names a file, after the given prefix
+_PATH_KEYS = {"phases": "", "spec": "custom:", "target": "product:"}
+
+
+def _manifest_value(key: str, value):
+    """``value`` with the file path of a ``_PATH_KEYS`` key made absolute."""
+    prefix = _PATH_KEYS.get(key)
+    if prefix is None or not value or not value.startswith(prefix):
+        return value
+    return prefix + os.path.abspath(value[len(prefix):])
 
 
 def load_config(command: str, path: str | None, overrides: dict) -> RunConfig:

@@ -6,6 +6,8 @@ the cached read-only array, which is safe under concurrent reads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _sieve_limit = 0
@@ -13,15 +15,25 @@ _sieve_primes = np.empty(0, dtype=np.int64)
 
 
 def sieve(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (Eratosthenes, odd wheel)."""
+    """All primes <= n as an int64 array (Eratosthenes over the odd numbers).
+
+    ``flags[i]`` stands for 2i + 1, so the flags take (n + 1) // 2 bytes, not
+    n + 1.  Index 0 (the number 1) stands for 2 instead: its flag stays set,
+    and the result is built in place from the flag indices (2i + 1, then 2
+    written over the leading 1), with no temporary beside it.
+    """
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    flags = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def primes_up_to(n: int) -> np.ndarray:

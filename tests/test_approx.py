@@ -461,7 +461,16 @@ def test_move_rows_match_whole_list_gains(spec):
         assert state.work_norm() == state.work.coeff_norm()
         for w in [state.work.coef] + probes:
             cw = np.conj(w) * state.weights
-            assert np.array_equal(_accepted_gains(state, cw), whole_list_gains(state, rows, cw))
+            want = whole_list_gains(state, rows, cw)
+            assert np.array_equal(_accepted_gains(state, cw), want)
+            # the head screen picks the whole list's first best move when it is above tol
+            screen, heads, tol = screen_for(state, w)
+            best = (-math.inf, 0, 0)
+            if n:
+                move, pos = np.unravel_index(int(np.argmax(want)), want.shape)
+                best = (float(want[move, pos]), int(move), int(pos))
+            assert_same_best(approx._accepted_best(state, screen, heads, tol), best, tol)
+        state.work = replace(state.work, coef=work)
 
     def grow(idx, row, twist):
         nonlocal work
@@ -536,6 +545,197 @@ def test_move_rows_grow_with_the_accepted_count(monkeypatch, kw, accepted):
     assert len(state.accepted) == accepted
     total = sum(m.nbytes for m in state.move_rows + state.move_norm2)
     assert total <= max(128, 2 * accepted) * (_DROP + 1) * (prob.order + 1) * 16
+
+
+# ---------------------------------------------------------------------------
+# head screen: full pairings only for the moves that can win
+# ---------------------------------------------------------------------------
+
+
+def full_pool_best(state, screen, heads, bar):
+    """The oracle of ``_pool_best``: argmax of the full ``_phase_scores`` pass."""
+    if not state.built:
+        return -math.inf, 0, 0
+    decreases, _ = _phase_scores(state, screen.cw)
+    k, idx = np.unravel_index(int(np.argmax(decreases)), decreases.shape)
+    return float(decreases[k, idx]), int(k), int(idx)
+
+
+def full_accepted_best(state, screen, heads, tol):
+    """The oracle of ``_accepted_best``: argmax of the full ``_accepted_gains`` pass."""
+    gains = _accepted_gains(state, screen.cw)
+    if not gains.size:
+        return -math.inf, 0, 0
+    move, pos = np.unravel_index(int(np.argmax(gains)), gains.shape)
+    return float(gains[move, pos]), int(move), int(pos)
+
+
+def assert_same_best(got, want, bar):
+    """The screen's (score, k, i) is the oracle's when the oracle reaches ``bar``."""
+    if want[0] >= bar or math.isnan(want[0]):
+        assert (float(got[0]).hex(), got[1], got[2]) == (float(want[0]).hex(), want[1], want[2])
+    else:
+        assert got[0] < bar
+
+
+def screen_for(state, w):
+    """The step screen and pool head pairings of residual ``w``, as a greedy step makes them."""
+    state.work = replace(state.work, coef=w)
+    norm = state.work_norm()
+    screen = approx._screen_of(state, np.conj(w) * state.weights, norm)
+    return screen, approx._head_pairings(state, screen), 1e-14 * max(norm ** 2, 1e-300)
+
+
+def checked_scorers(monkeypatch, calls):
+    """Wrap ``_pool_best`` and ``_accepted_best`` so that each call checks its oracle."""
+    pool_best, accepted_best = approx._pool_best, approx._accepted_best
+
+    def pool(state, screen, heads, bar):
+        got = pool_best(state, screen, heads, bar)
+        assert_same_best(got, full_pool_best(state, screen, heads, bar), bar)
+        calls["pool"] += 1
+        return got
+
+    def accepted(state, screen, heads, tol):
+        got = accepted_best(state, screen, heads, tol)
+        assert_same_best(got, full_accepted_best(state, screen, heads, tol), tol)
+        calls["accepted"] += 1
+        return got
+
+    monkeypatch.setattr(approx, "_pool_best", pool)
+    monkeypatch.setattr(approx, "_accepted_best", accepted)
+
+
+def steered(prob, stop_norm, full=False):
+    """A contracted-target state steered to ``stop_norm``, every move scored in full if ``full``."""
+    state = ea.init_residual(ea.contract_target(prob)[0])
+    if not full:
+        return ea.greedy_rearrange(state, stop_norm=stop_norm)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(approx, "_pool_best", full_pool_best)
+        mp.setattr(approx, "_accepted_best", full_accepted_best)
+        return ea.greedy_rearrange(state, stop_norm=stop_norm)
+
+
+def assert_same_run(a, b):
+    assert a.accepted == b.accepted and a.accepted_idx == b.accepted_idx
+    assert [float(v).hex() for v in a.trace] == [float(v).hex() for v in b.trace]
+    assert np.array_equal(a.work.coef, b.work.coef)
+    assert a.stall == b.stall
+
+
+@BUILD_SPECS
+@pytest.mark.parametrize("radius", [0.02, 0.06])
+def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
+    prob = make_problem(spec=spec, r=radius, p_max=3000, y=7.0)
+    state = ea.init_residual(prob)
+    _quarter_rows(state, len(state.pool_primes))
+    rng = np.random.default_rng(11)
+    # accepted moves of every kind: quarter rows, a golden row, a rephase, a drop
+    for idx in range(1, 40, 3):
+        k = int(rng.integers(len(QUARTER_GRID)))
+        _commit(state, idx, state.u_phase[k][idx], state.stored_twists[k][idx])
+    cw = np.conj(state.work.coef) * state.weights
+    row, twist, _ = _golden_refine(state, cw, 50, QUARTER_GRID[1])
+    _commit(state, 50, row, twist)
+    _commit_rephase(state, 2, 3)
+    _commit_drop(state, 4)
+    R = prob.hardy_radius
+    n = np.arange(prob.order + 1)
+    base = state.work.coef.copy()
+    residuals = [base, np.zeros_like(base), state.u_phase[0][5], -state.move_rows[_DROP][0]]
+    while len(residuals) < 200:
+        z = rng.normal(size=prob.order + 1) + 1j * rng.normal(size=prob.order + 1)
+        decay = float(rng.uniform(0.5, 1.5))   # < 1: the tail weighs more than the head
+        residuals.append(base + z * float(rng.uniform(1e-6, 1.0)) * decay ** n / R ** n)
+    residuals[-1] = residuals[-1].copy()
+    residuals[-1][prob.order] = np.nan      # non-finite: the full pass decides
+    residuals[-2] = residuals[-2].copy()
+    residuals[-2][1] = np.inf
+    for w in residuals:
+        with np.errstate(invalid="ignore"):    # the non-finite residuals
+            screen, heads, tol = screen_for(state, w)
+            best = full_pool_best(state, screen, heads, tol)[0]
+            # a greedy step's bar is at least tol > 0: zero rows (score 0) are below it
+            for bar in (tol, best, 2.0 * abs(best)):
+                if bar > 0:
+                    assert_same_best(approx._pool_best(state, screen, heads, bar),
+                                     full_pool_best(state, screen, heads, bar), bar)
+            assert_same_best(approx._accepted_best(state, screen, heads, tol),
+                             full_accepted_best(state, screen, heads, tol), tol)
+
+
+@BUILD_SPECS
+@pytest.mark.parametrize("radius", [0.02, 0.06])
+@pytest.mark.parametrize("phase_mode", ["quarter", "golden"])
+def test_screened_greedy_matches_full_scores_at_every_step(monkeypatch, spec, radius,
+                                                           phase_mode):
+    # the custom spec has factors at 2, 3, 5 and 7 only: the rest of its pool rows are zero
+    prob = make_problem(spec=spec, r=radius, p_max=1500, y=2.0 if spec is CUSTOM_7 else 7.0,
+                        target=exp_target(-0.1), phase_mode=phase_mode)
+    calls = {"pool": 0, "accepted": 0}
+    checked_scorers(monkeypatch, calls)
+    state = steered(prob, 1e-9)
+    monkeypatch.undo()
+    assert calls["pool"] > (0 if spec is CUSTOM_7 else 50)
+    assert calls["accepted"] > (0 if spec is CUSTOM_7 else 50)
+    assert_same_run(state, steered(prob, 1e-9, full=True))
+
+
+@pytest.mark.parametrize("kw,rescues", [
+    # `approximate --pmax 20000 --y 13 --target exp:0.5 --eps 0.02`: the step cap
+    (dict(p_max=20_000, y=13.0, target=exp_target(0.5), eps=0.02), 0),
+    (dict(p_max=30, eps=0.001), 2),                    # exit 2 after two pair rescues
+    (dict(p_max=3000, y=11.0, eps=0.02), 57),          # pool exhausted after 57 of them
+], ids=["step-cap", "stall", "exhausted"])
+def test_screened_greedy_matches_full_scores_through_stall_and_pair_rescue(monkeypatch, kw,
+                                                                           rescues):
+    done = []
+    pair_rescue = approx._pair_rescue
+
+    def counting(*args):
+        done.append(pair_rescue(*args))
+        return done[-1]
+
+    monkeypatch.setattr(approx, "_pair_rescue", counting)
+    res = _approximate_impl(make_problem(**kw))
+    assert not res.success and sum(done) == rescues
+    monkeypatch.setattr(approx, "_pool_best", full_pool_best)
+    monkeypatch.setattr(approx, "_accepted_best", full_accepted_best)
+    oracle = _approximate_impl(make_problem(**kw))
+    assert res.phases_text() == oracle.phases_text()
+    assert [float(v).hex() for v in res.trace] == [float(v).hex() for v in oracle.trace]
+    assert (res.max_error, res.pool_exhausted) == (oracle.max_error, oracle.pool_exhausted)
+
+
+@pytest.mark.parametrize("head", [1, 2])
+def test_screened_greedy_matches_full_scores_with_a_short_head(monkeypatch, head):
+    # with one or two head coefficients the tail bound decides most rows
+    monkeypatch.setattr(approx, "_HEAD", head)
+    prob = make_problem(p_max=3000, y=7.0, target=exp_target(-0.1))
+    calls = {"pool": 0, "accepted": 0}
+    checked_scorers(monkeypatch, calls)
+    state = steered(prob, 1e-9)
+    assert state.head.shape[-1] == head
+    monkeypatch.undo()
+    monkeypatch.setattr(approx, "_HEAD", head)
+    assert_same_run(state, steered(prob, 1e-9, full=True))
+
+
+def test_screen_scores_few_rows_exactly(monkeypatch):
+    # the approx-steer config: about one exact row per move group and step
+    rows = []
+    exact_scores = approx._exact_scores
+
+    def counting(rows_by_k, norm2, ks, ids, cw):
+        rows.append(len(ks))
+        return exact_scores(rows_by_k, norm2, ks, ids, cw)
+
+    monkeypatch.setattr(approx, "_exact_scores", counting)
+    res = _approximate_impl(make_problem(p_max=20_000, y=7.0, target=exp_target(-0.1)))
+    steps = len(res.trace) - 1
+    assert steps == 600
+    assert sum(rows) / steps <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,10 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     ["torus", "--pmax", "5"],
     ["zero-scan", "--sigma0", "0.8"],
     ["check-hypothesis", "--seed", "1"],
+    # an integer key takes no fraction: these would otherwise run N 3, 25000 and 2
+    ["torus", "--N", "3.7"],
+    ["approximate", "--pmax", "25000.5"],
+    ["refine", "--stages", "2.5"],
 ], ids=lambda argv: "_".join(argv))
 def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     # exit 3, not a traceback (1) or argparse's 2, which would read as a stall
@@ -114,6 +120,35 @@ def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_integral_value_of_an_integer_key_runs(tmp_path):
+    run = tmp_path / "run"
+    assert cli.main(["approximate", "--pmax", "2.5e4", "--out", str(run)]) == 0
+    assert "pmax = 25000\n" in (run / "manifest.txt").read_text()
+
+
+def test_manifest_paths_replay_from_another_directory(tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "ph.txt").write_text("2 0.25\n3 0.5\n7 0.75\n")
+    (work / "spec.txt").write_text("c_eps 0.05 2.0\n2 1 0.25 0.1\n3 1 -0.3 0\n5 1 0 0.2\n")
+    runs = {
+        "r1": ["zero-scan", "--pmax", "3000", "--phases", "ph.txt"],
+        "r2": ["approximate", "--spec", "custom:spec.txt", "--target", "product:ph.txt",
+               "--pmax", "2000", "--eps", "0.3"],
+    }
+    monkeypatch.chdir(work)
+    codes = {name: cli.main(argv + ["--out", name]) for name, argv in runs.items()}
+    assert "phases = " + str(work / "ph.txt") + "\n" in (work / "r1" / "manifest.txt").read_text()
+    monkeypatch.chdir(tmp_path)
+    for name, argv in runs.items():
+        again = tmp_path / (name + "-again")
+        assert cli.main([argv[0], "--config", str(Path("work") / name / "manifest.txt"),
+                         "--out", str(again)]) == codes[name]
+        for path in (work / name).iterdir():
+            if path.name != "manifest.txt":
+                assert (again / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def replay_argv(tmp_path):

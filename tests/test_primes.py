@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from eulerapprox.primes import primes_in_interval, primes_up_to
+from eulerapprox.primes import primes_in_interval, primes_up_to, sieve
 
 
 def reference_sieve(n):
@@ -30,6 +31,25 @@ def test_against_oracle_to_million():
     assert len(got) == 78498
     ref = reference_sieve(10**6)
     assert got.tolist() == ref
+
+
+def flag_sieve(n):
+    """Eratosthenes with a flag for every integer 0..n: the oracle of the odd-only sieve."""
+    flags = np.ones(max(n + 1, 2), dtype=bool)
+    flags[:2] = False
+    for p in range(2, int(n**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags[:n + 1]).astype(np.int64)
+
+
+@pytest.mark.parametrize("ns", [range(200), [10**5, 10**6 + 3, 10**7]],
+                         ids=["0-199", "large"])
+def test_odd_sieve_matches_every_integer_sieve(ns):
+    for n in ns:
+        got = sieve(n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, flag_sieve(n)), n
 
 
 def test_negative_rejected():
