@@ -249,22 +249,15 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
                          _taylor_direction(lnp, order))
 
 
-def _write_norms(state: ApproximationState, rows: np.ndarray, norm2: np.ndarray,
-                 tail: np.ndarray) -> np.ndarray:
-    """Write the screen norms of ``rows``: ||u||^2 into ``norm2``, ||u[h:]|| into ``tail``.
+def _write_norms(state: ApproximationState, rows: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """||u||^2 of each of ``rows``, with ||u[h:]|| written into ``tail``.
 
-    h is the head width of ``state.head``; ``norm2_max`` follows.  A zero
-    row (a rephase onto the prime's own quarter, or a custom spec's prime
-    with no factor) scores exactly 0, below any screen bar, and gets +inf
-    in ``norm2`` so that the screen passes it over.  Returns ||u||^2,
-    summed as ``_quarter_rows`` always has, so it is bit-identical to the
+    h is the head width of ``state.head``; ``norm2_max`` follows.  ||u||^2
+    is summed as ``_quarter_rows`` always has, so it is bit-identical to the
     stored ``u_norm2`` and ``move_norm2``.
     """
     sq = np.abs(rows) ** 2 * state.weights[None, :]
     n2 = sq.sum(axis=1)
-    norm2[:] = n2
-    small = np.flatnonzero(n2 == 0.0)      # a zero row, or one whose norm underflows
-    norm2[small[~rows[small].any(axis=1)]] = np.inf
     tail[:] = np.sqrt(sq[:, state.head.shape[-1]:].sum(axis=1))
     state.norm2_max = max(state.norm2_max, float(n2.max()))
     return n2
@@ -276,8 +269,8 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
     Writes each quarter's stored twists (quarter + the leading coefficient's
     phase correction, mod 1), ``_u_rows`` of the pool at those twists and
     the rows' disc norms into ``state.stored_twists`` / ``state.u_phase`` /
-    ``state.u_norm2``, and their screen entries into ``state.head`` /
-    ``state.head_norm2`` / ``state.tail_norm``, from ``state.built`` on,
+    ``state.u_norm2``, and their heads and tail norms into ``state.head`` /
+    ``state.tail_norm``, from ``state.built`` on,
     whole blocks of ``_BLOCK`` primes at a time, until ``stop`` primes (or
     the pool) are covered; ``state.built`` follows.  A block's phase correction, logarithms and
     direction are computed once and shared by every quarter.  Each twist
@@ -288,9 +281,9 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
     mpow = _m_powers(p.order, _SERIES_ORDER)
     blocks = range(state.built, min(stop, len(pool)), _BLOCK)
     rows = min(blocks[-1] + _BLOCK, len(pool)) if blocks else 0
-    if rows > len(state.head):      # the screen stores grow with the build
-        state.head, state.head_norm2, state.tail_norm = (
-            _resized(a, rows) for a in (state.head, state.head_norm2, state.tail_norm))
+    if rows > len(state.head):      # the screen stores grow to twice the build
+        cap = min(2 * rows, len(pool))
+        state.head, state.tail_norm = (_resized(a, cap) for a in (state.head, state.tail_norm))
     for lo in blocks:
         blk = slice(lo, lo + _BLOCK)
         ps = pool[blk]
@@ -302,8 +295,7 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
         for k, tws in enumerate(stored):
             out = _twisted_rows(p.spec, ps, lnp, tws, p.sigma0, mpow, direction,
                                 out=state.u_phase[k][blk])
-            state.u_norm2[k][blk] = _write_norms(state, out, state.head_norm2[blk, k],
-                                                 state.tail_norm[blk, k])
+            state.u_norm2[blk, k] = _write_norms(state, out, state.tail_norm[blk, k])
             state.head[blk, k] = out[:, :state.head.shape[-1]]
         state.built = min(lo + _BLOCK, len(pool))
 
@@ -445,12 +437,9 @@ def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
 _DROP = len(QUARTER_GRID)
 
 #: accepted positions the move arrays hold at first; they double when full.
-#: Sized to the pool, they would reach numpy's huge-page threshold and make
-#: sparse rows resident in 2 MB pages.
+#: Sized to the pool, they would reach numpy's huge-page threshold (4 MB) and
+#: make sparse rows resident in 2 MB pages.
 _MOVE_ROWS = 64
-
-#: numpy madvises huge pages for arrays of at least this many bytes
-_HUGE_PAGE_ARRAY = 4 << 20
 
 
 @dataclass
@@ -480,7 +469,7 @@ class ApproximationState:
     the still-unsteered pool, worked out on demand: steering never reads it.
 
     The pool's quarter rows are built lazily: ``stored_twists[k][:built]``,
-    ``u_phase[k][:built]`` and ``u_norm2[k][:built]`` hold the stored
+    ``u_phase[k][:built]`` and ``u_norm2[:built, k]`` hold the stored
     twists, rows and disc norms of the first ``built`` pool primes (whole
     ``_BLOCK`` blocks), and the rest of those arrays is unwritten.
     ``row_bound[b]`` bounds the disc norm ||u|| of every row, at any twist,
@@ -489,31 +478,25 @@ class ApproximationState:
 
     The accepted primes are kept as their moves, not as their rows:
     ``move_rows[k][a]`` is the rephase u_k - c (k < ``_DROP``) or the drop
-    -c of accepted position a with current row c, and ``move_norm2[k][a]``
+    -c of accepted position a with current row c, and ``move_norm2[a, k]``
     its disc norm, so the current row is -``move_rows[_DROP][a]``.  Only
     the first ``len(accepted_idx)`` rows are live; the arrays start at
     ``_MOVE_ROWS`` rows and double when full, so they grow with the
     accepted count, not with the pool.  ``_commit``, ``_commit_rephase``
     and ``_commit_drop`` update them where the accepted set changes.
 
-    Greedy steps screen every move by its head (``_best_move``).
-    ``head[i, k]`` holds the first h = min(``_HEAD``, order + 1)
-    coefficients of pool row ``u_phase[k][i]``, ``head_norm2[i, k]`` its
-    ``u_norm2``, and ``tail_norm[i, k]`` the disc norm of the rest of the
-    row.  They are written for the built prefix only.  They span the pool
-    when its head store stays below ``_HUGE_PAGE_ARRAY``, and otherwise
-    hold the built prefix and grow with it, since a sparse first block
-    would be resident in 2 MB pages (a 78,497-prime pool: +1 MB of RSS).  A
-    move's head pairing is worked out from its prime's pool head and its
-    current row's (``_accepted_best``), so the moves keep no heads;
-    ``move_head_norm2`` and ``move_tail`` at [a, k] hold the ``move_norm2``
-    and tail norm of ``move_rows[k][a]``, and ``move_index[a]`` is
-    ``accepted_idx[a]``; they live, double and shift with the move rows.  A
-    screen norm is +inf, and the screen passes the row over, while the
-    prime is accepted and where the row is zero (``_write_norms``; a
-    dropped prime gets its plain norms back, which only costs the screen a
-    few exact rows).  ``norm2_max`` is the
-    largest ||u||^2 written to either store, for the screen's rounding
+    Greedy steps screen every move by its head (``_best_move``), so the
+    norms are laid out as the screen reads them: a row per prime or
+    accepted position, a column per move.  ``head[i, k]`` holds the first
+    h = min(``_HEAD``, order + 1) coefficients of pool row ``u_phase[k][i]``
+    and ``tail_norm[i, k]`` the disc norm of the rest of the row.  They are
+    written for the built prefix only, and grow to twice the built rows
+    when the build passes them, so a block-by-block build copies them a
+    logarithmic number of times.  The moves keep no heads: a step works
+    them out from the pool heads and the current rows (``_accepted_best``).
+    ``move_tail[a, k]`` holds the tail norm of ``move_rows[k][a]`` and
+    lives, doubles and shifts with the move rows.  ``norm2_max`` is the
+    largest ||u||^2 written to either group, for the screen's rounding
     slack.
     """
 
@@ -524,18 +507,15 @@ class ApproximationState:
     pool_primes: np.ndarray
     pool_mask: np.ndarray                    # True = still available
     u_phase: list[np.ndarray]                # per steering phase: rows (npool, order+1)
-    u_norm2: list[np.ndarray]
+    u_norm2: np.ndarray                      # (npool, quarter): ||u||^2, written with the rows
     stored_twists: np.ndarray                # (quarter, npool): quarter + arg a_p^1 / 2pi, mod 1;
                                              # written with the rows, like u_phase
     weights: np.ndarray                      # disc norm weights
     row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
     move_rows: list[np.ndarray]              # per accepted-prime move: rows (capacity, order+1)
-    move_norm2: list[np.ndarray]
-    head: np.ndarray                         # (built, quarter, h): u[:h]
-    head_norm2: np.ndarray                   # (built, quarter): ||u||^2, +inf while accepted
-    tail_norm: np.ndarray                    # (built, quarter): ||u[h:]||
-    move_head_norm2: np.ndarray              # (capacity, move): ``move_norm2``, +inf if zero
-    move_index: np.ndarray                   # (capacity,): ``accepted_idx`` as an array
+    move_norm2: np.ndarray                   # (capacity, move): ||u||^2
+    head: np.ndarray                         # (capacity >= built, quarter, h): u[:h]
+    tail_norm: np.ndarray                    # (capacity >= built, quarter): ||u[h:]||
     move_tail: np.ndarray                    # (capacity, move), as ``tail_norm``
     norm2_max: float = 0.0                   # largest ||u||^2 written to the screen stores
     built: int = 0                           # pool primes whose rows are written
@@ -629,23 +609,18 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     tail += beyond_pool_tail(spec, p_max, problem.r, problem.sigma0)
     tail_norm = tail * math.sqrt(math.pi) * R
 
-    # never-written pages of the row arrays cost no memory; the screen
-    # stores take the whole pool only below numpy's huge-page threshold
+    # never-written pages of the row arrays cost no memory
     nq, h = len(QUARTER_GRID), min(_HEAD, N + 1)
-    screened = len(pool) if len(pool) * nq * h * 16 < _HUGE_PAGE_ARRAY else 0
     state = ApproximationState(
         problem=problem, work=work, mandatory=mandatory, accepted=[],
         pool_primes=pool, pool_mask=np.ones(len(pool), dtype=bool),
         u_phase=[np.empty((len(pool), N + 1), dtype=complex) for _ in QUARTER_GRID],
-        u_norm2=[np.empty(len(pool)) for _ in QUARTER_GRID],
+        u_norm2=np.empty((len(pool), nq)),
         stored_twists=np.empty((nq, len(pool))), weights=weights,
         row_bound=row_bound * (math.sqrt(math.pi) * R),
         move_rows=[np.empty((_MOVE_ROWS, N + 1), dtype=complex) for _ in range(_DROP + 1)],
-        move_norm2=[np.empty(_MOVE_ROWS) for _ in range(_DROP + 1)],
-        head=np.empty((screened, nq, h), dtype=complex),
-        head_norm2=np.empty((screened, nq)), tail_norm=np.empty((screened, nq)),
-        move_head_norm2=np.empty((_MOVE_ROWS, _DROP + 1)),
-        move_index=np.empty(_MOVE_ROWS, dtype=np.int64),
+        move_norm2=np.empty((_MOVE_ROWS, _DROP + 1)),
+        head=np.empty((0, nq, h), dtype=complex), tail_norm=np.empty((0, nq)),
         move_tail=np.empty((_MOVE_ROWS, _DROP + 1)), tail_bound=tail_norm)
     state.trace.append(state.work_norm())
     return state
@@ -672,7 +647,7 @@ def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray
     for k in range(len(QUARTER_GRID)):
         c = (state.u_phase[k][:built] @ cw).real
         pairings[k] = c
-        decreases[k] = 2.0 * c - state.u_norm2[k][:built]
+        decreases[k] = 2.0 * c - state.u_norm2[:built, k]
     decreases[:, ~state.pool_mask[:built]] = -np.inf
     return decreases, pairings
 
@@ -720,21 +695,21 @@ def _head_pairings(state: ApproximationState, screen: _Screen) -> np.ndarray:
     return _real_pairing(state.head[:built].reshape(-1, h), screen).reshape(built, nq)
 
 
-def _exact_scores(rows: Sequence[np.ndarray], norm2: Sequence[np.ndarray], ks: np.ndarray,
+def _exact_scores(rows: Sequence[np.ndarray], norm2: np.ndarray, ks: np.ndarray,
                   ids: np.ndarray, cw: np.ndarray) -> np.ndarray:
-    """2 Re<W,u> - ||u||^2 of the rows ``rows[k][i]``, bit-identical to a full pass.
+    """2 Re<W,u> - ||u||^2 of the rows ``rows[k][i]``, of norm ``norm2[i, k]``.
 
-    OpenBLAS gemv gives a row the same bits for any row count >= 2 and any
-    offset, and a 1-row product takes another numpy path, so one row is
-    scored in a pair with itself.
+    Bit-identical to a full pass: OpenBLAS gemv gives a row the same bits
+    for any row count >= 2 and any offset, and a 1-row product takes
+    another numpy path, so one row is scored in a pair with itself.
     """
     picked = [rows[k][i] for k, i in zip(ks, ids)]
     mat = np.array(picked if len(picked) > 1 else picked * 2)
-    n2 = np.array([norm2[k][i] for k, i in zip(ks, ids)])
+    n2 = norm2[ids, ks]
     return 2.0 * (mat @ cw).real[:len(picked)] - n2
 
 
-def _best_move(rows: Sequence[np.ndarray], norm2: Sequence[np.ndarray], centre: np.ndarray,
+def _best_move(rows: Sequence[np.ndarray], norm2: np.ndarray, centre: np.ndarray,
                tail: np.ndarray, screen: _Screen, bar: float) -> tuple[float, int, int] | None:
     """The best score over ``rows[k][:count]`` if it reaches ``bar``: (score, k, i).
 
@@ -742,8 +717,8 @@ def _best_move(rows: Sequence[np.ndarray], norm2: Sequence[np.ndarray], centre: 
     score 2 Re<u[:h], W[:h]> - ||u||^2, up to rounding, and its tail norm
     ||u[h:]||.  With t = ||u[h:]|| ||W[h:]|| (Cauchy-Schwarz) and s the
     rounding slack, a row's computed score lies in [centre - 2t - s, centre
-    + 2t + s].  A row whose ``centre`` is -inf (its screen norm +inf) is
-    out; its score is below ``bar`` or it may not be taken.
+    + 2t + s].  A row whose ``centre`` is -inf is out: the caller knows its
+    score is below ``bar`` or that it may not be taken.
 
     The floor is max(``bar``, the lower bound of the row of largest centre),
     and the exact score is worked out (``_exact_scores``) only for the rows
@@ -782,14 +757,17 @@ def _pool_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
                bar: float) -> tuple[float, int, int]:
     """The best (score, quarter, index) of the built pool rows if it reaches ``bar``.
 
-    Screened by ``_best_move`` from ``heads``, the ``_head_pairings`` of the
-    built prefix; falls back on ``_phase_scores`` below two built rows or
-    where the screen is not finite.
+    Screened by ``_best_move`` from ``heads``, the ``_head_pairings`` of
+    the built prefix, less ``u_norm2``; the rows of accepted primes are out.
+    Falls back on ``_phase_scores`` below two built rows or where the
+    screen is not finite.
     """
     built = state.built
     if built >= 2:
-        found = _best_move(state.u_phase, state.u_norm2, heads - state.head_norm2[:built],
-                           state.tail_norm[:built], screen, bar)
+        centre = heads - state.u_norm2[:built]
+        centre[~state.pool_mask[:built]] = -np.inf
+        found = _best_move(state.u_phase, state.u_norm2, centre, state.tail_norm[:built],
+                           screen, bar)
         if found is not None:
             return found
     if not built:
@@ -872,38 +850,33 @@ def _resized(a: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray) -> None:
-    """Write the move rows and norms of accepted position ``pos``, current row ``cur``.
+    """Write the move rows and norms of accepted position ``pos``.
 
     The moves are u_k - cur for k < ``_DROP`` (u_k the prime's quarter-k
-    row) and -cur; their norms are summed row by row as one (moves, order+1)
+    row) and -cur, ``cur`` the position's current row; their norms are summed row by row as one (moves, order+1)
     array, the arithmetic of a whole-list gains pass.  Full arrays double
     one at a time, each old one freed before the next is copied, and only
     their live rows are copied, so no page past them is touched.
     """
-    if pos == len(state.move_norm2[0]):
-        for m in (state.move_rows, state.move_norm2):
-            for k in range(_DROP + 1):
-                m[k] = _resized(m[k], 2 * pos)
-        state.move_head_norm2, state.move_index, state.move_tail = (
-            _resized(a, 2 * pos) for a in (state.move_head_norm2, state.move_index,
-                                          state.move_tail))
+    if pos == len(state.move_norm2):
+        for k in range(_DROP + 1):
+            state.move_rows[k] = _resized(state.move_rows[k], 2 * pos)
+        state.move_norm2 = _resized(state.move_norm2, 2 * pos)
+        state.move_tail = _resized(state.move_tail, 2 * pos)
     idx = state.accepted_idx[pos]
-    state.move_index[pos] = idx
     d = np.empty((_DROP + 1, len(cur)), dtype=complex)
     for k in range(_DROP):
         np.subtract(state.u_phase[k][idx], cur, out=d[k])
     np.negative(cur, out=d[_DROP])
-    n2 = _write_norms(state, d, state.move_head_norm2[pos], state.move_tail[pos])
+    state.move_norm2[pos] = _write_norms(state, d, state.move_tail[pos])
     for k in range(_DROP + 1):
         state.move_rows[k][pos] = d[k]
-        state.move_norm2[k][pos] = n2[k]
 
 
 def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) -> None:
     assert idx < state.built, "committing a pool prime whose rows are not built"
     state.work = H2Element(state.work.radius, state.work.coef - row, state.work.tail_bound)
     state.pool_mask[idx] = False
-    state.head_norm2[idx] = np.inf
     state.accepted.append((int(state.pool_primes[idx]), float(twist % 1.0)))
     state.accepted_idx.append(int(idx))
     _write_moves(state, len(state.accepted_idx) - 1, row)
@@ -921,8 +894,14 @@ def _accepted_gains(state: ApproximationState, cw: np.ndarray) -> np.ndarray:
     n = len(state.accepted_idx)
     gains = np.empty((_DROP + 1, n))
     for k in range(_DROP + 1):
-        gains[k] = 2.0 * (state.move_rows[k][:n] @ cw).real - state.move_norm2[k][:n]
+        gains[k] = 2.0 * (state.move_rows[k][:n] @ cw).real - state.move_norm2[:n, k]
     return gains
+
+
+#: ``_accepted_best`` passes over moves of norm 0 only above this step tol:
+#: there tol = 1e-14 ||W||^2 with ||W|| > 1e-143, far above the 3e-160 ||W||
+#: that such a move can score
+_ZERO_MOVE_TOL = 1e-300
 
 
 def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
@@ -935,16 +914,25 @@ def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray
     ``heads`` (the ``_head_pairings`` of the pool) at the prime's index,
     less that of c, one product over the drop moves -c; the difference from
     the stored row's own head pairing is rounding, which the slack covers
-    since M bounds ||u_k||^2 and ||c||^2.  Falls back on ``_accepted_gains``
-    below two accepted primes or where the screen is not finite.
+    since M bounds ||u_k||^2 and ||c||^2.
+
+    A move of norm 0 is out.  Either it is zero, the rephase onto the
+    quarter the prime is at, and scores 0; or its norm underflows, so each
+    |d_n| sqrt(w_n) < 2e-162 and it scores below 3e-160 ||W||.  Either way
+    it is below ``tol`` = 1e-14 ||W||^2 while ``tol`` > ``_ZERO_MOVE_TOL``.
+    Falls back on ``_accepted_gains`` below two accepted primes, at a
+    smaller ``tol`` or where the screen is not finite.
     """
     n = len(state.accepted_idx)
-    if n >= 2:
+    if n >= 2 and tol > _ZERO_MOVE_TOL:
         drop = _real_pairing(state.move_rows[_DROP][:n, :state.head.shape[-1]], screen)
         centre = np.empty((n, _DROP + 1))
-        np.add(heads[state.move_index[:n]], drop[:, None], out=centre[:, :_DROP])
+        np.add(heads[np.fromiter(state.accepted_idx, np.intp, n)], drop[:, None],
+               out=centre[:, :_DROP])
         centre[:, _DROP] = drop
-        centre -= state.move_head_norm2[:n]
+        n2 = state.move_norm2[:n]
+        centre -= n2
+        centre[n2 == 0.0] = -np.inf
         found = _best_move(state.move_rows, state.move_norm2, centre, state.move_tail[:n],
                            screen, tol)
         if found is not None:
@@ -972,11 +960,9 @@ def _commit_drop(state: ApproximationState, pos: int) -> None:
     # W - (-c) is W + c bit for bit
     state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[_DROP][pos],
                            state.work.tail_bound)
-    for m in state.move_rows + state.move_norm2 + [state.move_head_norm2, state.move_tail,
-                                                   state.move_index]:
+    for m in state.move_rows + [state.move_norm2, state.move_tail]:
         m[pos:n - 1] = m[pos + 1:n]
     state.pool_mask[idx] = True
-    state.head_norm2[idx] = [n2[idx] for n2 in state.u_norm2]
     del state.accepted[pos]
     del state.accepted_idx[pos]
 

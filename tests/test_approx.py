@@ -224,7 +224,28 @@ def test_blocked_pool_build_matches_whole_pool_rows(spec):
         tws, rows, norm2 = whole_pool_quarter(prob, pool, q)
         assert np.array_equal(state.stored_twists[k], tws)
         assert np.array_equal(state.u_phase[k], rows)
-        assert np.array_equal(state.u_norm2[k], norm2)
+        assert np.array_equal(state.u_norm2[:, k], norm2)
+
+
+def test_screen_stores_grow_with_the_build():
+    # block by block, as lazy steering builds: the head and tail stores grow
+    # to twice the built rows, so they are copied a logarithmic number of times
+    state = ea.init_residual(make_problem(p_max=100_000))
+    npool, h = len(state.pool_primes), state.head.shape[-1]
+    assert 4 * _BLOCK < npool < 5 * _BLOCK
+    caps = []
+    while state.built < npool:
+        _quarter_rows(state, state.built + _BLOCK)
+        assert len(state.tail_norm) == len(state.head) >= state.built
+        if not caps or caps[-1] != len(state.head):
+            caps.append(len(state.head))
+    assert caps == [2 * _BLOCK, npool]
+    for k in range(len(QUARTER_GRID)):
+        rows = state.u_phase[k]
+        assert np.array_equal(state.head[:, k], rows[:, :h])
+        tail = np.sqrt(np.sum(np.abs(rows[:, h:]) ** 2 * state.weights[h:], axis=1))
+        assert np.array_equal(state.tail_norm[:, k], tail)
+    assert state.norm2_max == state.u_norm2.max()
 
 
 @BUILD_SPECS
@@ -357,7 +378,7 @@ def test_row_bound_dominates_every_gain(spec):
         w_norm = math.sqrt(float(np.sum(np.abs(w) ** 2 * weights)))
         cw = np.conj(w) * weights
         for k in range(len(QUARTER_GRID)):
-            gain = 2.0 * (state.u_phase[k] @ cw).real - state.u_norm2[k]
+            gain = 2.0 * (state.u_phase[k] @ cw).real - state.u_norm2[:, k]
             assert np.all(2.0 * w_norm * beta >= gain)
 
 
@@ -457,6 +478,11 @@ def test_move_rows_match_whole_list_gains(spec):
             assert np.array_equal(state.move_rows[k][:n],
                                   state.u_phase[k][state.accepted_idx] - cur)
         assert np.array_equal(state.move_rows[_DROP][:n], -cur)
+        h = state.head.shape[-1]
+        for k in range(_DROP + 1):      # the screen's tail norms shift and double with the rows
+            d = state.move_rows[k][:n]
+            tail = np.sqrt(np.sum(np.abs(d[:, h:]) ** 2 * state.weights[h:], axis=1))
+            assert np.array_equal(state.move_tail[:n, k], tail)
         assert np.array_equal(state.work.coef, work)
         assert state.work_norm() == state.work.coeff_norm()
         for w in [state.work.coef] + probes:
@@ -499,7 +525,7 @@ def test_move_rows_match_whole_list_gains(spec):
     for idx in range(1, _MOVE_ROWS + 6):                         # past one doubling
         k = int(rng.integers(len(QUARTER_GRID)))
         grow(idx, state.u_phase[k][idx], state.stored_twists[k][idx])
-    assert len(state.move_norm2[0]) == 2 * _MOVE_ROWS
+    assert len(state.move_norm2) == 2 * _MOVE_ROWS
     cw = np.conj(state.work.coef) * state.weights
     row, twist, _ = _golden_refine(state, cw, 80, QUARTER_GRID[2])
     grow(80, row, twist)
@@ -543,7 +569,7 @@ def test_move_rows_grow_with_the_accepted_count(monkeypatch, kw, accepted):
     _approximate_impl(prob)
     state = states[-1]
     assert len(state.accepted) == accepted
-    total = sum(m.nbytes for m in state.move_rows + state.move_norm2)
+    total = sum(m.nbytes for m in state.move_rows) + state.move_norm2.nbytes
     assert total <= max(128, 2 * accepted) * (_DROP + 1) * (prob.order + 1) * 16
 
 
@@ -869,9 +895,9 @@ def test_empty_pool_is_an_exhausted_pool(spec):
     for k, q in enumerate(QUARTER_GRID):
         tws, rows, norm2 = whole_pool_quarter(prob, state.pool_primes, q)
         assert state.u_phase[k].shape == rows.shape == (0, prob.order + 1)
-        assert state.u_phase[k].dtype == complex and state.u_norm2[k].dtype == float
+        assert state.u_phase[k].dtype == complex and state.u_norm2.dtype == float
         assert np.array_equal(state.stored_twists[k], tws)
-        assert np.array_equal(state.u_norm2[k], norm2)
+        assert np.array_equal(state.u_norm2[:, k], norm2)
     # the floor factors are removed exactly as with a non-empty pool
     wider = ea.init_residual(make_problem(spec=spec, y=7.0, p_max=50))
     assert np.array_equal(state.work.coef, wider.work.coef)
