@@ -30,6 +30,7 @@ from .approx import (
     PoolExhausted,
     RefineStage,
     RefineStall,
+    StepCapReached,
     approximate,
     contract_target,
     greedy_rearrange,

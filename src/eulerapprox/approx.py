@@ -53,6 +53,14 @@ class PoolExhausted(ApproximationStall):
     """
 
 
+class StepCapReached(ApproximationStall):
+    """Steering ended at its step cap with the surveyed error still above eps.
+
+    Moves still decreased the residual when the last steering round ran out
+    of steps, so this is not a stall: a larger step budget could go on.
+    """
+
+
 class RefineStall(RuntimeError):
     """A schedule stage could not match the previous stage's error."""
 
@@ -225,7 +233,9 @@ def _twisted_rows(spec: EulerFactorSpec, primes: np.ndarray, lnp: np.ndarray,
     """
     base = np.exp(-1j * TWO_PI * twists - sigma0 * lnp)     # B per prime
     G = spec.log_terms(primes, base, mpow.shape[0])          # G[p, m] = c_m(p) * B_p^m
-    return np.multiply(G @ mpow, direction, out=out)        # (sum_m c_m B^m m^n) * direction
+    sums = G @ mpow                                          # sum_m c_m B^m m^n
+    del G
+    return np.multiply(sums, direction, out=sums if out is None else out)
 
 
 def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
@@ -571,7 +581,8 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     not with the pool, past the sieve and the pool selection.  An empty
     pool (every prime up to p_max is a floor prime or has a fixed twist) is
     allowed: the state then holds no candidates, and greedy steering
-    reports the pool as exhausted at once.
+    reports the pool as exhausted at once.  A custom spec's pool holds only
+    the primes of its table: any other prime has factor 1 and zero rows.
     """
     problem.validate()
     p_max = problem.p_max
@@ -596,7 +607,10 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         rows = _u_rows(spec, mp, tw, problem.sigma0, N, _SERIES_ORDER, gammas=gam)
         work = H2Element(R, work.coef - rows.sum(axis=0), work.tail_bound)
 
-    pool = all_ps[(all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))]
+    keep = (all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))
+    if spec.kind == "custom":      # a prime without a table row has factor 1
+        keep &= np.isin(all_ps, list(spec.table))
+    pool = all_ps[keep]
 
     n = np.arange(N + 1)
     weights = math.pi * R ** (2 * n + 2) / (n + 1)
@@ -624,6 +638,57 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         move_tail=np.empty((_MOVE_ROWS, _DROP + 1)), tail_bound=tail_norm)
     state.trace.append(state.work_norm())
     return state
+
+
+class _PoolRows(NamedTuple):
+    """The built pool stores of a finished state, handed to the next refine stage.
+
+    ``alone``: the last pool prime's rows came from a one-row product, which
+    numpy computes by another path; no other row's bits depend on its block.
+    """
+
+    problem: ApproximationProblem
+    pool_primes: np.ndarray
+    u_phase: list[np.ndarray]
+    u_norm2: np.ndarray
+    stored_twists: np.ndarray
+    head: np.ndarray
+    tail_norm: np.ndarray
+    built: int
+    alone: bool
+
+
+def _last_alone(npool: int, start: int, prev: _PoolRows | None) -> bool:
+    """Whether the last row is built alone: by blocks from ``start``, or by ``prev`` before it."""
+    return prev.alone if start == npool and prev else (npool - start) % _BLOCK == 1
+
+
+def _adopt_rows(state: ApproximationState, prev: _PoolRows) -> int:
+    """Take ``prev``'s built rows as views if the state's pool is a suffix of its pool.
+
+    Rows, stored twists, norms, heads and tail norms are per-prime functions
+    of (spec, p, sigma0, order, radius), but for the bits of a row built
+    alone: the views hold what ``_quarter_rows`` writes when both layouts
+    build the last row alone or neither does.  ``norm2_max`` is then the
+    largest adopted ||u||^2, as a build writes it.  Returns the rows taken.
+    """
+    p, q = state.problem, prev.problem
+    npool = len(state.pool_primes)
+    off = len(prev.pool_primes) - npool
+    built = prev.built - off
+    if (off < 0 or built <= 0
+            or (q.spec, q.sigma0, q.order, q.hardy_radius)
+            != (p.spec, p.sigma0, p.order, p.hardy_radius)
+            or not np.array_equal(prev.pool_primes[off:], state.pool_primes)
+            or _last_alone(npool, built, prev) != _last_alone(npool, 0, None)):
+        return 0
+    state.u_phase = [u[off:] for u in prev.u_phase]
+    state.u_norm2 = prev.u_norm2[off:]
+    state.stored_twists = prev.stored_twists[:, off:]
+    state.head, state.tail_norm = prev.head[off:], prev.tail_norm[off:]
+    state.built = built
+    state.norm2_max = float(state.u_norm2[:built].max())
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -1035,9 +1100,12 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
     Each step scores every available (prime, quarter phase) pair and every
     move on an accepted prime by the exact norm decrease and commits the
     best strictly decreasing one (optionally phase-refined by golden
-    section).  Stops at the norm ``stop_norm``, after ``_MAX_STEPS`` moves,
-    on pool exhaustion, or when no move -- including a joint two-prime
-    rescue -- decreases the norm; the stall diagnostics are recorded.
+    section).  Stops at the norm ``stop_norm``, on pool exhaustion, or when
+    no move -- including a joint two-prime rescue -- decreases the norm,
+    where ``state.stall`` records the stall diagnostics; or after
+    ``_MAX_STEPS`` moves, the step cap.  The cap is not a stall: moves may
+    still decrease the norm, so ``state.stall`` is None, as at ``stop_norm``,
+    and the caller tells the two apart by the norm.
 
     Pool rows are built on demand (``_pool_scores``): a step extends the
     built prefix block by block until 2 ||W|| ``row_bound`` of the unbuilt
@@ -1106,7 +1174,7 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
         norm = state.work_norm()
         state.trace.append(norm)
         steps += 1
-    state.stall = StallInfo(0.0, 0.0, False) if norm > stop_norm else None
+    state.stall = None
     return state
 
 
@@ -1128,6 +1196,7 @@ class ApproximationResult:
     contraction_deviation: float
     stalled: bool
     pool_exhausted: bool
+    step_cap: bool
     survey: SurveyResult
     success: bool
 
@@ -1154,17 +1223,26 @@ def _survey(problem: ApproximationProblem, phases: PhaseAssignment) -> SurveyRes
     return disc_error_survey(problem.target, f, _survey_grid(problem))
 
 
-def _approximate_impl(problem: ApproximationProblem,
-                      eps_target: float | None = None) -> ApproximationResult:
+def _approximate_impl(problem: ApproximationProblem, eps_target: float | None = None,
+                      carry: list[_PoolRows] | None = None) -> ApproximationResult:
+    """The pipeline behind ``approximate``, which raises on what this returns.
+
+    ``carry``, a list of at most one ``_PoolRows``, hands built pool rows
+    from one refine stage to the next: the state adopts those of
+    ``carry[0]`` (``_adopt_rows``), and ``carry`` then holds this run's.
+    """
     problem.validate()
     eps_target = problem.eps if eps_target is None else eps_target
     work_problem, dev = contract_target(problem)
     state = init_residual(work_problem)
+    prev = carry[0] if carry else None
+    start = _adopt_rows(state, prev) if prev else 0
     R = work_problem.hardy_radius
     stop = 0.5 * eps_target * math.sqrt(math.pi) * (R - problem.r)
     survey = None
     for _ in range(3):   # steering rounds, the norm target divided by 4 each time
         state = greedy_rearrange(state, stop_norm=stop)
+        capped = state.stall is None and state.work_norm() > stop   # no stall: the step cap
         # measure against the uncontracted target
         survey = _survey(problem, state.phase_assignment())
         if survey.max_error <= eps_target or (state.stall and state.stall.pool_exhausted):
@@ -1172,6 +1250,11 @@ def _approximate_impl(problem: ApproximationProblem,
         if state.stall and state.stall.best_decrease <= 0 and not state.stall.pool_exhausted:
             break
         stop /= 4.0
+    if carry is not None:
+        pool = state.pool_primes
+        carry[:] = [_PoolRows(work_problem, pool, state.u_phase, state.u_norm2,
+                              state.stored_twists, state.head, state.tail_norm, state.built,
+                              _last_alone(len(pool), start, prev))]
     phases = state.phase_assignment()
     return ApproximationResult(
         problem=problem, primes=tuple(sorted(phases.theta)), phases=phases,
@@ -1180,6 +1263,7 @@ def _approximate_impl(problem: ApproximationProblem,
         tail_bound=state.work.tail_bound + state.tail_bound,
         contraction_deviation=dev, stalled=state.stall is not None,
         pool_exhausted=state.stall is not None and state.stall.pool_exhausted,
+        step_cap=capped,
         survey=survey, success=survey.max_error <= eps_target)
 
 
@@ -1188,8 +1272,9 @@ def approximate(problem: ApproximationProblem) -> ApproximationResult:
 
     The prime set always contains every prime at or below the floor y.
     Raises ApproximationStall (with the partial result attached) if steering
-    cannot push the surveyed error below eps, and its subclass PoolExhausted
-    when that is because no pool prime was left to steer.
+    cannot push the surveyed error below eps, its subclass PoolExhausted
+    when that is because no pool prime was left to steer, and its subclass
+    StepCapReached when the last steering round ended at its step cap.
     """
     result = _approximate_impl(problem)
     if not result.success:
@@ -1197,6 +1282,10 @@ def approximate(problem: ApproximationProblem) -> ApproximationResult:
             raise PoolExhausted(
                 f"pool exhausted at surveyed error {result.max_error:.3e} > eps {problem.eps} "
                 f"(p_max {problem.p_max})", result)
+        if result.step_cap:
+            raise StepCapReached(
+                f"step cap reached at surveyed error {result.max_error:.3e} > eps {problem.eps}",
+                result)
         raise ApproximationStall(
             f"stalled at surveyed error {result.max_error:.3e} > eps {problem.eps}", result)
     return result
@@ -1225,65 +1314,168 @@ _DRAWS = 64
 _MAX_DRAWS = 512
 _SLACK = 2.0
 
-#: Taylor and log-series orders of the refine screen's filler rows.  The screen
-#: is held against the exact survey product, not against the pool rows, so its
-#: certified tail only has to stay far below ``_SCREEN_ROUNDING``: with every
-#: zeta prime from 3 to 1e5 as a filler it is 2.3e-16 at r = 0.02 and 1.5e-15
-#: at r = 0.06.  Orders 64, as the pool rows use, take twice the time per draw.
+#: Taylor order of the refine screen's filler rows, and the rungs of their
+#: log-series orders.  The screen is held against the exact survey product,
+#: not against the pool rows, so its certified tail only has to stay far below
+#: ``_SCREEN_ROUNDING``.  A filler's series order is the least rung past which
+#: the spec's ``log_series_tail`` majorant leaves at most ``_SCREEN_CUT``: at
+#: r = 0.02 the zeta primes up to 5000 take orders 6 to 40, 5,528 (prime, m)
+#: cells against 26,720 at order 40 for all.
 _SCREEN_ORDER = 24
-_SCREEN_SERIES_ORDER = 40
+_SCREEN_RUNGS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40)
+_SCREEN_CUT = 1e-18
 
 #: rounding allowance of the refine screen, relative to max(|target| + |screen
 #: product|) on the survey grid.  The survey's product rounds a few ulp per
 #: factor over about 1e3 factors (<= 1e-12 relative); the screen's core product,
-#: summed rows, Horner sum and exp round alike.  Observed gaps are below 1e-14.
+#: summed rows, grid sum and exp round alike.  Observed gaps are below 1e-14.
 _SCREEN_ROUNDING = 1e-10
 
+#: bytes of the temporaries of one screened chunk of draws
+_SCREEN_BYTES = 2**20
 
-def _filler_screen(problem: ApproximationProblem, core_phases: PhaseAssignment,
-                   filler: Sequence[int]) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
-    """Screen of a refine stage's filler draws: twists (draws, filler) -> (errors, delta).
 
-    The survey grid, the target on it and the core product (one
-    ``partial_product_grid`` call) are worked out once, and so are the
-    fillers' logarithms, m-powers and Taylor direction.  A draw's screen error
-    is max |target - core exp(P)| over the grid, where P is the sum of the
-    fillers' ``_twisted_rows`` (orders ``_SCREEN_ORDER`` and
-    ``_SCREEN_SERIES_ORDER``) at the drawn twists, summed by Horner on the
-    grid.  ``delta`` bounds |screen - surveyed error| of every draw of the
-    batch: the certified ``_embedding_tail`` T of the fillers at radius r and
-    those orders gives (e^T - 1) max |core exp(P)|, and ``_SCREEN_ROUNDING``
-    covers the rounding of both routes.
+def _screen_bands(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
+                  sigma0: float) -> list[tuple[np.ndarray, int, float]]:
+    """The refine screen's bands of ``primes``: (indices, series order M, tail T) each.
+
+    A prime's M is the least rung of ``_SCREEN_RUNGS`` past which the terms
+    of the spec's ``log_series_tail`` majorant on |z| <= p^(radius - sigma0),
+    taken at the top rung, sum to at most ``_SCREEN_CUT`` (the top rung where
+    none does).  A band holds the primes of one M, ascending; T is its
+    certified ``_embedding_tail`` at radius, orders ``_SCREEN_ORDER`` and M.
+    Bands come in descending M.
     """
-    pts = _survey_grid(problem).points()
-    target = np.asarray(problem.target(pts), dtype=complex)
-    core = partial_product_grid(problem.spec, pts + problem.sigma0,
-                                sorted(core_phases.theta), core_phases)
-    ps = np.asarray(filler, dtype=np.int64)
-    lnp = np.log(ps.astype(float))
-    mpow = _m_powers(_SCREEN_ORDER, _SCREEN_SERIES_ORDER)
-    direction = _taylor_direction(lnp, _SCREEN_ORDER)
-    tail = _embedding_tail(problem.spec, ps, problem.r, problem.sigma0, _SCREEN_ORDER,
-                           _SCREEN_SERIES_ORDER)[0]
-    grow = math.expm1(tail)
+    rungs = np.array(_SCREEN_RUNGS)
+    q = np.exp((radius - sigma0) * np.log(primes.astype(float)))
+    terms = spec.log_series_tail(primes, q, rungs[-1])[1]
+    past = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][:, rungs]   # the terms past each rung
+    fits = past <= _SCREEN_CUT
+    orders = np.where(fits.any(axis=1), rungs[np.argmax(fits, axis=1)], rungs[-1])
+    bands = []
+    for m in _SCREEN_RUNGS[::-1]:
+        idx = np.flatnonzero(orders == m)
+        if len(idx):
+            tail = _embedding_tail(spec, primes[idx], radius, sigma0, _SCREEN_ORDER, m)[0]
+            bands.append((idx, m, tail))
+    return bands
 
-    def screen(twists: np.ndarray) -> tuple[np.ndarray, float]:
+
+class _FillerScreen:
+    """Screen of a refine stage's filler draws: ``screen(twists)`` -> (errors, delta).
+
+    ``twists`` is (draws, filler).  A draw's screen error is max |target -
+    core exp(P)| over the survey grid, P the sum of the fillers' Taylor rows
+    at its twists.  The grid, the target on it, the core product (one
+    ``partial_product_grid`` call), the ``bands`` (``_screen_bands``), each
+    band's c_m(p) (``log_terms`` at base 1) and the Taylor direction are
+    worked out once.  ``delta`` bounds |screen - surveyed error| of every
+    draw of the batch: the bands' tails summed, T, give ``grow`` = e^T - 1
+    times max |core exp(P)|, and ``_SCREEN_ROUNDING`` covers the rounding
+    of both routes.  Draws go in chunks of at most ``_SCREEN_BYTES`` of
+    temporaries.
+    """
+
+    def __init__(self, problem: ApproximationProblem, core_phases: PhaseAssignment,
+                 filler: Sequence[int]):
+        self.pts = _survey_grid(problem).points()
+        self.target = np.asarray(problem.target(self.pts), dtype=complex)
+        self.core = partial_product_grid(problem.spec, self.pts + problem.sigma0,
+                                         sorted(core_phases.theta), core_phases)
+        ps = np.asarray(filler, dtype=np.int64)
+        self.bands = _screen_bands(problem.spec, ps, problem.r, problem.sigma0)
+        self.grow = math.expm1(sum(tail for *_, tail in self.bands))
+        # fillers by descending series order: those of order > k are a prefix
+        self.order = np.concatenate([idx for idx, *_ in self.bands])
+        ps = ps[self.order]
+        lnp = np.log(ps.astype(float))
+        self.shift = problem.sigma0 * lnp[:, None]
+        self.dir_t = np.ascontiguousarray(_taylor_direction(lnp, _SCREEN_ORDER).T)
+        self.mpow = _m_powers(_SCREEN_ORDER, self.bands[0][1])
+        lo, terms = 0, []
+        for idx, m, _ in self.bands:
+            terms.append(problem.spec.log_terms(ps[lo:lo + len(idx)], np.ones(len(idx)), m))
+            lo += len(idx)
+        self.coefs = [np.concatenate([t[:, k] for t in terms if t.shape[1] > k])
+                      for k in range(len(self.mpow))]
+        self.chunk = max(1, _SCREEN_BYTES // (48 * len(ps) + 24 * len(self.pts)))
+        # s^n on the grid as a real matrix: complex coefficients seen as (re, im)
+        # pairs times it give the polynomial's values as (re, im) pairs
+        power = np.vander(self.pts, _SCREEN_ORDER + 1, increasing=True).T
+        grid = np.empty((_SCREEN_ORDER + 1, 2, len(self.pts), 2))
+        grid[:, 0, :, 0], grid[:, 0, :, 1] = power.real, power.imag
+        grid[:, 1, :, 0], grid[:, 1, :, 1] = -power.imag, power.real
+        self.grid = grid.reshape(2 * (_SCREEN_ORDER + 1), -1)
+
+    def sums(self, twists: np.ndarray) -> np.ndarray:
+        """The Taylor coefficients of P per draw, (order + 1, draws), rows never formed.
+
+        One ``np.exp`` gives the bases B = e^(-2 pi i tw - sigma0 log p) of
+        every (filler, draw) cell.  For m = 1, 2, ... the fillers of order
+        >= m take their powers B^m by one more multiplication, and one real
+        product over their cells adds m^n (direction^T @ c_m B^m).
+        """
+        tw = twists[:, self.order].T
+        base = np.empty(tw.shape, dtype=complex)
+        np.multiply(tw, -1j * TWO_PI, out=base)
+        base -= self.shift
+        np.exp(base, out=base)
+        power, cell = base.copy(), np.empty_like(base)
+        acc = np.zeros((_SCREEN_ORDER + 1, 2 * len(twists)))
+        for k, c in enumerate(self.coefs):
+            a = len(c)
+            if k:
+                power[:a] *= base[:a]
+            np.multiply(c[:, None], power[:a], out=cell[:a])
+            acc += self.mpow[k][:, None] * (self.dir_t[:, :a] @ cell[:a].view(np.float64))
+        return acc.view(complex)
+
+    def __call__(self, twists: np.ndarray) -> tuple[np.ndarray, float]:
         errs = np.empty(len(twists))
         gaps = np.empty(len(twists))     # |screen - survey| bound per draw
-        for i, tw in enumerate(twists):
-            coef = _twisted_rows(problem.spec, ps, lnp, tw, problem.sigma0, mpow,
-                                 direction).sum(axis=0)
-            log_fill = np.full_like(pts, coef[-1])
-            for c in coef[-2::-1]:
-                log_fill *= pts
-                log_fill += c
-            prod = core * np.exp(log_fill)
+        for lo in range(0, len(twists), self.chunk):
+            hi = lo + self.chunk
+            coef = np.ascontiguousarray(self.sums(twists[lo:hi]).T)
+            # a real product: a complex one here slows the exp after it 20-fold
+            prod = (coef.view(np.float64) @ self.grid).view(complex)
+            np.exp(prod, out=prod)
+            prod *= self.core
             size = np.abs(prod)
-            errs[i] = np.max(np.abs(target - prod))
-            gaps[i] = grow * np.max(size) + _SCREEN_ROUNDING * np.max(np.abs(target) + size)
+            gaps[lo:hi] = self.grow * np.max(size, axis=1)
+            size += np.abs(self.target)
+            gaps[lo:hi] += _SCREEN_ROUNDING * np.max(size, axis=1)
+            np.subtract(self.target, prod, out=prod)
+            errs[lo:hi] = np.max(np.abs(prod, out=size), axis=1)
         return errs, float(np.max(gaps))   # a NaN delta makes every draw surveyed
 
-    return screen
+
+def _draw_fillers(problem: ApproximationProblem, core: ApproximationResult,
+                  filler: list[int], rng: np.random.Generator,
+                  good: float) -> tuple[float, PhaseAssignment, int]:
+    """The best surveyed filler draw: (error, phases, draws used).
+
+    Draws come in batches until the best error is at most ``good`` or
+    ``_MAX_DRAWS`` are used; only the draws the screen cannot rule out are
+    surveyed (``refine_sequence``).
+    """
+    screen = _FillerScreen(problem, core.phases, filler)
+    best_err, best_pa, used = math.inf, None, 0
+    while used < _MAX_DRAWS:
+        batch = min(_DRAWS, _MAX_DRAWS - used)
+        draws = rng.random((batch, len(filler)))
+        errs, delta = screen(draws)
+        cut = min(best_err, float(np.min(errs))) + 2.0 * delta
+        for tw in draws[~(errs > cut)]:    # a NaN screen error is surveyed
+            theta = dict(core.phases.theta)
+            theta.update({p: float(t) for p, t in zip(filler, tw)})
+            pa = PhaseAssignment(theta, t0=problem.t0, shifted=core.phases.shifted)
+            err = _survey(problem, pa).max_error
+            if err < best_err:
+                best_err, best_pa = err, pa
+        used += batch
+        if best_err <= good:
+            break
+    return best_err, best_pa, used
 
 
 def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineStage]:
@@ -1298,7 +1490,7 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     stay within ``_SLACK`` * 2^{1 + k beta} eps of the schedule and must not
     increase.
 
-    Draws are screened before they are surveyed (``_filler_screen``): every
+    Draws are screened before they are surveyed (``_FillerScreen``): every
     draw of a batch gets a screen error e' with |e' - e| <= delta against its
     surveyed error e, delta the batch's certified truncation tail plus a
     rounding allowance.  Only draws with e' <= min(best so far, batch minimum
@@ -1308,6 +1500,12 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     its error, ``draws_used`` and every stall message are those of surveying
     every draw.  The batch is one ``rng.random((batch, fillers))`` call, the
     same PCG64 doubles in the same order as one call per draw.
+
+    A stage's pool is a suffix of the previous stage's: its floor and its
+    inherited twists cover a prefix of the primes.  So each core adopts the
+    previous core's built pool rows as views (``_adopt_rows``, through
+    ``_approximate_impl``'s ``carry``), and a refine call builds each pool
+    prime's rows once; only these stores are handed on, not the state.
 
     Inherited twists are product twists: a stage passes on theta_p + gamma_p
     (mod 1) of every prime it assigned, and the next stage uses them as
@@ -1330,40 +1528,19 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     assigned: dict[int, float] = {}
     out: list[RefineStage] = []
     prev_error = math.inf
+    carry: list[_PoolRows] = []
     for k in range(stages):
         y_k = problem.y * 2.0**k
         prob_k = replace(problem, y=y_k, fixed_phases=assigned)
-        core = _approximate_impl(prob_k, eps_target=0.5 * problem.eps)
-        core_phases = dict(core.phases.theta)
+        core = _approximate_impl(prob_k, eps_target=0.5 * problem.eps, carry=carry)
         m_k = max(core.primes)
-        filler = [int(p) for p in primes_up_to(m_k) if int(p) not in core_phases]
+        filler = [int(p) for p in primes_up_to(m_k) if int(p) not in core.phases.theta]
         bound = _SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps
-
-        def full_error(filler_twists: np.ndarray) -> tuple[float, PhaseAssignment]:
-            theta = dict(core_phases)
-            theta.update({p: float(t) for p, t in zip(filler, filler_twists)})
-            pa = PhaseAssignment(theta, t0=problem.t0, shifted=core.phases.shifted)
-            return _survey(problem, pa).max_error, pa
-
         if filler:
-            screen = _filler_screen(problem, core.phases, filler)
-            best_err, best_pa = math.inf, None
-            used = 0
-            while used < _MAX_DRAWS:
-                batch = min(_DRAWS, _MAX_DRAWS - used)
-                draws = rng.random((batch, len(filler)))
-                errs, delta = screen(draws)
-                cut = min(best_err, float(np.min(errs))) + 2.0 * delta
-                for tw in draws[~(errs > cut)]:    # a NaN screen error is surveyed
-                    err, pa = full_error(tw)
-                    if err < best_err:
-                        best_err, best_pa = err, pa
-                used += batch
-                if best_err <= min(prev_error, bound):
-                    break
+            best_err, best_pa, used = _draw_fillers(problem, core, filler, rng,
+                                                    min(prev_error, bound))
         else:
-            best_err, best_pa = core.max_error, core.phases
-            used = 0
+            best_err, best_pa, used = core.max_error, core.phases, 0
         if best_err > prev_error + 1e-12:
             raise RefineStall(
                 f"stage {k + 1}: error {best_err:.3e} exceeds previous {prev_error:.3e} "

@@ -26,7 +26,8 @@ holds no integer, so at desk scale only a wider window can pass.
 Exit codes: 0 success, 2 stall, 3 invalid config (a malformed flag or value
 included), 4 hypothesis failure, 5 pool exhausted (``approximate`` steered
 every prime up to pmax and the surveyed error is still above eps; raise pmax
-or lower the floor y).
+or lower the floor y), 6 step cap (``approximate``'s last steering round
+ran out of steps while moves still decreased the residual).
 """
 
 from __future__ import annotations
@@ -235,6 +236,8 @@ def cmd_approximate(cfg: RunConfig) -> int:
         status, code = "success", 0
     elif result.pool_exhausted:
         status, code = "pool_exhausted", 5
+    elif result.step_cap:
+        status, code = "step_cap", 6
     else:
         status, code = "stall", 2
     _write(out, "report.txt",

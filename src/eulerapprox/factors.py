@@ -15,8 +15,10 @@ Each family's arithmetic is written once, in the ``EulerFactorSpec`` methods
 ``log_terms``, ``log_series_tail`` and ``growth``; the rest of the package
 reaches the factors through them.  Outside the spec's methods, ``kind`` is
 read only by the ``save_custom_spec`` guard, by ``approx._embedding_tail``
-(its closed-form majorant holds for characters only) and by the two oracle
-routes that tests cross-check against: ``eval_factor`` and ``log_factor``.
+(its closed-form majorant holds for characters only), by
+``approx.init_residual`` (a custom pool keeps its table primes only) and by
+the two oracle routes that tests cross-check against: ``eval_factor`` and
+``log_factor``.
 The exact oracle ``partial_product_exact`` takes its character values from
 ``coeff_exact``.
 
@@ -177,9 +179,18 @@ class EulerFactorSpec:
         if self.kind == "dirichlet":
             return np.array(self.character, dtype=complex)[primes % self.modulus]
         out = np.zeros(primes.shape, dtype=complex)
-        for p, row in self.table.items():
-            out[primes == p] = row.get(1, 0.0)
+        for p, row, hit in self._table_hits(primes):
+            out[hit] = row.get(1, 0.0)
         return out
+
+    def _table_hits(self, primes: np.ndarray):
+        """(p, table row, ``primes == p``) for each table prime among ``primes``.
+
+        Work grows with the primes asked for, not with the table: a one-prime
+        call reads one row of a table of thousands.
+        """
+        for p in self.table.keys() & set(primes.ravel().tolist()):
+            yield p, self.table[p], primes == p
 
     def phase_correction(self, primes: np.ndarray) -> np.ndarray:
         """arg a_p^1 / 2pi in turns per prime (0 where a_p^1 = 0).
@@ -253,10 +264,7 @@ class EulerFactorSpec:
             terms *= (1.0 / ms)[None, :]      # in place: one (primes x order) array fewer
             return terms
         out = np.zeros((len(primes), order), dtype=complex)
-        for p, row in self.table.items():
-            hit = primes == p
-            if not hit.any():
-                continue
+        for p, row, hit in self._table_hits(primes):
             c = _custom_log_coefficients(tuple(sorted(row.items())), order)
             out[hit] = c[None, :] * base[hit][:, None] ** ms[None, :]
         return out
@@ -280,10 +288,8 @@ class EulerFactorSpec:
         rho = _ZERO_FREE_RADIUS
         ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
         ks = np.zeros_like(q)
-        for p in self.table:
-            hit = primes == p
-            if hit.any():
-                ks[hit] = max(abs(np.log(self.times_factor(1.0, p, rho * a))) for a in ang)
+        for p, _, hit in self._table_hits(primes):
+            ks[hit] = max(abs(np.log(self.times_factor(1.0, p, rho * a))) for a in ang)
         ratio = q / rho
         terms = ks[:, None] * ratio[:, None] ** ms[None, :]
         past = ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)

@@ -18,7 +18,7 @@ from eulerapprox.approx import (
     _commit_drop,
     _commit_rephase,
     _embedding_tail,
-    _filler_screen,
+    _FillerScreen,
     _golden_refine,
     _pair_rescue,
     _phase_scores,
@@ -193,11 +193,17 @@ def test_nu_rest_follows_grow_rephase_and_drop():
 CUSTOM_7 = ea.custom_spec({2: {1: 0.25 + 0.1j, 2: 0.05}, 3: {1: -0.3}, 5: {1: 0.2j, 3: 0.01},
                            7: {2: 0.1}}, {0.05: 2.0})
 
+# a custom pool holds its table primes only: a table row at every prime up to
+# 60,000, seven distinct rows (the recurrence caches one per row)
+CUSTOM_DENSE = ea.custom_spec({int(p): {1: 0.3 * cmath.exp(2j * math.pi * (int(p) % 7) / 7),
+                                        2: 0.05}
+                               for p in ea.primes_up_to(60_000)}, {0.05: 2.0})
+
 BUILD_SPECS = pytest.mark.parametrize("spec", [
     ea.zeta_spec(),
     ea.dirichlet_spec(4, [0, 1, 0, -1]),
     ea.dirichlet_spec(5, [0, 1, 1j, -1j, -1]),
-    CUSTOM_7,
+    CUSTOM_DENSE,
 ], ids=["zeta", "chi4", "chi5", "custom"])
 
 
@@ -460,7 +466,7 @@ def whole_list_gains(state, rows, cw):
     return gains
 
 
-@pytest.mark.parametrize("spec", [ea.zeta_spec(), CUSTOM_7], ids=["zeta", "custom"])
+@pytest.mark.parametrize("spec", [ea.zeta_spec(), CUSTOM_DENSE], ids=["zeta", "custom"])
 def test_move_rows_match_whole_list_gains(spec):
     prob = make_problem(spec=spec, p_max=2000)
     state = ea.init_residual(prob)
@@ -541,8 +547,8 @@ def test_move_rows_match_whole_list_gains(spec):
     _, pairings = _phase_scores(state, cw)
     before = dict(zip(state.accepted, rows))
     assert _pair_rescue(state, pairings, _accepted_gains(state, cw))
-    # zeta's pair rephases an accepted prime; the custom spec's grows two primes
-    assert (spec is CUSTOM_7) != bool(set(before) - set(state.accepted))
+    # the pair rephases an accepted prime
+    assert set(before) - set(state.accepted)
     rows = [before[(p, tw)] if (p, tw) in before else
             next(state.u_phase[k][idx] for k in range(len(QUARTER_GRID))
                  if state.stored_twists[k][idx] % 1.0 == tw)
@@ -696,15 +702,14 @@ def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
 @pytest.mark.parametrize("phase_mode", ["quarter", "golden"])
 def test_screened_greedy_matches_full_scores_at_every_step(monkeypatch, spec, radius,
                                                            phase_mode):
-    # the custom spec has factors at 2, 3, 5 and 7 only: the rest of its pool rows are zero
-    prob = make_problem(spec=spec, r=radius, p_max=1500, y=2.0 if spec is CUSTOM_7 else 7.0,
+    prob = make_problem(spec=spec, r=radius, p_max=1500, y=7.0,
                         target=exp_target(-0.1), phase_mode=phase_mode)
     calls = {"pool": 0, "accepted": 0}
     checked_scorers(monkeypatch, calls)
     state = steered(prob, 1e-9)
     monkeypatch.undo()
-    assert calls["pool"] > (0 if spec is CUSTOM_7 else 50)
-    assert calls["accepted"] > (0 if spec is CUSTOM_7 else 50)
+    assert calls["pool"] > 50
+    assert calls["accepted"] > 50
     assert_same_run(state, steered(prob, 1e-9, full=True))
 
 
@@ -835,6 +840,37 @@ def test_approximate_stall_is_reported_with_result():
     res = exc.value.result
     assert res.max_error > 0.02
     assert not res.success
+
+
+def test_step_cap_is_its_own_stop_reason(monkeypatch, tmp_path):
+    # every steering round ends at the cap while moves still decrease: the
+    # rounds run on, and the result is no stall
+    monkeypatch.setattr(approx, "_MAX_STEPS", 8)
+    rounds = []
+    greedy = approx.greedy_rearrange
+    monkeypatch.setattr(approx, "greedy_rearrange",
+                        lambda state, stop_norm: rounds.append(1) or greedy(state, stop_norm))
+    with pytest.raises(ea.StepCapReached) as exc:
+        ea.approximate(make_problem(eps=1e-4))
+    assert isinstance(exc.value, ea.ApproximationStall)
+    res = exc.value.result
+    assert res.step_cap and not (res.stalled or res.pool_exhausted or res.success)
+    assert len(rounds) == 3 and len(res.trace) > 1 + 2 * 7
+    assert all(b < a for a, b in zip(res.trace, res.trace[1:]))
+    out = tmp_path / "run"
+    code = cli.main(["approximate", "--pmax", "20000", "--eps", "1e-4", "--out", str(out)])
+    assert code == 6
+    assert (out / "report.txt").read_text().startswith("status step_cap\n")
+
+
+def test_custom_pool_holds_table_primes_only():
+    state = ea.init_residual(make_problem(spec=CUSTOM_7, p_max=2000))
+    assert state.pool_primes.tolist() == [3, 5, 7]
+    state = ea.init_residual(make_problem(spec=CUSTOM_WIDE, p_max=2000, y=7.0))
+    assert state.pool_primes.tolist() == [int(p) for p in ea.primes_up_to(500) if p > 7]
+    # steering uses up the table: a pool exhaustion, not a stall
+    res = _approximate_impl(make_problem(spec=CUSTOM_7, p_max=2000, eps=0.01))
+    assert res.pool_exhausted and res.stalled and not res.success
 
 
 def test_approximate_deterministic_rerun():
@@ -1030,7 +1066,7 @@ def stage_bits(st):
             float(pa.t0).hex(), pa.shifted)
 
 
-@pytest.mark.parametrize("spec,kw", [
+REFINE_CASES = pytest.mark.parametrize("spec,kw", [
     (ea.zeta_spec(), dict(p_max=500, seed=0)),
     (ea.zeta_spec(), dict(p_max=500, seed=1)),
     (ea.zeta_spec(), dict(p_max=500, seed=2)),
@@ -1042,19 +1078,110 @@ def stage_bits(st):
     (CUSTOM_WIDE, dict(p_max=500, seed=1)),
 ], ids=["zeta-s0", "zeta-s1", "zeta-s2", "zeta-s3", "zeta-s2-p2000", "zeta-s3-t0",
         "chi4-s1", "custom7", "custom-wide"])
+
+
+def refine_bits(prob):
+    """``stage_bits`` of the stages ``refine_sequence`` finishes, and its stall message."""
+    try:
+        return [stage_bits(st) for st in ea.refine_sequence(prob, stages=3)], None
+    except ea.RefineStall as exc:
+        done = ea.refine_sequence(prob, stages=int(str(exc).split(":")[0].split()[1]) - 1)
+        return [stage_bits(st) for st in done], str(exc)
+
+
+@REFINE_CASES
 def test_screened_refine_matches_draw_by_draw_oracle(spec, kw):
     # the screen only decides which draws are surveyed: every stage field and
     # stall message is that of surveying every draw in order
     prob = make_problem(spec=spec, **kw)
     want, stall = refine_oracle(prob, 3)
-    if stall is None:
-        got = ea.refine_sequence(prob, stages=3)
-    else:
-        with pytest.raises(ea.RefineStall) as exc:
-            ea.refine_sequence(prob, stages=3)
-        assert str(exc.value) == stall
-        got = ea.refine_sequence(prob, stages=len(want)) if want else []
-    assert [stage_bits(st) for st in got] == [stage_bits(st) for st in want]
+    assert refine_bits(prob) == ([stage_bits(st) for st in want], stall)
+
+
+@REFINE_CASES
+def test_refine_with_adopted_rows_matches_fresh_builds(monkeypatch, spec, kw):
+    prob = make_problem(spec=spec, **kw)
+    adopted = refine_bits(prob)
+    monkeypatch.setattr(approx, "_adopt_rows", lambda state, prev: 0)
+    assert refine_bits(prob) == adopted
+
+
+def adopted_and_fresh(spec, cut, **kw):
+    """A stage's pool rows, and its successor's state with them adopted and built fresh.
+
+    The successor doubles the floor and fixes every prime up to ``cut``, so
+    its pool is a suffix of the stage's.
+    """
+    prob = make_problem(spec=spec, p_max=5000, **kw)
+    carry = []
+    _approximate_impl(prob, eps_target=0.5 * prob.eps, carry=carry)
+    fixed = {int(p): 0.25 * (int(p) % 4) for p in ea.primes_up_to(cut)}
+    nxt, _ = ea.contract_target(replace(prob, y=2.0 * prob.y, fixed_phases=fixed))
+    adopted, fresh = ea.init_residual(nxt), ea.init_residual(nxt)
+    taken = approx._adopt_rows(adopted, carry[0])
+    assert taken == adopted.built
+    _quarter_rows(fresh, len(fresh.pool_primes))
+    return carry[0], adopted, fresh
+
+
+@pytest.mark.parametrize("spec,cut,kw", [
+    (ea.zeta_spec(), 200, {}),
+    (ea.dirichlet_spec(4, [0, 1, 0, -1]), 200, dict(y=3.0)),
+    (CUSTOM_7, 3, dict(eps=0.01)),
+    (CUSTOM_WIDE, 200, {}),
+    (ea.zeta_spec(), 200, dict(t0=1.0)),
+    (CUSTOM_7, 5, dict(eps=0.01)),    # one pool prime: built alone, not adopted
+], ids=["zeta", "chi4", "custom7", "custom-wide", "zeta-t0", "custom7-alone"])
+def test_adopted_rows_match_a_fresh_build(spec, cut, kw):
+    prev, adopted, fresh = adopted_and_fresh(spec, cut, **kw)
+    n = len(fresh.pool_primes)
+    assert 0 < n < len(prev.pool_primes) == prev.built     # a proper suffix, built
+    assert adopted.built == (0 if n == 1 else n)
+    if adopted.built:
+        assert np.shares_memory(adopted.u_phase[0], prev.u_phase[0])   # views, no copy
+        assert adopted.norm2_max.hex() == fresh.norm2_max.hex()
+    _quarter_rows(adopted, n)
+    for k in range(len(QUARTER_GRID)):
+        assert np.array_equal(adopted.u_phase[k][:n], fresh.u_phase[k])
+    assert np.array_equal(adopted.u_norm2[:n], fresh.u_norm2)
+    assert np.array_equal(adopted.stored_twists[:, :n], fresh.stored_twists)
+    assert np.array_equal(adopted.head[:n], fresh.head[:n])
+    assert np.array_equal(adopted.tail_norm[:n], fresh.tail_norm[:n])
+    assert adopted.norm2_max.hex() == fresh.norm2_max.hex()
+
+
+def test_rows_of_another_pool_are_not_adopted():
+    prev, _, _ = adopted_and_fresh(ea.zeta_spec(), 200)
+    for kw in (dict(sigma0=0.76), dict(r=0.018), dict(p_max=4000), dict(spec=CUSTOM_WIDE),
+               dict(p_max=6000)):
+        prob, _ = ea.contract_target(make_problem(**{"p_max": 5000, "y": 4.0, **kw}))
+        state = ea.init_residual(prob)
+        assert approx._adopt_rows(state, prev) == 0
+        assert state.built == 0 and state.norm2_max == 0.0
+
+
+def test_refine_builds_each_pool_row_once(monkeypatch):
+    def built_primes(adopt):
+        built = []
+        quarter_rows = approx._quarter_rows
+
+        def recording(state, stop):
+            lo = state.built
+            quarter_rows(state, stop)
+            built.extend(state.pool_primes[lo:state.built].tolist())
+
+        with monkeypatch.context() as mp:
+            mp.setattr(approx, "_quarter_rows", recording)
+            if not adopt:
+                mp.setattr(approx, "_adopt_rows", lambda state, prev: 0)
+            stages = ea.refine_sequence(make_problem(p_max=5000, seed=0), stages=3)
+        assert all(st.draws_used for st in stages)
+        return built
+
+    built = built_primes(adopt=True)
+    assert len(built) == len(set(built)) == len(ea.primes_up_to(5000)) - 1
+    # without adoption the later stages build their pools again
+    assert len(built_primes(adopt=False)) > 2 * len(built)
 
 
 def test_screened_refine_surveys_few_draws(monkeypatch):
@@ -1075,15 +1202,91 @@ def test_screened_refine_surveys_few_draws(monkeypatch):
 def test_filler_screen_is_within_delta_of_the_survey(spec):
     prob = make_problem(spec=spec, p_max=2000)
     core = _approximate_impl(prob, eps_target=0.5 * prob.eps)
-    filler = [int(p) for p in ea.primes_up_to(1000) if int(p) not in core.phases.theta]
-    draws = np.random.default_rng(5).random((48, len(filler)))
-    errs, delta = _filler_screen(prob, core.phases, filler)(draws)
-    assert 0.0 < delta < 1e-8   # a tight cut: about 1e-10 of the product's size
-    for tw, e in zip(draws, errs):
-        theta = dict(core.phases.theta)
-        theta.update(zip(filler, tw.tolist()))
-        pa = PhaseAssignment(theta, t0=prob.t0, shifted=core.phases.shifted)
-        assert abs(e - _survey(prob, pa).max_error) <= 1e-3 * delta
+    # fillers up to 20,000 take every band; 12 draws of them go in two chunks
+    for bound, count in ((1000, 48), (20_000, 12)):
+        filler = [int(p) for p in ea.primes_up_to(bound) if int(p) not in core.phases.theta]
+        draws = np.random.default_rng(5).random((count, len(filler)))
+        screen = _FillerScreen(prob, core.phases, filler)
+        errs, delta = screen(draws)
+        assert 0.0 < delta < 1e-8   # a tight cut: about 1e-10 of the product's size
+        if bound > 1000:
+            assert screen.chunk < count and len(screen.bands) >= (3 if spec.table else 5)
+        for tw, e in zip(draws, errs):
+            theta = dict(core.phases.theta)
+            theta.update(zip(filler, tw.tolist()))
+            pa = PhaseAssignment(theta, t0=prob.t0, shifted=core.phases.shifted)
+            assert abs(e - _survey(prob, pa).max_error) <= 1e-3 * delta
+
+
+SCREEN_SPECS = pytest.mark.parametrize("spec", [
+    ea.zeta_spec(),
+    ea.dirichlet_spec(5, [0, 1, 1j, -1j, -1]),
+    CUSTOM_WIDE,
+], ids=["zeta", "chi5", "custom-wide"])
+
+#: the refine screen's series cut, and a coarse one under which every rung shows
+SCREEN_CUTS = pytest.mark.parametrize("cut", [approx._SCREEN_CUT, 1e-6], ids=["cut", "coarse"])
+
+
+def grid_gap(rows, pts):
+    """max over ``pts`` of |sum_n (sum of ``rows``)[n] s^n|."""
+    return float(np.max(np.abs(np.polyval(rows.sum(axis=0)[::-1], pts))))
+
+
+@SCREEN_SPECS
+@SCREEN_CUTS
+def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec, cut):
+    monkeypatch.setattr(approx, "_SCREEN_CUT", cut)
+    prob = make_problem(spec=spec)
+    ps = ea.primes_up_to(20_000)[1:]
+    bands = approx._screen_bands(spec, ps, prob.r, prob.sigma0)
+    orders = [m for _, m, _ in bands]
+    assert orders == sorted(set(orders), reverse=True)
+    assert np.array_equal(np.sort(np.concatenate([idx for idx, *_ in bands])),
+                          np.arange(len(ps)))
+    # a prime's order is the least rung past which the majorant leaves <= cut
+    top = approx._SCREEN_RUNGS[-1]
+    q = np.exp((prob.r - prob.sigma0) * np.log(ps.astype(float)))
+    terms = spec.log_series_tail(ps, q, top)[1]
+    rungs = list(approx._SCREEN_RUNGS)
+    pts = approx._survey_grid(prob).points()
+    rng = np.random.default_rng(3)
+    for idx, m, tail in bands:
+        assert np.all(terms[idx, m:].sum(axis=1) <= cut) or m == top
+        if m > rungs[0]:
+            lower = rungs[rungs.index(m) - 1]
+            assert np.all(terms[idx, lower:].sum(axis=1) > cut)
+        band = ps[idx]
+        assert tail == _embedding_tail(spec, band, prob.r, prob.sigma0, approx._SCREEN_ORDER,
+                                       m)[0]
+        # the tail bounds what order m drops against order 40 on the survey grid
+        tw = rng.random(len(band))
+        cut_rows = _u_rows(spec, band, tw, prob.sigma0, approx._SCREEN_ORDER, m)
+        full_rows = _u_rows(spec, band, tw, prob.sigma0, approx._SCREEN_ORDER, top)
+        rounding = 1e-14 * grid_gap(np.abs(full_rows), np.array([prob.r]))
+        assert grid_gap(cut_rows - full_rows, pts) <= tail + rounding
+
+
+@SCREEN_SPECS
+@SCREEN_CUTS
+def test_screen_sums_are_the_band_rows(monkeypatch, spec, cut):
+    monkeypatch.setattr(approx, "_SCREEN_CUT", cut)
+    prob = make_problem(spec=spec, p_max=2000)
+    core = _approximate_impl(prob, eps_target=0.5 * prob.eps)
+    ps = np.array([int(p) for p in ea.primes_up_to(20_000) if int(p) not in core.phases.theta])
+    screen = _FillerScreen(prob, core.phases, ps.tolist())
+    tails = [_embedding_tail(spec, ps[idx], prob.r, prob.sigma0, approx._SCREEN_ORDER, m)[0]
+             for idx, m, _ in screen.bands]
+    assert screen.grow == math.expm1(sum(tails))
+    draws = np.random.default_rng(9).random((3, len(ps)))
+    sums = screen.sums(draws)
+    scale = prob.r ** np.arange(approx._SCREEN_ORDER + 1)
+    for got, tw in zip(sums.T, draws):
+        rows = [_u_rows(spec, ps[idx], tw[idx], prob.sigma0, approx._SCREEN_ORDER, m)
+                for idx, m, _ in screen.bands]
+        want = sum(r.sum(axis=0) for r in rows)
+        size = sum(np.abs(r).sum(axis=0) for r in rows)
+        assert np.all(np.abs(got - want) * scale <= 1e-13 * np.max(size * scale))
 
 
 def test_refine_requires_positive_stage_count():
