@@ -492,8 +492,9 @@ class ApproximationState:
     its disc norm, so the current row is -``move_rows[_DROP][a]``.  Only
     the first ``len(accepted_idx)`` rows are live; the arrays start at
     ``_MOVE_ROWS`` rows and double when full, so they grow with the
-    accepted count, not with the pool.  ``_commit``, ``_commit_rephase``
-    and ``_commit_drop`` update them where the accepted set changes.
+    accepted count, not with the pool.  ``_apply`` (through ``_commit`` for
+    a new prime) updates them where the accepted set changes, and a full
+    pass scores either group's rows alike (``_full_scores``).
 
     Greedy steps screen every move by its head (``_best_move``), so the
     norms are laid out as the screen reads them: a row per prime or
@@ -700,21 +701,18 @@ def _adopt_rows(state: ApproximationState, prev: _PoolRows) -> int:
 _MAX_STEPS = 600
 
 
-def _phase_scores(state: ApproximationState, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (phase, built prime) decreases 2 Re<W,u> - ||u||^2 and the pairings.
+def _full_scores(rows: Sequence[np.ndarray], norm2: np.ndarray, n: int,
+                 cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores 2 Re<W,u> - ||u||^2 of every move ``rows[k][:n]`` and the pairings Re<W,u>.
 
-    The full pass: the stall path and the pair rescue read every pairing,
-    and ``_pool_best`` falls back on it where its screen cannot decide.
+    (len(rows), n) each, one product per move k, ``norm2[i, k]`` being
+    ||u||^2: the full pass of either move group, which the stall path, the
+    pair rescue and ``_best_move``'s fallback read.
     """
-    built = state.built
-    decreases = np.empty((len(QUARTER_GRID), built))
-    pairings = np.empty_like(decreases)
-    for k in range(len(QUARTER_GRID)):
-        c = (state.u_phase[k][:built] @ cw).real
-        pairings[k] = c
-        decreases[k] = 2.0 * c - state.u_norm2[:built, k]
-    decreases[:, ~state.pool_mask[:built]] = -np.inf
-    return decreases, pairings
+    pairings = np.empty((len(rows), n))
+    for k, r in enumerate(rows):
+        pairings[k] = (r[:n] @ cw).real
+    return 2.0 * pairings - norm2[:n].T, pairings
 
 
 #: relative rounding slack of the head screen.  A score 2 Re<u,W> - ||u||^2
@@ -774,16 +772,18 @@ def _exact_scores(rows: Sequence[np.ndarray], norm2: np.ndarray, ks: np.ndarray,
     return 2.0 * (mat @ cw).real[:len(picked)] - n2
 
 
-def _best_move(rows: Sequence[np.ndarray], norm2: np.ndarray, centre: np.ndarray,
-               tail: np.ndarray, screen: _Screen, bar: float) -> tuple[float, int, int] | None:
+def _best_move(rows: Sequence[np.ndarray], norm2: np.ndarray, out: np.ndarray,
+               centre: np.ndarray | None, tail: np.ndarray, screen: _Screen,
+               bar: float) -> tuple[float, int, int]:
     """The best score over ``rows[k][:count]`` if it reaches ``bar``: (score, k, i).
 
+    ``out``, (count,) bool, flags the i whose moves may not be taken.
     ``centre`` and ``tail`` are (count, len(rows)) arrays: each row's head
     score 2 Re<u[:h], W[:h]> - ||u||^2, up to rounding, and its tail norm
     ||u[h:]||.  With t = ||u[h:]|| ||W[h:]|| (Cauchy-Schwarz) and s the
     rounding slack, a row's computed score lies in [centre - 2t - s, centre
-    + 2t + s].  A row whose ``centre`` is -inf is out: the caller knows its
-    score is below ``bar`` or that it may not be taken.
+    + 2t + s].  A row whose ``centre`` is -inf is out of the screen: the
+    caller knows its score is below ``bar``.
 
     The floor is max(``bar``, the lower bound of the row of largest centre),
     and the exact score is worked out (``_exact_scores``) only for the rows
@@ -793,29 +793,37 @@ def _best_move(rows: Sequence[np.ndarray], norm2: np.ndarray, centre: np.ndarray
     neither win nor tie.  So when the best score is at least ``bar``, the
     result is that score and the (k, i) of the first row that has it, in
     (k, i) order, as ``np.argmax`` of a full pass gives them; otherwise it
-    is a score below ``bar``, -inf when no row is left.  Returns None when
-    anything is not finite (a non-finite row makes the top, the largest
-    tail or the slack non-finite); the caller then runs the full pass.
+    is a score below ``bar``, -inf when no row is left.
+
+    ``_full_scores``, with the ``out`` rows at -inf, decides instead when
+    ``centre`` is None, below two rows, or when a non-finite row makes the
+    top, the largest tail, the slack or an exact score non-finite.
     """
-    count, nk = centre.shape
-    centre, tail = centre.reshape(-1), tail.reshape(-1)
-    j = int(np.argmax(centre))
-    top = float(centre[j] - tail[j] * screen.tail_w)     # a lower bound, less the slack
-    floor = max(top, bar) - 2.0 * screen.slack
-    reach = float(np.max(tail)) * screen.tail_w
-    if not (math.isfinite(top) and math.isfinite(floor) and math.isfinite(reach)
-            and bar < math.inf):
-        return None
-    near = np.flatnonzero(centre >= floor - reach)
-    flat = near[centre[near] + tail[near] * screen.tail_w >= floor]
-    if not len(flat):
+    count = len(out)
+    if centre is not None and count >= 2:
+        centre[out] = -np.inf
+        centre, tail = centre.reshape(-1), tail.reshape(-1)
+        j = int(np.argmax(centre))
+        top = float(centre[j] - tail[j] * screen.tail_w)     # a lower bound, less the slack
+        floor = max(top, bar) - 2.0 * screen.slack
+        reach = float(np.max(tail)) * screen.tail_w
+        if (math.isfinite(top) and math.isfinite(floor) and math.isfinite(reach)
+                and bar < math.inf):
+            near = np.flatnonzero(centre >= floor - reach)
+            flat = near[centre[near] + tail[near] * screen.tail_w >= floor]
+            if not len(flat):
+                return -math.inf, 0, 0
+            ks, ids = np.divmod(np.sort(flat % len(rows) * count + flat // len(rows)), count)
+            scores = _exact_scores(rows, norm2, ks, ids, screen.cw)
+            if np.all(np.isfinite(scores)):
+                j = int(np.argmax(scores))
+                return float(scores[j]), int(ks[j]), int(ids[j])
+    if not count:
         return -math.inf, 0, 0
-    ks, ids = np.divmod(np.sort(flat % nk * count + flat // nk), count)
-    scores = _exact_scores(rows, norm2, ks, ids, screen.cw)
-    if not np.all(np.isfinite(scores)):
-        return None
-    j = int(np.argmax(scores))
-    return float(scores[j]), int(ks[j]), int(ids[j])
+    scores, _ = _full_scores(rows, norm2, count, screen.cw)
+    scores[:, out] = -np.inf
+    k, i = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    return float(scores[k, i]), int(k), int(i)
 
 
 def _pool_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
@@ -824,22 +832,10 @@ def _pool_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
 
     Screened by ``_best_move`` from ``heads``, the ``_head_pairings`` of
     the built prefix, less ``u_norm2``; the rows of accepted primes are out.
-    Falls back on ``_phase_scores`` below two built rows or where the
-    screen is not finite.
     """
     built = state.built
-    if built >= 2:
-        centre = heads - state.u_norm2[:built]
-        centre[~state.pool_mask[:built]] = -np.inf
-        found = _best_move(state.u_phase, state.u_norm2, centre, state.tail_norm[:built],
-                           screen, bar)
-        if found is not None:
-            return found
-    if not built:
-        return -math.inf, 0, 0
-    decreases, _ = _phase_scores(state, screen.cw)
-    k, idx = np.unravel_index(int(np.argmax(decreases)), decreases.shape)
-    return float(decreases[k, idx]), int(k), int(idx)
+    return _best_move(state.u_phase, state.u_norm2, ~state.pool_mask[:built],
+                      heads - state.u_norm2[:built], state.tail_norm[:built], screen, bar)
 
 
 def _pool_scores(state: ApproximationState, screen: _Screen, heads: np.ndarray, norm: float,
@@ -918,10 +914,11 @@ def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray) -> None:
     """Write the move rows and norms of accepted position ``pos``.
 
     The moves are u_k - cur for k < ``_DROP`` (u_k the prime's quarter-k
-    row) and -cur, ``cur`` the position's current row; their norms are summed row by row as one (moves, order+1)
-    array, the arithmetic of a whole-list gains pass.  Full arrays double
-    one at a time, each old one freed before the next is copied, and only
-    their live rows are copied, so no page past them is touched.
+    row) and -cur, ``cur`` the position's current row; their norms are
+    summed row by row as one (moves, order+1) array, the arithmetic of a
+    whole-list gains pass.  Full arrays double one at a time, each old one
+    freed before the next is copied, and only their live rows are copied,
+    so no page past them is touched.
     """
     if pos == len(state.move_norm2):
         for k in range(_DROP + 1):
@@ -947,22 +944,6 @@ def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) 
     _write_moves(state, len(state.accepted_idx) - 1, row)
 
 
-def _accepted_gains(state: ApproximationState, cw: np.ndarray) -> np.ndarray:
-    """Norm decrease 2 Re<W,d> - ||d||^2 of every move d on an accepted prime.
-
-    Shape (_DROP + 1, accepted positions): rephasing to quarter k < _DROP, or
-    dropping the factor.  These recover the residues of early quantized
-    choices that the shrinking pool cannot cancel.  Only the pairings are
-    new per step: one product per move over the live prefix of
-    ``move_rows``, less the stored norms.
-    """
-    n = len(state.accepted_idx)
-    gains = np.empty((_DROP + 1, n))
-    for k in range(_DROP + 1):
-        gains[k] = 2.0 * (state.move_rows[k][:n] @ cw).real - state.move_norm2[:n, k]
-    return gains
-
-
 #: ``_accepted_best`` passes over moves of norm 0 only above this step tol:
 #: there tol = 1e-14 ||W||^2 with ||W|| > 1e-143, far above the 3e-160 ||W||
 #: that such a move can score
@@ -971,25 +952,27 @@ _ZERO_MOVE_TOL = 1e-300
 
 def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
                    tol: float) -> tuple[float, int, int]:
-    """The best (gain, move, position) of ``_accepted_gains`` if it is above ``tol``.
+    """The best (gain, move, position) of the moves on accepted primes if it is above ``tol``.
 
-    Screened by ``_best_move`` against the bar ``tol``: below it the step
-    stalls, and the stall path scores every move in full.  A move u_k - c
-    of accepted position a takes its head pairing as that of u_k, read from
-    ``heads`` (the ``_head_pairings`` of the pool) at the prime's index,
-    less that of c, one product over the drop moves -c; the difference from
-    the stored row's own head pairing is rounding, which the slack covers
-    since M bounds ||u_k||^2 and ||c||^2.
+    The moves rephase to quarter k < ``_DROP`` or drop the factor, which
+    recovers the residues of early quantized choices that the shrinking
+    pool cannot cancel.  Screened by ``_best_move`` against the bar
+    ``tol``: below it the step stalls, and the stall path scores every
+    move in full.  A move u_k - c of accepted position a takes its head
+    pairing as that of u_k, read from ``heads`` (the ``_head_pairings`` of
+    the pool) at the prime's index, less that of c, one product over the
+    drop moves -c; the difference from the stored row's own head pairing
+    is rounding, which the slack covers: M bounds ||u_k||^2 and ||c||^2.
 
-    A move of norm 0 is out.  Either it is zero, the rephase onto the
-    quarter the prime is at, and scores 0; or its norm underflows, so each
-    |d_n| sqrt(w_n) < 2e-162 and it scores below 3e-160 ||W||.  Either way
-    it is below ``tol`` = 1e-14 ||W||^2 while ``tol`` > ``_ZERO_MOVE_TOL``.
-    Falls back on ``_accepted_gains`` below two accepted primes, at a
-    smaller ``tol`` or where the screen is not finite.
+    A move of norm 0 is out of the screen.  Either it is zero, the rephase
+    onto the quarter the prime is at, and scores 0; or its norm underflows,
+    so each |d_n| sqrt(w_n) < 2e-162 and it scores below 3e-160 ||W||.
+    Either way it is below ``tol`` = 1e-14 ||W||^2 while ``tol`` >
+    ``_ZERO_MOVE_TOL``; at a smaller ``tol`` the full pass decides.
     """
     n = len(state.accepted_idx)
-    if n >= 2 and tol > _ZERO_MOVE_TOL:
+    centre = None
+    if tol > _ZERO_MOVE_TOL:
         drop = _real_pairing(state.move_rows[_DROP][:n, :state.head.shape[-1]], screen)
         centre = np.empty((n, _DROP + 1))
         np.add(heads[np.fromiter(state.accepted_idx, np.intp, n)], drop[:, None],
@@ -998,38 +981,32 @@ def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray
         n2 = state.move_norm2[:n]
         centre -= n2
         centre[n2 == 0.0] = -np.inf
-        found = _best_move(state.move_rows, state.move_norm2, centre, state.move_tail[:n],
-                           screen, tol)
-        if found is not None:
-            return found
-    if not n:
-        return -math.inf, 0, 0
-    gains = _accepted_gains(state, screen.cw)
-    move, pos = np.unravel_index(int(np.argmax(gains)), gains.shape)
-    return float(gains[move, pos]), int(move), int(pos)
+    return _best_move(state.move_rows, state.move_norm2, np.zeros(n, dtype=bool), centre,
+                      state.move_tail[:n], screen, tol)
 
 
-def _commit_rephase(state: ApproximationState, pos: int, k: int) -> None:
-    idx = state.accepted_idx[pos]
-    assert idx < state.built, "rephasing a pool prime whose rows are not built"
-    state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[k][pos],
+def _apply(state: ApproximationState, accepted: bool, k: int, i: int) -> None:
+    """Commit move k of accepted position i, or grow pool prime i at quarter k.
+
+    On an accepted prime, k < ``_DROP`` rephases to quarter k and ``_DROP`` drops.
+    """
+    if not accepted:
+        _commit(state, i, state.u_phase[k][i], state.stored_twists[k][i])
+        return
+    idx = state.accepted_idx[i]
+    # a drop's W - (-c) is W + c bit for bit
+    state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[k][i],
                            state.work.tail_bound)
-    _write_moves(state, pos, state.u_phase[k][idx])
-    p = int(state.pool_primes[idx])
-    state.accepted[pos] = (p, float(state.stored_twists[k][idx] % 1.0))
-
-
-def _commit_drop(state: ApproximationState, pos: int) -> None:
-    idx = state.accepted_idx[pos]
+    if k < _DROP:
+        _write_moves(state, i, state.u_phase[k][idx])
+        state.accepted[i] = (int(state.pool_primes[idx]), float(state.stored_twists[k][idx] % 1.0))
+        return
     n = len(state.accepted_idx)
-    # W - (-c) is W + c bit for bit
-    state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[_DROP][pos],
-                           state.work.tail_bound)
     for m in state.move_rows + [state.move_norm2, state.move_tail]:
-        m[pos:n - 1] = m[pos + 1:n]
+        m[i:n - 1] = m[i + 1:n]
     state.pool_mask[idx] = True
-    del state.accepted[pos]
-    del state.accepted_idx[pos]
+    del state.accepted[i]
+    del state.accepted_idx[i]
 
 
 def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndarray) -> bool:
@@ -1040,17 +1017,17 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
     The rescue scores all pairs over a candidate list mixing new primes,
     phase changes of accepted primes, and removals, and commits the best
     strictly decreasing pair.  Candidates are the 24 new primes of largest
-    |pairing| and the 48 accepted-prime moves of largest ``gains``.  Returns
-    True if something was committed.
+    |pairing| and the 48 accepted-prime moves of largest ``gains``, the
+    ``_full_scores`` of the two groups.  Returns True if something was
+    committed.
     """
-    deltas, meta = [], []   # delta = vector subtracted from the residual
+    moves = []    # (accepted, k, i, prime): ``_apply``'s move, its row subtracted from W
     avail = np.nonzero(state.pool_mask)[0]
     if len(avail):
         strength = np.max(np.abs(pairings[:, avail]), axis=0)
         for idx in avail[np.argsort(-strength)][:24]:
-            for k in range(len(QUARTER_GRID)):
-                deltas.append(state.u_phase[k][idx])
-                meta.append(("grow", int(idx), k, int(state.pool_primes[idx])))
+            moves += [(False, k, int(idx), int(state.pool_primes[idx]))
+                      for k in range(len(QUARTER_GRID))]
     # a rephase onto the quarter the prime already has moves nothing
     # (u_k - c is zero exactly when u_k equals c, for finite rows)
     n = len(state.accepted_idx)
@@ -1060,19 +1037,17 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
     pos, ks = np.nonzero(moved.T)   # candidates in (position, move) order
     for j in np.argsort(-gains[ks, pos], kind="stable")[:48]:
         a, k = int(pos[j]), int(ks[j])
-        deltas.append(state.move_rows[k][a])
-        meta.append(("drop" if k == _DROP else "rephase", a, k,
-                     int(state.pool_primes[state.accepted_idx[a]])))
-    if len(deltas) < 2:
+        moves.append((True, k, a, int(state.pool_primes[state.accepted_idx[a]])))
+    if len(moves) < 2:
         return False
-    deltas = np.asarray(deltas)
+    deltas = np.array([(state.move_rows if acc else state.u_phase)[k][i] for acc, k, i, _ in moves])
     wrows = deltas * state.weights[None, :]
     cvec = (wrows @ np.conj(state.work.coef)).real
     gram = (wrows @ np.conj(deltas.T)).real
     n2 = np.diag(gram)
     single = 2.0 * cvec - n2
     pairsum = single[:, None] + single[None, :] - 2.0 * gram
-    same_prime = np.array([m[3] for m in meta])
+    same_prime = np.array([m[3] for m in moves])
     pairsum[same_prime[:, None] == same_prime[None, :]] = -np.inf
     flat = int(np.argmax(pairsum))
     i, j = np.unravel_index(flat, pairsum.shape)
@@ -1080,16 +1055,11 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
     norm2 = state.work_norm() ** 2
     if best <= 1e-14 * max(norm2, 1e-300):
         return False
-    # apply accepted-list moves at larger positions first, removals shift them
-    moves = sorted([meta[i], meta[j]],
-                   key=lambda m: (m[0] == "grow", -(m[1] if m[0] != "grow" else 0)))
-    for kind, a, k, _p in moves:
-        if kind == "grow":
-            _commit(state, a, state.u_phase[k][a], state.stored_twists[k][a])
-        elif kind == "rephase":
-            _commit_rephase(state, a, k)
-        else:
-            _commit_drop(state, a)
+    # accepted-list moves at larger positions first, since drops shift them;
+    # new primes last, in candidate order
+    for acc, k, a, _ in sorted([moves[i], moves[j]],
+                               key=lambda m: (not m[0], -m[2] if m[0] else 0)):
+        _apply(state, acc, k, a)
     state.trace.append(state.work_norm())
     return True
 
@@ -1124,7 +1094,8 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
     is worked out only for moves that can win, with the arithmetic of a
     full pass, so the choice, its score and the trace are bit-identical to
     scoring every move in full.  A step whose best score is not a decrease
-    scores both groups in full (``_accepted_gains``, ``_phase_scores``).
+    scores both groups in full (``_full_scores``).  Every move, of either
+    group, is committed by ``_apply``; a golden-refined row by ``_commit``.
     """
     problem = state.problem
     steps = 0
@@ -1143,9 +1114,10 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
             grow_best, k, idx = _pool_scores(state, screen, heads, norm, acc_best, tol)
         if max(grow_best, acc_best) <= tol:
             cw = screen.cw
-            gains = _accepted_gains(state, cw)
+            gains, _ = _full_scores(state.move_rows, state.move_norm2, len(state.accepted_idx), cw)
             if np.any(state.pool_mask):
-                decreases, pairings = _phase_scores(state, cw)
+                decreases, pairings = _full_scores(state.u_phase, state.u_norm2, state.built, cw)
+                decreases[:, ~state.pool_mask[:state.built]] = -np.inf
                 grow_best = float(decreases.flat[int(np.argmax(decreases))])
                 if _pair_rescue(state, pairings, gains):
                     norm = state.work_norm()
@@ -1160,17 +1132,14 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
             return state
         if acc_best > grow_best:
             # the first move wins a tie, then the first position
-            if move == _DROP:
-                _commit_drop(state, pos)
-            else:
-                _commit_rephase(state, pos, move)
+            _apply(state, True, move, pos)
         else:
-            row, twist = state.u_phase[k][idx], float(state.stored_twists[k][idx])
-            if problem.phase_mode == "golden":
-                grow, gtw, gdec = _golden_refine(state, screen.cw, idx, QUARTER_GRID[k])
-                if gdec > grow_best:
-                    row, twist = grow, gtw
-            _commit(state, idx, row, twist)
+            row, twist, dec = (_golden_refine(state, screen.cw, idx, QUARTER_GRID[k])
+                               if problem.phase_mode == "golden" else (None, 0.0, -math.inf))
+            if dec > grow_best:
+                _commit(state, idx, row, twist)
+            else:
+                _apply(state, False, k, idx)
         norm = state.work_norm()
         state.trace.append(norm)
         steps += 1
@@ -1223,7 +1192,7 @@ def _survey(problem: ApproximationProblem, phases: PhaseAssignment) -> SurveyRes
     return disc_error_survey(problem.target, f, _survey_grid(problem))
 
 
-def _approximate_impl(problem: ApproximationProblem, eps_target: float | None = None,
+def _approximate_impl(problem: ApproximationProblem,
                       carry: list[_PoolRows] | None = None) -> ApproximationResult:
     """The pipeline behind ``approximate``, which raises on what this returns.
 
@@ -1232,20 +1201,19 @@ def _approximate_impl(problem: ApproximationProblem, eps_target: float | None = 
     ``carry[0]`` (``_adopt_rows``), and ``carry`` then holds this run's.
     """
     problem.validate()
-    eps_target = problem.eps if eps_target is None else eps_target
     work_problem, dev = contract_target(problem)
     state = init_residual(work_problem)
     prev = carry[0] if carry else None
     start = _adopt_rows(state, prev) if prev else 0
     R = work_problem.hardy_radius
-    stop = 0.5 * eps_target * math.sqrt(math.pi) * (R - problem.r)
+    stop = 0.5 * problem.eps * math.sqrt(math.pi) * (R - problem.r)
     survey = None
     for _ in range(3):   # steering rounds, the norm target divided by 4 each time
         state = greedy_rearrange(state, stop_norm=stop)
         capped = state.stall is None and state.work_norm() > stop   # no stall: the step cap
         # measure against the uncontracted target
         survey = _survey(problem, state.phase_assignment())
-        if survey.max_error <= eps_target or (state.stall and state.stall.pool_exhausted):
+        if survey.max_error <= problem.eps or (state.stall and state.stall.pool_exhausted):
             break
         if state.stall and state.stall.best_decrease <= 0 and not state.stall.pool_exhausted:
             break
@@ -1264,7 +1232,7 @@ def _approximate_impl(problem: ApproximationProblem, eps_target: float | None = 
         contraction_deviation=dev, stalled=state.stall is not None,
         pool_exhausted=state.stall is not None and state.stall.pool_exhausted,
         step_cap=capped,
-        survey=survey, success=survey.max_error <= eps_target)
+        survey=survey, success=survey.max_error <= problem.eps)
 
 
 def approximate(problem: ApproximationProblem) -> ApproximationResult:
@@ -1531,8 +1499,8 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     carry: list[_PoolRows] = []
     for k in range(stages):
         y_k = problem.y * 2.0**k
-        prob_k = replace(problem, y=y_k, fixed_phases=assigned)
-        core = _approximate_impl(prob_k, eps_target=0.5 * problem.eps, carry=carry)
+        prob_k = replace(problem, y=y_k, fixed_phases=assigned, eps=0.5 * problem.eps)
+        core = _approximate_impl(prob_k, carry=carry)
         m_k = max(core.primes)
         filler = [int(p) for p in primes_up_to(m_k) if int(p) not in core.phases.theta]
         bound = _SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps

@@ -5,7 +5,7 @@ subcommand's keys; every key is a flag (``eps_slab`` is ``--eps-slab``), and
 command-line values win over the config file:
 
 * approximate: spec target sigma0 radius eps y gamma lam delta t0 pmax
-  phase_grid seed out; refine: the same and stages;
+  phase_grid out; refine: the same and seed stages;
 * check-hypothesis: spec lam width_factor h_grid (lo:hi:count, log spaced) out;
 * zero-scan: spec t0 pmax center_re center_im cradius samples compare_n
   (also check dominance over the product truncated there) phases (a phases
@@ -43,9 +43,12 @@ from . import __version__
 from .analysis import Circle, _memo, fit_c0, min_modulus, rouche_check, zero_count
 from .approx import (
     ApproximationProblem,
+    ApproximationStall,
     InvalidProblem,
+    PoolExhausted,
     RefineStall,
-    _approximate_impl,
+    StepCapReached,
+    approximate,
     product_target,
     refine_sequence,
 )
@@ -66,7 +69,6 @@ _PROBLEM_KEYS = {
     "t0": 0.0,
     "pmax": 100_000,
     "phase_grid": "quarter",
-    "seed": 0,
     "out": "run",
 }
 
@@ -74,7 +76,7 @@ _PROBLEM_KEYS = {
 #: key's type.  The table makes each subcommand's flags and manifest lines.
 COMMAND_KEYS = {
     "approximate": _PROBLEM_KEYS,
-    "refine": {**_PROBLEM_KEYS, "stages": 3},
+    "refine": {**_PROBLEM_KEYS, "seed": 0, "stages": 3},
     "check-hypothesis": {"spec": "zeta", "lam": 0.01, "width_factor": "",
                          "h_grid": "1e4:1e6:20", "out": "run"},
     "zero-scan": {"spec": "zeta", "t0": 0.0, "pmax": 100_000, "center_re": 0.75,
@@ -198,11 +200,13 @@ def read_phases(path: str) -> dict[int, float]:
 
 
 def build_problem(cfg: RunConfig) -> ApproximationProblem:
+    # only the refine draws use a seed
+    seed = {"seed": cfg["seed"]} if cfg.command == "refine" else {}
     return ApproximationProblem(
         spec=build_spec(cfg), target=build_target(cfg),
         sigma0=cfg["sigma0"], r=cfg["radius"], eps=cfg["eps"], y=cfg["y"],
         gamma_c=cfg["gamma"], lam=cfg["lam"], delta=cfg["delta"], t0=cfg["t0"],
-        p_max=cfg["pmax"], seed=cfg["seed"], phase_mode=cfg["phase_grid"])
+        p_max=cfg["pmax"], phase_mode=cfg["phase_grid"], **seed)
 
 
 def _optional(cfg: RunConfig, key: str, kind: type):
@@ -223,23 +227,23 @@ def _write(outdir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
+#: ``approximate``'s stop reasons -> (report status, exit code)
+_STOPS = {ApproximationStall: ("stall", 2), PoolExhausted: ("pool_exhausted", 5),
+          StepCapReached: ("step_cap", 6)}
+
+
 def cmd_approximate(cfg: RunConfig) -> int:
     problem = build_problem(cfg)
     problem.validate()
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
-    result = _approximate_impl(problem)
+    try:
+        result, (status, code) = approximate(problem), ("success", 0)
+    except ApproximationStall as exc:
+        result, (status, code) = exc.result, _STOPS[type(exc)]
     _write(out, "phases.txt", result.phases_text())
     _write(out, "trace.txt", result.trace_text())
     _write(out, "heatmap.txt", result.survey.heatmap_text())
-    if result.success:
-        status, code = "success", 0
-    elif result.pool_exhausted:
-        status, code = "pool_exhausted", 5
-    elif result.step_cap:
-        status, code = "step_cap", 6
-    else:
-        status, code = "stall", 2
     _write(out, "report.txt",
            f"status {status}\nmax_error {result.max_error!r}\n"
            f"argmax {result.argmax.real!r} {result.argmax.imag!r}\n"

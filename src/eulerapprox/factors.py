@@ -296,13 +296,15 @@ class EulerFactorSpec:
         return ks, np.column_stack([terms, past])
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _custom_log_coefficients(row: tuple[tuple[int, complex], ...], order: int) -> np.ndarray:
     """c_1..c_order of log(1 + sum_m a_m z^m) for one custom table row (read-only).
 
     By the recurrence m c_m = m a_m - sum_{j<m} j c_j a_{m-j}.  Cached per
-    (row, order): the pool build, the golden search and the refine screen
-    ask for the same rows on every call of ``log_terms``.
+    (row, order), without a size bound, so each is worked out once per
+    process: the pool build, the golden search and the refine screen ask
+    for the same rows on every call of ``log_terms``, and a bounded cache
+    smaller than a table's distinct rows would miss on every one.
     """
     coeffs = dict(row)
     a = np.array([0j] + [complex(coeffs.get(m, 0.0)) for m in range(1, order + 1)])

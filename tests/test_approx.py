@@ -11,17 +11,15 @@ from eulerapprox.approx import (
     _BLOCK,
     _DROP,
     _MOVE_ROWS,
-    _accepted_gains,
+    _apply,
     _approximate_impl,
     _character_tail_majorant,
     _commit,
-    _commit_drop,
-    _commit_rephase,
     _embedding_tail,
     _FillerScreen,
+    _full_scores,
     _golden_refine,
     _pair_rescue,
-    _phase_scores,
     _quarter_rows,
     _survey,
     _u_rows,
@@ -174,8 +172,8 @@ def test_nu_rest_follows_grow_rephase_and_drop():
     assert np.allclose(state.nu_rest, curvature_of_remaining_pool(), rtol=1e-12, atol=1e-15)
     moves = [lambda: _commit(state, 0, state.u_phase[1][0], state.stored_twists[1][0]),
              lambda: _commit(state, 3, state.u_phase[0][3], state.stored_twists[0][3]),
-             lambda: _commit_rephase(state, 0, 2),
-             lambda: _commit_drop(state, 1)]
+             lambda: _apply(state, True, 2, 0),
+             lambda: _apply(state, True, _DROP, 1)]
     for move in moves:
         move()
         assert np.allclose(state.nu_rest, curvature_of_remaining_pool(),
@@ -494,7 +492,7 @@ def test_move_rows_match_whole_list_gains(spec):
         for w in [state.work.coef] + probes:
             cw = np.conj(w) * state.weights
             want = whole_list_gains(state, rows, cw)
-            assert np.array_equal(_accepted_gains(state, cw), want)
+            assert np.array_equal(accepted_scores(state, cw), want)
             # the head screen picks the whole list's first best move when it is above tol
             screen, heads, tol = screen_for(state, w)
             best = (-math.inf, 0, 0)
@@ -515,14 +513,14 @@ def test_move_rows_match_whole_list_gains(spec):
         nonlocal work
         new = state.u_phase[k][state.accepted_idx[pos]]
         work = work - (new - rows[pos])
-        _commit_rephase(state, pos, k)
+        _apply(state, True, k, pos)
         rows[pos] = new
         check()
 
     def drop(pos):
         nonlocal work
         work = work + rows[pos]
-        _commit_drop(state, pos)
+        _apply(state, True, _DROP, pos)
         del rows[pos]
         check()
 
@@ -544,9 +542,9 @@ def test_move_rows_match_whole_list_gains(spec):
     drop(len(rows) - 1)
 
     cw = np.conj(state.work.coef) * state.weights
-    _, pairings = _phase_scores(state, cw)
+    _, pairings = pool_scores(state, cw)
     before = dict(zip(state.accepted, rows))
-    assert _pair_rescue(state, pairings, _accepted_gains(state, cw))
+    assert _pair_rescue(state, pairings, accepted_scores(state, cw))
     # the pair rephases an accepted prime
     assert set(before) - set(state.accepted)
     rows = [before[(p, tw)] if (p, tw) in before else
@@ -584,18 +582,30 @@ def test_move_rows_grow_with_the_accepted_count(monkeypatch, kw, accepted):
 # ---------------------------------------------------------------------------
 
 
+def pool_scores(state, cw):
+    """The full pass over the built pool rows, accepted primes' rows at -inf, and the pairings."""
+    scores, pairings = _full_scores(state.u_phase, state.u_norm2, state.built, cw)
+    scores[:, ~state.pool_mask[:state.built]] = -np.inf
+    return scores, pairings
+
+
+def accepted_scores(state, cw):
+    """The full pass over the moves on accepted primes, (move, position)."""
+    return _full_scores(state.move_rows, state.move_norm2, len(state.accepted_idx), cw)[0]
+
+
 def full_pool_best(state, screen, heads, bar):
-    """The oracle of ``_pool_best``: argmax of the full ``_phase_scores`` pass."""
+    """The oracle of ``_pool_best``: argmax of the full pass over the pool rows."""
     if not state.built:
         return -math.inf, 0, 0
-    decreases, _ = _phase_scores(state, screen.cw)
+    decreases, _ = pool_scores(state, screen.cw)
     k, idx = np.unravel_index(int(np.argmax(decreases)), decreases.shape)
     return float(decreases[k, idx]), int(k), int(idx)
 
 
 def full_accepted_best(state, screen, heads, tol):
-    """The oracle of ``_accepted_best``: argmax of the full ``_accepted_gains`` pass."""
-    gains = _accepted_gains(state, screen.cw)
+    """The oracle of ``_accepted_best``: argmax of the full pass over the accepted moves."""
+    gains = accepted_scores(state, screen.cw)
     if not gains.size:
         return -math.inf, 0, 0
     move, pos = np.unravel_index(int(np.argmax(gains)), gains.shape)
@@ -670,8 +680,8 @@ def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
     cw = np.conj(state.work.coef) * state.weights
     row, twist, _ = _golden_refine(state, cw, 50, QUARTER_GRID[1])
     _commit(state, 50, row, twist)
-    _commit_rephase(state, 2, 3)
-    _commit_drop(state, 4)
+    _apply(state, True, 3, 2)
+    _apply(state, True, _DROP, 4)
     R = prob.hardy_radius
     n = np.arange(prob.order + 1)
     base = state.work.coef.copy()
@@ -695,6 +705,11 @@ def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
                                      full_pool_best(state, screen, heads, bar), bar)
             assert_same_best(approx._accepted_best(state, screen, heads, tol),
                              full_accepted_best(state, screen, heads, tol), tol)
+            # the fallback alone (no screen) leaves the accepted primes' rows out too
+            out = ~state.pool_mask[:state.built]
+            assert_same_best(approx._best_move(state.u_phase, state.u_norm2, out, None, None,
+                                               screen, tol),
+                             full_pool_best(state, screen, heads, tol), tol)
 
 
 @BUILD_SPECS
@@ -1024,8 +1039,8 @@ def refine_oracle(problem, stages):
     assigned, out, prev_error = {}, [], math.inf
     for k in range(stages):
         y_k = problem.y * 2.0**k
-        core = _approximate_impl(replace(problem, y=y_k, fixed_phases=assigned),
-                                 eps_target=0.5 * problem.eps)
+        core = _approximate_impl(replace(problem, y=y_k, fixed_phases=assigned,
+                                         eps=0.5 * problem.eps))
         m_k = max(core.primes)
         filler = [int(p) for p in ea.primes_up_to(m_k) if int(p) not in core.phases.theta]
         bound = approx._SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps
@@ -1114,7 +1129,7 @@ def adopted_and_fresh(spec, cut, **kw):
     """
     prob = make_problem(spec=spec, p_max=5000, **kw)
     carry = []
-    _approximate_impl(prob, eps_target=0.5 * prob.eps, carry=carry)
+    _approximate_impl(replace(prob, eps=0.5 * prob.eps), carry=carry)
     fixed = {int(p): 0.25 * (int(p) % 4) for p in ea.primes_up_to(cut)}
     nxt, _ = ea.contract_target(replace(prob, y=2.0 * prob.y, fixed_phases=fixed))
     adopted, fresh = ea.init_residual(nxt), ea.init_residual(nxt)
@@ -1201,7 +1216,7 @@ def test_screened_refine_surveys_few_draws(monkeypatch):
 ], ids=["zeta", "chi4", "chi5", "custom-wide"])
 def test_filler_screen_is_within_delta_of_the_survey(spec):
     prob = make_problem(spec=spec, p_max=2000)
-    core = _approximate_impl(prob, eps_target=0.5 * prob.eps)
+    core = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
     # fillers up to 20,000 take every band; 12 draws of them go in two chunks
     for bound, count in ((1000, 48), (20_000, 12)):
         filler = [int(p) for p in ea.primes_up_to(bound) if int(p) not in core.phases.theta]
@@ -1272,7 +1287,7 @@ def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec
 def test_screen_sums_are_the_band_rows(monkeypatch, spec, cut):
     monkeypatch.setattr(approx, "_SCREEN_CUT", cut)
     prob = make_problem(spec=spec, p_max=2000)
-    core = _approximate_impl(prob, eps_target=0.5 * prob.eps)
+    core = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
     ps = np.array([int(p) for p in ea.primes_up_to(20_000) if int(p) not in core.phases.theta])
     screen = _FillerScreen(prob, core.phases, ps.tolist())
     tails = [_embedding_tail(spec, ps[idx], prob.r, prob.sigma0, approx._SCREEN_ORDER, m)[0]

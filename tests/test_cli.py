@@ -109,6 +109,7 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     ["torus", "--pmax", "5"],
     ["zero-scan", "--sigma0", "0.8"],
     ["check-hypothesis", "--seed", "1"],
+    ["approximate", "--seed", "7"],      # approximate draws nothing at random
     # an integer key takes no fraction: these would otherwise run N 3, 25000 and 2
     ["torus", "--N", "3.7"],
     ["approximate", "--pmax", "25000.5"],
@@ -157,12 +158,12 @@ def replay_argv(tmp_path):
     phases.write_text("2 0.25\n3 0.5\n7 0.75\n")
     problem = ["--target", "exp:-0.05", "--sigma0", "0.76", "--radius", "0.019",
                "--y", "3", "--gamma", "1.9", "--lam", "0.011", "--delta", "0.009",
-               "--t0", "0.5", "--pmax", "2000", "--seed", "1"]
+               "--t0", "0.5", "--pmax", "2000"]
     return {
         "approximate": ["approximate", "--spec", "chi4", "--phase-grid", "golden",
                         "--eps", "0.025"] + problem,
         "refine": ["refine", "--spec", "zeta", "--phase-grid", "quarter", "--eps", "0.2",
-                   "--stages", "2"] + problem,
+                   "--stages", "2", "--seed", "1"] + problem,
         "check-hypothesis": ["check-hypothesis", "--spec", "chi4", "--lam", "0.02",
                              "--width-factor", "0.01", "--h-grid", "1e4:1e5:3"],
         "zero-scan": ["zero-scan", "--spec", "chi4", "--t0", "0.5", "--pmax", "2000",

@@ -8,7 +8,7 @@ import pytest
 import eulerapprox as ea
 from eulerapprox.approx import _u_rows
 from eulerapprox.exact import QI, QI_ONE
-from eulerapprox.factors import HypothesisError, interval_weights
+from eulerapprox.factors import HypothesisError, _custom_log_coefficients, interval_weights
 from eulerapprox.hardy import TWO_PI
 
 
@@ -353,6 +353,17 @@ def test_custom_log_terms_match_recurrence():
     ms = np.arange(1, order + 1, dtype=float)
     cm = np.array([reference_log_coefficients(CUSTOM, int(p), order) for p in POOL])
     assert np.array_equal(CUSTOM.log_terms(POOL, base, order), cm * base[:, None] ** ms[None, :])
+
+
+def test_custom_log_rows_are_worked_out_once():
+    # 4,203 distinct rows, more than a 4,096-row cache holds
+    ps = ea.primes_up_to(40_000)
+    spec = make_custom({int(p): {1: 0.3 * cmath.exp(1j * int(p))} for p in ps})
+    base = np.full(len(ps), 0.5 + 0j)
+    first = spec.log_terms(ps, base, 8)
+    misses = _custom_log_coefficients.cache_info().misses
+    assert np.array_equal(spec.log_terms(ps, base, 8), first)
+    assert _custom_log_coefficients.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("spec", [ea.zeta_spec(), CHI4, CUSTOM], ids=["zeta", "chi4", "custom"])
