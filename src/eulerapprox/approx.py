@@ -95,11 +95,12 @@ class ApproximationProblem:
     t0: float = 0.0
     p_max: int = 100_000
     seed: int = 0
-    order: int = 64
     phase_mode: str = "quarter"
     fixed_phases: Mapping[int, float] = field(default_factory=dict)
-    survey_boundary: int = 256
-    survey_rings: int = 4
+    # constants, not fields: the Taylor order of the rows, and the survey grid
+    order = 64
+    survey_boundary = 256
+    survey_rings = 4
 
     @property
     def r0(self) -> float:
@@ -239,8 +240,7 @@ def _twisted_rows(spec: EulerFactorSpec, primes: np.ndarray, lnp: np.ndarray,
 
 
 def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
-            sigma0: float, order: int, series_order: int,
-            gammas: np.ndarray | None = None) -> np.ndarray:
+            sigma0: float, order: int, series_order: int) -> np.ndarray:
     """Taylor rows of the twisted log factors, shape (len(primes), order+1).
 
     Row p holds the coefficients of log f_p(e^{-2 pi i tw} p^{-s-sigma0})
@@ -252,11 +252,8 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
     """
     primes = np.asarray(primes, dtype=np.int64)
     lnp = np.log(primes.astype(float))
-    tw = np.asarray(twists, dtype=float)
-    if gammas is not None:
-        tw = tw + gammas
-    return _twisted_rows(spec, primes, lnp, tw, sigma0, _m_powers(order, series_order),
-                         _taylor_direction(lnp, order))
+    return _twisted_rows(spec, primes, lnp, np.asarray(twists, dtype=float), sigma0,
+                         _m_powers(order, series_order), _taylor_direction(lnp, order))
 
 
 def _write_norms(state: ApproximationState, rows: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -446,9 +443,9 @@ def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
 #: move index of a drop in the accepted-move gains; k < _DROP rephases to quarter k
 _DROP = len(QUARTER_GRID)
 
-#: accepted positions the move arrays hold at first; they double when full.
-#: Sized to the pool, they would reach numpy's huge-page threshold (4 MB) and
-#: make sparse rows resident in 2 MB pages.
+#: accepted positions the move store holds at first; it doubles when full.
+#: Sized to the pool, its arrays would reach numpy's huge-page threshold (4 MB)
+#: and make sparse rows resident in 2 MB pages.
 _MOVE_ROWS = 64
 
 
@@ -486,15 +483,16 @@ class ApproximationState:
     of the primes in blocks b, b+1, ...; greedy steering reads it to decide
     how far the build must go.
 
-    The accepted primes are kept as their moves, not as their rows:
-    ``move_rows[k][a]`` is the rephase u_k - c (k < ``_DROP``) or the drop
-    -c of accepted position a with current row c, and ``move_norm2[a, k]``
-    its disc norm, so the current row is -``move_rows[_DROP][a]``.  Only
-    the first ``len(accepted_idx)`` rows are live; the arrays start at
-    ``_MOVE_ROWS`` rows and double when full, so they grow with the
+    An accepted position a keeps its current row c in ``cur[a]``.  Its
+    moves are the rephase u_k - c onto quarter k < ``_DROP`` (u_k the
+    prime's pool row) and the drop -c; ``move_row`` works them out where
+    they are read, and ``move_norm2[a, k]`` stores their disc norms.  Only
+    the first ``len(accepted_idx)`` rows are live; the move store starts at
+    ``_MOVE_ROWS`` rows and doubles when full, so it grows with the
     accepted count, not with the pool.  ``_apply`` (through ``_commit`` for
-    a new prime) updates them where the accepted set changes, and a full
-    pass scores either group's rows alike (``_full_scores``).
+    a new prime) updates it where the accepted set changes, and a full pass
+    scores either group's rows alike (``_full_scores`` of ``pool_row`` or
+    ``move_row``).
 
     Greedy steps screen every move by its head (``_best_move``), so the
     norms are laid out as the screen reads them: a row per prime or
@@ -505,8 +503,8 @@ class ApproximationState:
     when the build passes them, so a block-by-block build copies them a
     logarithmic number of times.  The moves keep no heads: a step works
     them out from the pool heads and the current rows (``_accepted_best``).
-    ``move_tail[a, k]`` holds the tail norm of ``move_rows[k][a]`` and
-    lives, doubles and shifts with the move rows.  ``norm2_max`` is the
+    ``move_tail[a, k]`` holds the tail norm of move k of position a and
+    lives, doubles and shifts with ``cur``.  ``norm2_max`` is the
     largest ||u||^2 written to either group, for the screen's rounding
     slack.
     """
@@ -523,7 +521,7 @@ class ApproximationState:
                                              # written with the rows, like u_phase
     weights: np.ndarray                      # disc norm weights
     row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
-    move_rows: list[np.ndarray]              # per accepted-prime move: rows (capacity, order+1)
+    cur: np.ndarray                          # (capacity, order+1): accepted positions' rows
     move_norm2: np.ndarray                   # (capacity, move): ||u||^2
     head: np.ndarray                         # (capacity >= built, quarter, h): u[:h]
     tail_norm: np.ndarray                    # (capacity >= built, quarter): ||u[h:]||
@@ -543,6 +541,15 @@ class ApproximationState:
         full = _u_rows(p.spec, rest, ref, p.sigma0, p.order, _SERIES_ORDER)
         leading = _u_rows(p.spec, rest, ref, p.sigma0, p.order, 1)
         return (full - leading).sum(axis=0)
+
+    def pool_row(self, k: int, sel: int | slice) -> np.ndarray:
+        """Row(s) ``sel`` of pool quarter k."""
+        return self.u_phase[k][sel]
+
+    def move_row(self, k: int, sel: int | slice) -> np.ndarray:
+        """Move k of accepted position(s) ``sel``: u_k - c for k < ``_DROP``, -c for the drop."""
+        c = self.cur[sel]
+        return -c if k == _DROP else self.u_phase[k][self.accepted_idx[sel]] - c
 
     @property
     def residual(self) -> H2Element:
@@ -605,7 +612,7 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         tw = np.array([mandatory[int(p)] for p in mp])
         gam = np.array([0.0 if int(p) in problem.fixed_phases
                         else problem.t0 * math.log(int(p)) / TWO_PI for p in mp])
-        rows = _u_rows(spec, mp, tw, problem.sigma0, N, _SERIES_ORDER, gammas=gam)
+        rows = _u_rows(spec, mp, tw + gam, problem.sigma0, N, _SERIES_ORDER)
         work = H2Element(R, work.coef - rows.sum(axis=0), work.tail_bound)
 
     keep = (all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))
@@ -633,7 +640,7 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         u_norm2=np.empty((len(pool), nq)),
         stored_twists=np.empty((nq, len(pool))), weights=weights,
         row_bound=row_bound * (math.sqrt(math.pi) * R),
-        move_rows=[np.empty((_MOVE_ROWS, N + 1), dtype=complex) for _ in range(_DROP + 1)],
+        cur=np.empty((_MOVE_ROWS, N + 1), dtype=complex),
         move_norm2=np.empty((_MOVE_ROWS, _DROP + 1)),
         head=np.empty((0, nq, h), dtype=complex), tail_norm=np.empty((0, nq)),
         move_tail=np.empty((_MOVE_ROWS, _DROP + 1)), tail_bound=tail_norm)
@@ -641,47 +648,28 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     return state
 
 
-class _PoolRows(NamedTuple):
-    """The built pool stores of a finished state, handed to the next refine stage.
-
-    ``alone``: the last pool prime's rows came from a one-row product, which
-    numpy computes by another path; no other row's bits depend on its block.
-    """
-
-    problem: ApproximationProblem
-    pool_primes: np.ndarray
-    u_phase: list[np.ndarray]
-    u_norm2: np.ndarray
-    stored_twists: np.ndarray
-    head: np.ndarray
-    tail_norm: np.ndarray
-    built: int
-    alone: bool
-
-
-def _last_alone(npool: int, start: int, prev: _PoolRows | None) -> bool:
-    """Whether the last row is built alone: by blocks from ``start``, or by ``prev`` before it."""
-    return prev.alone if start == npool and prev else (npool - start) % _BLOCK == 1
-
-
-def _adopt_rows(state: ApproximationState, prev: _PoolRows) -> int:
+def _adopt_rows(state: ApproximationState, prev: ApproximationState) -> int:
     """Take ``prev``'s built rows as views if the state's pool is a suffix of its pool.
 
     Rows, stored twists, norms, heads and tail norms are per-prime functions
-    of (spec, p, sigma0, order, radius), but for the bits of a row built
-    alone: the views hold what ``_quarter_rows`` writes when both layouts
-    build the last row alone or neither does.  ``norm2_max`` is then the
-    largest adopted ||u||^2, as a build writes it.  Returns the rows taken.
+    of (spec, p, sigma0, radius), but for the bits of a row built alone, by
+    a one-row product, which numpy computes by another path: the views hold
+    what ``_quarter_rows`` writes when both layouts build the last row alone
+    or neither does.  Blocks of ``_BLOCK`` rows from row b build it alone
+    when npool - b is 1 modulo ``_BLOCK``.  ``prev`` adopted rows only on
+    this condition, so it built its own last row alone when its pool size
+    is 1 modulo ``_BLOCK``.  ``norm2_max`` is then the largest adopted
+    ||u||^2, as a build writes it.  Returns the rows taken.
     """
     p, q = state.problem, prev.problem
     npool = len(state.pool_primes)
     off = len(prev.pool_primes) - npool
     built = prev.built - off
+    rest = len(prev.pool_primes) if built == npool else npool - built
     if (off < 0 or built <= 0
-            or (q.spec, q.sigma0, q.order, q.hardy_radius)
-            != (p.spec, p.sigma0, p.order, p.hardy_radius)
+            or (q.spec, q.sigma0, q.hardy_radius) != (p.spec, p.sigma0, p.hardy_radius)
             or not np.array_equal(prev.pool_primes[off:], state.pool_primes)
-            or _last_alone(npool, built, prev) != _last_alone(npool, 0, None)):
+            or (rest % _BLOCK == 1) != (npool % _BLOCK == 1)):
         return 0
     state.u_phase = [u[off:] for u in prev.u_phase]
     state.u_norm2 = prev.u_norm2[off:]
@@ -701,17 +689,22 @@ def _adopt_rows(state: ApproximationState, prev: _PoolRows) -> int:
 _MAX_STEPS = 600
 
 
-def _full_scores(rows: Sequence[np.ndarray], norm2: np.ndarray, n: int,
-                 cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores 2 Re<W,u> - ||u||^2 of every move ``rows[k][:n]`` and the pairings Re<W,u>.
+#: a move group's row getter: ``rows(k, sel)`` is move k of the rows ``sel``
+#: (``ApproximationState.pool_row`` or ``move_row``)
+_Rows = Callable[[int, "int | slice"], np.ndarray]
 
-    (len(rows), n) each, one product per move k, ``norm2[i, k]`` being
+
+def _full_scores(rows: _Rows, norm2: np.ndarray, n: int,
+                 cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores 2 Re<W,u> - ||u||^2 of every move ``rows(k, slice(n))`` and the pairings Re<W,u>.
+
+    (moves, n) each, one product per move k, ``norm2[i, k]`` being
     ||u||^2: the full pass of either move group, which the stall path, the
     pair rescue and ``_best_move``'s fallback read.
     """
-    pairings = np.empty((len(rows), n))
-    for k, r in enumerate(rows):
-        pairings[k] = (r[:n] @ cw).real
+    pairings = np.empty((norm2.shape[1], n))
+    for k in range(len(pairings)):
+        pairings[k] = (rows(k, slice(n)) @ cw).real
     return 2.0 * pairings - norm2[:n].T, pairings
 
 
@@ -758,27 +751,27 @@ def _head_pairings(state: ApproximationState, screen: _Screen) -> np.ndarray:
     return _real_pairing(state.head[:built].reshape(-1, h), screen).reshape(built, nq)
 
 
-def _exact_scores(rows: Sequence[np.ndarray], norm2: np.ndarray, ks: np.ndarray,
+def _exact_scores(rows: _Rows, norm2: np.ndarray, ks: np.ndarray,
                   ids: np.ndarray, cw: np.ndarray) -> np.ndarray:
-    """2 Re<W,u> - ||u||^2 of the rows ``rows[k][i]``, of norm ``norm2[i, k]``.
+    """2 Re<W,u> - ||u||^2 of the rows ``rows(k, i)``, of norm ``norm2[i, k]``.
 
     Bit-identical to a full pass: OpenBLAS gemv gives a row the same bits
     for any row count >= 2 and any offset, and a 1-row product takes
     another numpy path, so one row is scored in a pair with itself.
     """
-    picked = [rows[k][i] for k, i in zip(ks, ids)]
+    picked = [rows(k, i) for k, i in zip(ks, ids)]
     mat = np.array(picked if len(picked) > 1 else picked * 2)
     n2 = norm2[ids, ks]
     return 2.0 * (mat @ cw).real[:len(picked)] - n2
 
 
-def _best_move(rows: Sequence[np.ndarray], norm2: np.ndarray, out: np.ndarray,
+def _best_move(rows: _Rows, norm2: np.ndarray, out: np.ndarray,
                centre: np.ndarray | None, tail: np.ndarray, screen: _Screen,
                bar: float) -> tuple[float, int, int]:
-    """The best score over ``rows[k][:count]`` if it reaches ``bar``: (score, k, i).
+    """The best score over ``rows(k, slice(count))`` if it reaches ``bar``: (score, k, i).
 
     ``out``, (count,) bool, flags the i whose moves may not be taken.
-    ``centre`` and ``tail`` are (count, len(rows)) arrays: each row's head
+    ``centre`` and ``tail`` are (count, moves) arrays: each row's head
     score 2 Re<u[:h], W[:h]> - ||u||^2, up to rounding, and its tail norm
     ||u[h:]||.  With t = ||u[h:]|| ||W[h:]|| (Cauchy-Schwarz) and s the
     rounding slack, a row's computed score lies in [centre - 2t - s, centre
@@ -813,7 +806,8 @@ def _best_move(rows: Sequence[np.ndarray], norm2: np.ndarray, out: np.ndarray,
             flat = near[centre[near] + tail[near] * screen.tail_w >= floor]
             if not len(flat):
                 return -math.inf, 0, 0
-            ks, ids = np.divmod(np.sort(flat % len(rows) * count + flat // len(rows)), count)
+            nk = norm2.shape[1]
+            ks, ids = np.divmod(np.sort(flat % nk * count + flat // nk), count)
             scores = _exact_scores(rows, norm2, ks, ids, screen.cw)
             if np.all(np.isfinite(scores)):
                 j = int(np.argmax(scores))
@@ -834,7 +828,7 @@ def _pool_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
     the built prefix, less ``u_norm2``; the rows of accepted primes are out.
     """
     built = state.built
-    return _best_move(state.u_phase, state.u_norm2, ~state.pool_mask[:built],
+    return _best_move(state.pool_row, state.u_norm2, ~state.pool_mask[:built],
                       heads - state.u_norm2[:built], state.tail_norm[:built], screen, bar)
 
 
@@ -911,28 +905,20 @@ def _resized(a: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray) -> None:
-    """Write the move rows and norms of accepted position ``pos``.
+    """Write the current row ``cur`` of accepted position ``pos`` and its move norms.
 
     The moves are u_k - cur for k < ``_DROP`` (u_k the prime's quarter-k
-    row) and -cur, ``cur`` the position's current row; their norms are
-    summed row by row as one (moves, order+1) array, the arithmetic of a
-    whole-list gains pass.  Full arrays double one at a time, each old one
-    freed before the next is copied, and only their live rows are copied,
-    so no page past them is touched.
+    row) and -cur; their norms are summed row by row as one (moves,
+    order+1) array, the arithmetic of a whole-list gains pass.  Full arrays
+    double one at a time, each old one freed before the next is copied,
+    and only their live rows are copied, so no page past them is touched.
     """
     if pos == len(state.move_norm2):
-        for k in range(_DROP + 1):
-            state.move_rows[k] = _resized(state.move_rows[k], 2 * pos)
-        state.move_norm2 = _resized(state.move_norm2, 2 * pos)
-        state.move_tail = _resized(state.move_tail, 2 * pos)
-    idx = state.accepted_idx[pos]
-    d = np.empty((_DROP + 1, len(cur)), dtype=complex)
-    for k in range(_DROP):
-        np.subtract(state.u_phase[k][idx], cur, out=d[k])
-    np.negative(cur, out=d[_DROP])
+        state.cur, state.move_norm2, state.move_tail = (
+            _resized(a, 2 * pos) for a in (state.cur, state.move_norm2, state.move_tail))
+    state.cur[pos] = cur
+    d = np.array([state.move_row(k, pos) for k in range(_DROP + 1)])
     state.move_norm2[pos] = _write_norms(state, d, state.move_tail[pos])
-    for k in range(_DROP + 1):
-        state.move_rows[k][pos] = d[k]
 
 
 def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) -> None:
@@ -973,7 +959,8 @@ def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray
     n = len(state.accepted_idx)
     centre = None
     if tol > _ZERO_MOVE_TOL:
-        drop = _real_pairing(state.move_rows[_DROP][:n, :state.head.shape[-1]], screen)
+        # negation is exact: the pairing of the drop rows -c, up to the sign of a zero
+        drop = -_real_pairing(state.cur[:n, :state.head.shape[-1]], screen)
         centre = np.empty((n, _DROP + 1))
         np.add(heads[np.fromiter(state.accepted_idx, np.intp, n)], drop[:, None],
                out=centre[:, :_DROP])
@@ -981,7 +968,7 @@ def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray
         n2 = state.move_norm2[:n]
         centre -= n2
         centre[n2 == 0.0] = -np.inf
-    return _best_move(state.move_rows, state.move_norm2, np.zeros(n, dtype=bool), centre,
+    return _best_move(state.move_row, state.move_norm2, np.zeros(n, dtype=bool), centre,
                       state.move_tail[:n], screen, tol)
 
 
@@ -995,14 +982,14 @@ def _apply(state: ApproximationState, accepted: bool, k: int, i: int) -> None:
         return
     idx = state.accepted_idx[i]
     # a drop's W - (-c) is W + c bit for bit
-    state.work = H2Element(state.work.radius, state.work.coef - state.move_rows[k][i],
+    state.work = H2Element(state.work.radius, state.work.coef - state.move_row(k, i),
                            state.work.tail_bound)
     if k < _DROP:
         _write_moves(state, i, state.u_phase[k][idx])
         state.accepted[i] = (int(state.pool_primes[idx]), float(state.stored_twists[k][idx] % 1.0))
         return
     n = len(state.accepted_idx)
-    for m in state.move_rows + [state.move_norm2, state.move_tail]:
+    for m in (state.cur, state.move_norm2, state.move_tail):
         m[i:n - 1] = m[i + 1:n]
     state.pool_mask[idx] = True
     del state.accepted[i]
@@ -1033,14 +1020,14 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
     n = len(state.accepted_idx)
     moved = np.ones(gains.shape, dtype=bool)
     for k in range(_DROP):
-        moved[k] = np.any(state.move_rows[k][:n] != 0, axis=1)
+        moved[k] = np.any(state.move_row(k, slice(n)) != 0, axis=1)
     pos, ks = np.nonzero(moved.T)   # candidates in (position, move) order
     for j in np.argsort(-gains[ks, pos], kind="stable")[:48]:
         a, k = int(pos[j]), int(ks[j])
         moves.append((True, k, a, int(state.pool_primes[state.accepted_idx[a]])))
     if len(moves) < 2:
         return False
-    deltas = np.array([(state.move_rows if acc else state.u_phase)[k][i] for acc, k, i, _ in moves])
+    deltas = np.array([(state.move_row if acc else state.pool_row)(k, i) for acc, k, i, _ in moves])
     wrows = deltas * state.weights[None, :]
     cvec = (wrows @ np.conj(state.work.coef)).real
     gram = (wrows @ np.conj(deltas.T)).real
@@ -1084,8 +1071,8 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
     not a decrease builds everything first, so the pair rescue and the
     stall diagnostics see the whole pool.
 
-    Moves on accepted primes are scored from the state's move rows and
-    norms (``move_rows``, ``move_norm2``), which the commits keep current,
+    Moves on accepted primes are scored from the state's current rows and
+    move norms (``cur``, ``move_norm2``), which the commits keep current,
     so a step computes only their pairings with the residual.  The
     residual norm is computed once per step.
 
@@ -1114,9 +1101,9 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
             grow_best, k, idx = _pool_scores(state, screen, heads, norm, acc_best, tol)
         if max(grow_best, acc_best) <= tol:
             cw = screen.cw
-            gains, _ = _full_scores(state.move_rows, state.move_norm2, len(state.accepted_idx), cw)
+            gains, _ = _full_scores(state.move_row, state.move_norm2, len(state.accepted_idx), cw)
             if np.any(state.pool_mask):
-                decreases, pairings = _full_scores(state.u_phase, state.u_norm2, state.built, cw)
+                decreases, pairings = _full_scores(state.pool_row, state.u_norm2, state.built, cw)
                 decreases[:, ~state.pool_mask[:state.built]] = -np.inf
                 grow_best = float(decreases.flat[int(np.argmax(decreases))])
                 if _pair_rescue(state, pairings, gains):
@@ -1192,19 +1179,19 @@ def _survey(problem: ApproximationProblem, phases: PhaseAssignment) -> SurveyRes
     return disc_error_survey(problem.target, f, _survey_grid(problem))
 
 
-def _approximate_impl(problem: ApproximationProblem,
-                      carry: list[_PoolRows] | None = None) -> ApproximationResult:
-    """The pipeline behind ``approximate``, which raises on what this returns.
+def _approximate_impl(problem: ApproximationProblem, prev: ApproximationState | None = None
+                      ) -> tuple[ApproximationResult, ApproximationState]:
+    """The pipeline behind ``approximate``, which raises on the result this returns.
 
-    ``carry``, a list of at most one ``_PoolRows``, hands built pool rows
-    from one refine stage to the next: the state adopts those of
-    ``carry[0]`` (``_adopt_rows``), and ``carry`` then holds this run's.
+    Also returns the final steering state.  A refine stage passes the
+    previous stage's as ``prev``, whose built pool rows the new state
+    adopts (``_adopt_rows``).
     """
     problem.validate()
     work_problem, dev = contract_target(problem)
     state = init_residual(work_problem)
-    prev = carry[0] if carry else None
-    start = _adopt_rows(state, prev) if prev else 0
+    if prev is not None:
+        _adopt_rows(state, prev)
     R = work_problem.hardy_radius
     stop = 0.5 * problem.eps * math.sqrt(math.pi) * (R - problem.r)
     survey = None
@@ -1218,11 +1205,6 @@ def _approximate_impl(problem: ApproximationProblem,
         if state.stall and state.stall.best_decrease <= 0 and not state.stall.pool_exhausted:
             break
         stop /= 4.0
-    if carry is not None:
-        pool = state.pool_primes
-        carry[:] = [_PoolRows(work_problem, pool, state.u_phase, state.u_norm2,
-                              state.stored_twists, state.head, state.tail_norm, state.built,
-                              _last_alone(len(pool), start, prev))]
     phases = state.phase_assignment()
     return ApproximationResult(
         problem=problem, primes=tuple(sorted(phases.theta)), phases=phases,
@@ -1232,7 +1214,7 @@ def _approximate_impl(problem: ApproximationProblem,
         contraction_deviation=dev, stalled=state.stall is not None,
         pool_exhausted=state.stall is not None and state.stall.pool_exhausted,
         step_cap=capped,
-        survey=survey, success=survey.max_error <= problem.eps)
+        survey=survey, success=survey.max_error <= problem.eps), state
 
 
 def approximate(problem: ApproximationProblem) -> ApproximationResult:
@@ -1244,7 +1226,7 @@ def approximate(problem: ApproximationProblem) -> ApproximationResult:
     when that is because no pool prime was left to steer, and its subclass
     StepCapReached when the last steering round ended at its step cap.
     """
-    result = _approximate_impl(problem)
+    result, _ = _approximate_impl(problem)
     if not result.success:
         if result.pool_exhausted:
             raise PoolExhausted(
@@ -1471,9 +1453,9 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
 
     A stage's pool is a suffix of the previous stage's: its floor and its
     inherited twists cover a prefix of the primes.  So each core adopts the
-    previous core's built pool rows as views (``_adopt_rows``, through
-    ``_approximate_impl``'s ``carry``), and a refine call builds each pool
-    prime's rows once; only these stores are handed on, not the state.
+    built pool rows of the previous core's state as views (``_adopt_rows``;
+    ``_approximate_impl`` returns its state and takes the previous one as
+    ``prev``), and a refine call builds each pool prime's rows once.
 
     Inherited twists are product twists: a stage passes on theta_p + gamma_p
     (mod 1) of every prime it assigned, and the next stage uses them as
@@ -1496,11 +1478,11 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     assigned: dict[int, float] = {}
     out: list[RefineStage] = []
     prev_error = math.inf
-    carry: list[_PoolRows] = []
+    prev = None
     for k in range(stages):
         y_k = problem.y * 2.0**k
         prob_k = replace(problem, y=y_k, fixed_phases=assigned, eps=0.5 * problem.eps)
-        core = _approximate_impl(prob_k, carry=carry)
+        core, prev = _approximate_impl(prob_k, prev)
         m_k = max(core.primes)
         filler = [int(p) for p in primes_up_to(m_k) if int(p) not in core.phases.theta]
         bound = _SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps

@@ -27,7 +27,8 @@ Exit codes: 0 success, 2 stall, 3 invalid config (a malformed flag or value
 included), 4 hypothesis failure, 5 pool exhausted (``approximate`` steered
 every prime up to pmax and the surveyed error is still above eps; raise pmax
 or lower the floor y), 6 step cap (``approximate``'s last steering round
-ran out of steps while moves still decreased the residual).
+ran out of steps while moves still decreased the residual), 7 contour failure
+(``zero-scan`` could not count windings on its circle; ``report.txt`` says why).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import Circle, _memo, fit_c0, min_modulus, rouche_check, zero_count
+from .analysis import Circle, ContourZeroError, _memo, fit_c0, min_modulus, rouche_check, zero_count
 from .approx import (
     ApproximationProblem,
     ApproximationStall,
@@ -194,6 +195,7 @@ def read_phases(path: str) -> dict[int, float]:
                 parts = line.split()
                 if len(parts) == 2:
                     theta[int(parts[0])] = float(parts[1])
+        PhaseAssignment(theta)      # rejects a twist outside [0, 1), NaN and inf included
     except (OSError, ValueError) as exc:
         raise InvalidProblem(f"cannot read phases file {path!r}: {exc}") from None
     return theta
@@ -313,6 +315,10 @@ def cmd_zero_scan(cfg: RunConfig) -> int:
         raise InvalidProblem(f"zero-scan needs samples >= 8, a finite cradius > 0 and "
                              f"pmax >= 2 (got samples={samples}, cradius={cradius}, "
                              f"pmax={cfg['pmax']})")
+    centre = complex(cfg["center_re"], cfg["center_im"])
+    if not (np.isfinite(centre) and centre.real - cradius > 0.0):   # the factors need Re s > 0
+        raise InvalidProblem(f"zero-scan needs a finite centre and a circle in Re s > 0 "
+                             f"(got centre {centre!r}, cradius {cradius!r})")
     compare_n = _optional(cfg, "compare_n", int)
     spec = build_spec(cfg)
     theta = read_phases(cfg["phases"]) if cfg["phases"] else {}
@@ -320,18 +326,23 @@ def cmd_zero_scan(cfg: RunConfig) -> int:
     pa = PhaseAssignment({p: theta.get(p, 0.0) for p in plist}, t0=cfg["t0"])
     # zero_count, min_modulus and rouche_check sample some of the same points
     f = _memo(product_target(spec, plist, pa, 0.0))
-    contour = Circle(complex(cfg["center_re"], cfg["center_im"]), cradius)
-    count = zero_count(f, contour, quadrature_n=samples)
-    m = min_modulus(f, contour, samples=max(64, samples))
-    lines = [f"zero_count {count}", f"min_modulus {m!r}"]
-    if compare_n is not None:
-        g = product_target(spec, [p for p in plist if p <= compare_n], pa, 0.0)
-        rr = rouche_check(f, g, contour, samples=max(64, samples))
-        lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}"]
-        if rr.zeros_g is not None:   # counted only when dominance holds
-            lines.append(f"zeros_truncated {rr.zeros_g}")
+    contour = Circle(centre, cradius)
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
+    try:
+        count = zero_count(f, contour, quadrature_n=samples)
+        m = min_modulus(f, contour, samples=max(64, samples))
+        lines = [f"zero_count {count}", f"min_modulus {m!r}"]
+        if compare_n is not None:
+            g = product_target(spec, [p for p in plist if p <= compare_n], pa, 0.0)
+            rr = rouche_check(f, g, contour, samples=max(64, samples))
+            lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}"]
+            if rr.zeros_g is not None:   # counted only when dominance holds
+                lines.append(f"zeros_truncated {rr.zeros_g}")
+    except ContourZeroError as exc:
+        _write(out, "report.txt", f"status contour_failure\nreason {exc}\n")
+        print(f"contour failure: {exc}")
+        return 7
     _write(out, "report.txt", "\n".join(lines) + "\n")
     print("; ".join(lines))
     return 0

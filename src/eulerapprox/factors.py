@@ -113,6 +113,8 @@ class EulerFactorSpec:
                 raise FactorDomainError("growth constants need eps > 0 and c >= 1")
         if self.kind == "custom":
             for p, row in self.table.items():
+                if min(row, default=1) < 1:
+                    raise FactorDomainError(f"custom factor at p={p} has an index m < 1")
                 for eps, c in self.c_map.items():
                     for m, a in row.items():
                         if abs(a) > c * p ** (m * eps) * (1 + 1e-12):

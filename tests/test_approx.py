@@ -408,13 +408,7 @@ def test_lazy_steering_matches_full_pool(phase_mode):
 
 
 def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
-    states = []
-    greedy = approx.greedy_rearrange
     handed = {"log_series_tail": 0, "phase_correction": 0}   # primes per spec method
-
-    def keep(state, stop_norm):
-        states.append(state)
-        return greedy(state, stop_norm=stop_norm)
 
     def counting(name):
         method = getattr(ea.EulerFactorSpec, name)
@@ -425,13 +419,11 @@ def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(approx, "greedy_rearrange", keep)
     for name in handed:
         monkeypatch.setattr(ea.EulerFactorSpec, name, counting(name))
     prob = make_problem(p_max=1_000_000)
-    res = _approximate_impl(prob)
+    res, state = _approximate_impl(prob)
     assert res.success
-    state = states[-1]
     pool = state.pool_primes
     assert len(pool) == 78_497
     assert state.built <= 2 * _BLOCK
@@ -478,13 +470,14 @@ def test_move_rows_match_whole_list_gains(spec):
         n = len(rows)
         assert len(state.accepted_idx) == n
         cur = np.asarray(rows).reshape(n, prob.order + 1)
+        assert np.array_equal(state.cur[:n], cur)
         for k in range(_DROP):
-            assert np.array_equal(state.move_rows[k][:n],
+            assert np.array_equal(state.move_row(k, slice(n)),
                                   state.u_phase[k][state.accepted_idx] - cur)
-        assert np.array_equal(state.move_rows[_DROP][:n], -cur)
+        assert np.array_equal(state.move_row(_DROP, slice(n)), -cur)
         h = state.head.shape[-1]
         for k in range(_DROP + 1):      # the screen's tail norms shift and double with the rows
-            d = state.move_rows[k][:n]
+            d = state.move_row(k, slice(n))
             tail = np.sqrt(np.sum(np.abs(d[:, h:]) ** 2 * state.weights[h:], axis=1))
             assert np.array_equal(state.move_tail[:n, k], tail)
         assert np.array_equal(state.work.coef, work)
@@ -560,21 +553,12 @@ def test_move_rows_match_whole_list_gains(spec):
     (dict(p_max=1_000_000), 4),
     (dict(p_max=20_000, y=7.0, target=exp_target(-0.1)), 600),   # 600 greedy steps
 ], ids=["large-pool", "steer"])
-def test_move_rows_grow_with_the_accepted_count(monkeypatch, kw, accepted):
-    states = []
-    greedy = approx.greedy_rearrange
-
-    def keep(state, stop_norm):
-        states.append(state)
-        return greedy(state, stop_norm=stop_norm)
-
-    monkeypatch.setattr(approx, "greedy_rearrange", keep)
+def test_move_rows_grow_with_the_accepted_count(kw, accepted):
     prob = make_problem(**kw)
-    _approximate_impl(prob)
-    state = states[-1]
+    _, state = _approximate_impl(prob)
     assert len(state.accepted) == accepted
-    total = sum(m.nbytes for m in state.move_rows) + state.move_norm2.nbytes
-    assert total <= max(128, 2 * accepted) * (_DROP + 1) * (prob.order + 1) * 16
+    total = state.cur.nbytes + state.move_norm2.nbytes + state.move_tail.nbytes
+    assert total <= max(128, 2 * accepted) * ((prob.order + 1) * 16 + 2 * (_DROP + 1) * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +568,14 @@ def test_move_rows_grow_with_the_accepted_count(monkeypatch, kw, accepted):
 
 def pool_scores(state, cw):
     """The full pass over the built pool rows, accepted primes' rows at -inf, and the pairings."""
-    scores, pairings = _full_scores(state.u_phase, state.u_norm2, state.built, cw)
+    scores, pairings = _full_scores(state.pool_row, state.u_norm2, state.built, cw)
     scores[:, ~state.pool_mask[:state.built]] = -np.inf
     return scores, pairings
 
 
 def accepted_scores(state, cw):
     """The full pass over the moves on accepted primes, (move, position)."""
-    return _full_scores(state.move_rows, state.move_norm2, len(state.accepted_idx), cw)[0]
+    return _full_scores(state.move_row, state.move_norm2, len(state.accepted_idx), cw)[0]
 
 
 def full_pool_best(state, screen, heads, bar):
@@ -685,7 +669,7 @@ def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
     R = prob.hardy_radius
     n = np.arange(prob.order + 1)
     base = state.work.coef.copy()
-    residuals = [base, np.zeros_like(base), state.u_phase[0][5], -state.move_rows[_DROP][0]]
+    residuals = [base, np.zeros_like(base), state.u_phase[0][5], state.cur[0]]
     while len(residuals) < 200:
         z = rng.normal(size=prob.order + 1) + 1j * rng.normal(size=prob.order + 1)
         decay = float(rng.uniform(0.5, 1.5))   # < 1: the tail weighs more than the head
@@ -707,7 +691,7 @@ def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
                              full_accepted_best(state, screen, heads, tol), tol)
             # the fallback alone (no screen) leaves the accepted primes' rows out too
             out = ~state.pool_mask[:state.built]
-            assert_same_best(approx._best_move(state.u_phase, state.u_norm2, out, None, None,
+            assert_same_best(approx._best_move(state.pool_row, state.u_norm2, out, None, None,
                                                screen, tol),
                              full_pool_best(state, screen, heads, tol), tol)
 
@@ -744,11 +728,11 @@ def test_screened_greedy_matches_full_scores_through_stall_and_pair_rescue(monke
         return done[-1]
 
     monkeypatch.setattr(approx, "_pair_rescue", counting)
-    res = _approximate_impl(make_problem(**kw))
+    res, _ = _approximate_impl(make_problem(**kw))
     assert not res.success and sum(done) == rescues
     monkeypatch.setattr(approx, "_pool_best", full_pool_best)
     monkeypatch.setattr(approx, "_accepted_best", full_accepted_best)
-    oracle = _approximate_impl(make_problem(**kw))
+    oracle, _ = _approximate_impl(make_problem(**kw))
     assert res.phases_text() == oracle.phases_text()
     assert [float(v).hex() for v in res.trace] == [float(v).hex() for v in oracle.trace]
     assert (res.max_error, res.pool_exhausted) == (oracle.max_error, oracle.pool_exhausted)
@@ -773,12 +757,12 @@ def test_screen_scores_few_rows_exactly(monkeypatch):
     rows = []
     exact_scores = approx._exact_scores
 
-    def counting(rows_by_k, norm2, ks, ids, cw):
+    def counting(get_rows, norm2, ks, ids, cw):
         rows.append(len(ks))
-        return exact_scores(rows_by_k, norm2, ks, ids, cw)
+        return exact_scores(get_rows, norm2, ks, ids, cw)
 
     monkeypatch.setattr(approx, "_exact_scores", counting)
-    res = _approximate_impl(make_problem(p_max=20_000, y=7.0, target=exp_target(-0.1)))
+    res, _ = _approximate_impl(make_problem(p_max=20_000, y=7.0, target=exp_target(-0.1)))
     steps = len(res.trace) - 1
     assert steps == 600
     assert sum(rows) / steps <= 4
@@ -884,13 +868,13 @@ def test_custom_pool_holds_table_primes_only():
     state = ea.init_residual(make_problem(spec=CUSTOM_WIDE, p_max=2000, y=7.0))
     assert state.pool_primes.tolist() == [int(p) for p in ea.primes_up_to(500) if p > 7]
     # steering uses up the table: a pool exhaustion, not a stall
-    res = _approximate_impl(make_problem(spec=CUSTOM_7, p_max=2000, eps=0.01))
+    res, _ = _approximate_impl(make_problem(spec=CUSTOM_7, p_max=2000, eps=0.01))
     assert res.pool_exhausted and res.stalled and not res.success
 
 
 def test_approximate_deterministic_rerun():
-    a = _approximate_impl(make_problem(p_max=5000))
-    b = _approximate_impl(make_problem(p_max=5000))
+    a, _ = _approximate_impl(make_problem(p_max=5000))
+    b, _ = _approximate_impl(make_problem(p_max=5000))
     assert a.phases_text() == b.phases_text()
     assert a.max_error == b.max_error
 
@@ -919,7 +903,7 @@ def test_surrogate_bounds_survey_error():
         a = float(rng.uniform(-0.3, 0.3))
         prob = make_problem(target=exp_target(a), eps=0.3, p_max=2000,
                             seed=k)
-        res = _approximate_impl(prob)
+        res, _ = _approximate_impl(prob)
         C = norm_to_max(prob.hardy_radius, prob.r)
         m = C * (res.residual_norm + res.tail_bound)
         amax = math.exp(abs(a) * prob.r) + res.contraction_deviation
@@ -990,7 +974,7 @@ def test_empty_pool_unmatched_target_is_pool_exhausted(tmp_path):
 def test_refine_single_stage_core_reduces_to_approximate():
     prob = make_problem(p_max=5000)
     stages = ea.refine_sequence(prob, stages=1)
-    direct = _approximate_impl(prob)
+    direct, _ = _approximate_impl(prob)
     assert stages[0].core_primes == direct.primes
     core_theta = {p: stages[0].phases.theta[p] for p in direct.primes}
     assert core_theta == dict(direct.phases.theta)
@@ -1039,8 +1023,8 @@ def refine_oracle(problem, stages):
     assigned, out, prev_error = {}, [], math.inf
     for k in range(stages):
         y_k = problem.y * 2.0**k
-        core = _approximate_impl(replace(problem, y=y_k, fixed_phases=assigned,
-                                         eps=0.5 * problem.eps))
+        core, _ = _approximate_impl(replace(problem, y=y_k, fixed_phases=assigned,
+                                            eps=0.5 * problem.eps))
         m_k = max(core.primes)
         filler = [int(p) for p in ea.primes_up_to(m_k) if int(p) not in core.phases.theta]
         bound = approx._SLACK * 2.0 ** (1.0 + (k + 1) * beta) * problem.eps
@@ -1122,21 +1106,20 @@ def test_refine_with_adopted_rows_matches_fresh_builds(monkeypatch, spec, kw):
 
 
 def adopted_and_fresh(spec, cut, **kw):
-    """A stage's pool rows, and its successor's state with them adopted and built fresh.
+    """A stage's final state, and its successor's state with its rows adopted and built fresh.
 
     The successor doubles the floor and fixes every prime up to ``cut``, so
     its pool is a suffix of the stage's.
     """
     prob = make_problem(spec=spec, p_max=5000, **kw)
-    carry = []
-    _approximate_impl(replace(prob, eps=0.5 * prob.eps), carry=carry)
+    _, prev = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
     fixed = {int(p): 0.25 * (int(p) % 4) for p in ea.primes_up_to(cut)}
     nxt, _ = ea.contract_target(replace(prob, y=2.0 * prob.y, fixed_phases=fixed))
     adopted, fresh = ea.init_residual(nxt), ea.init_residual(nxt)
-    taken = approx._adopt_rows(adopted, carry[0])
+    taken = approx._adopt_rows(adopted, prev)
     assert taken == adopted.built
     _quarter_rows(fresh, len(fresh.pool_primes))
-    return carry[0], adopted, fresh
+    return prev, adopted, fresh
 
 
 @pytest.mark.parametrize("spec,cut,kw", [
@@ -1163,6 +1146,49 @@ def test_adopted_rows_match_a_fresh_build(spec, cut, kw):
     assert np.array_equal(adopted.head[:n], fresh.head[:n])
     assert np.array_equal(adopted.tail_norm[:n], fresh.tail_norm[:n])
     assert adopted.norm2_max.hex() == fresh.norm2_max.hex()
+
+
+@pytest.mark.parametrize("spec,kw,layouts", [
+    # stage 2's pool of 49 (1 mod 16) is not adopted from 21 built rows; stage 3's
+    # 20 would be all adopted from a pool of 49, whose last row was built alone
+    (ea.zeta_spec(), dict(p_max=291), [(49, 0), (20, 0)]),
+    (ea.zeta_spec(), dict(p_max=300), [(50, 21), (21, 21)]),
+    (ea.zeta_spec(), dict(p_max=148), [(22, 0), (0, 0)]),   # 21 built: one row left alone
+    (CUSTOM_WIDE, dict(p_max=65, seed=1), [(1, 1), (0, 0)]),  # from a pool of 17
+    (CUSTOM_WIDE, dict(p_max=71), [(1, 0), (0, 0)]),          # from a pool of 19
+    (CUSTOM_WIDE, dict(p_max=150), [(13, 13), (0, 0)]),
+], ids=["zeta-291", "zeta-300", "zeta-148", "custom-65", "custom-71", "custom-150"])
+def test_refine_adoption_at_a_small_block_matches_fresh_builds(monkeypatch, spec, kw, layouts):
+    # at _BLOCK = 2048 no REFINE_CASES run reaches a one-row block after adoption
+    monkeypatch.setattr(approx, "_BLOCK", 16)
+    prob = make_problem(spec=spec, **kw)
+    runs, impl, adopt = [], approx._approximate_impl, approx._adopt_rows
+    seen = []     # (pool size, rows taken) of each adoption
+
+    def recording(problem, prev=None):
+        res, state = impl(problem, prev)
+        runs[-1].append((res.trace, state))
+        return res, state
+
+    def adopting(state, prev):
+        taken = adopt(state, prev)
+        seen.append((len(state.pool_primes), taken))
+        return taken
+
+    monkeypatch.setattr(approx, "_approximate_impl", recording)
+    monkeypatch.setattr(approx, "_adopt_rows", adopting)
+    runs.append([])
+    adopted = refine_bits(prob)
+    monkeypatch.setattr(approx, "_adopt_rows", lambda state, prev: 0)
+    runs.append([])
+    assert refine_bits(prob) == adopted
+    assert seen == layouts
+    # every core steers alike, and the rows both runs built are the same bits
+    for (trace, a), (fresh_trace, b) in zip(*runs):
+        assert [v.hex() for v in trace] == [v.hex() for v in fresh_trace]
+        n = min(a.built, b.built)
+        for k in range(len(QUARTER_GRID)):
+            assert np.array_equal(a.u_phase[k][:n], b.u_phase[k][:n])
 
 
 def test_rows_of_another_pool_are_not_adopted():
@@ -1216,7 +1242,7 @@ def test_screened_refine_surveys_few_draws(monkeypatch):
 ], ids=["zeta", "chi4", "chi5", "custom-wide"])
 def test_filler_screen_is_within_delta_of_the_survey(spec):
     prob = make_problem(spec=spec, p_max=2000)
-    core = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
+    core, _ = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
     # fillers up to 20,000 take every band; 12 draws of them go in two chunks
     for bound, count in ((1000, 48), (20_000, 12)):
         filler = [int(p) for p in ea.primes_up_to(bound) if int(p) not in core.phases.theta]
@@ -1287,7 +1313,7 @@ def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec
 def test_screen_sums_are_the_band_rows(monkeypatch, spec, cut):
     monkeypatch.setattr(approx, "_SCREEN_CUT", cut)
     prob = make_problem(spec=spec, p_max=2000)
-    core = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
+    core, _ = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
     ps = np.array([int(p) for p in ea.primes_up_to(20_000) if int(p) not in core.phases.theta])
     screen = _FillerScreen(prob, core.phases, ps.tolist())
     tails = [_embedding_tail(spec, ps[idx], prob.r, prob.sigma0, approx._SCREEN_ORDER, m)[0]

@@ -63,7 +63,7 @@ def test_every_output_file_parses_back(tmp_path):
     heatmap = tmp_path / "approximate" / "heatmap.txt"
     rows = np.array([[float(t) for t in line.split()] for line in heatmap.read_text().splitlines()])
     problem = cli.build_problem(cli.load_config("approximate", None, {"pmax": 2000}))
-    assert np.array_equal(rows, _approximate_impl(problem).survey.rows)
+    assert np.array_equal(rows, _approximate_impl(problem)[0].survey.rows)
 
 
 def test_manifest_with_workers_line_still_replays(tmp_path):
@@ -105,6 +105,10 @@ def test_manifest_with_workers_line_still_replays(tmp_path):
     # fewer than 8 winding samples can only count 0 zeros
     ["zero-scan", "--samples", "4"],
     ["zero-scan", "--compare-n", "abc"],
+    # the factors have poles on Re s = 0, and a non-finite centre counts nothing
+    ["zero-scan", "--center-re", "0.01", "--cradius", "0.02"],
+    ["zero-scan", "--center-re", "nan"],
+    ["zero-scan", "--center-im", "inf"],
     # a flag of another subcommand would otherwise be accepted and ignored
     ["torus", "--pmax", "5"],
     ["zero-scan", "--sigma0", "0.8"],
@@ -121,6 +125,37 @@ def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,text,argv", [
+    ("phases", "2 1.5\n", ["approximate", "--target", "product:{}"]),
+    ("phases", "2 1.5\n", ["zero-scan", "--phases", "{}"]),
+    ("phases", "2 0.25\n3 nan\n", ["approximate", "--target", "product:{}"]),
+    ("phases", "2 0.25\n3 nan\n", ["zero-scan", "--phases", "{}"]),
+    # a coefficient index below 1 would otherwise be dropped from the table
+    ("spec", "c_eps 0.05 2.0\n2 0 0.5 0\n", ["approximate", "--spec", "custom:{}"]),
+], ids=["twist-range-target", "twist-range-zero-scan", "twist-nan-target",
+        "twist-nan-zero-scan", "custom-index-0"])
+def test_malformed_input_file_is_an_invalid_config(tmp_path, capsys, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = [a.format(path) for a in argv] + ["--pmax", "2000", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1
+
+
+def test_zero_scan_contour_failure_has_its_exit_code(tmp_path, capsys):
+    # a valid circle near Re s = 0, where the product's argument is not resolved
+    run = tmp_path / "run"
+    argv = ["zero-scan", "--pmax", "2000", "--center-re", "0.03", "--cradius", "0.02"]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv + ["--out", str(run)]) == 7
+    assert capsys.readouterr().out.startswith("contour failure: ")
+    report = (run / "report.txt").read_text()
+    assert report == ("status contour_failure\n"
+                      "reason winding failed to stabilize (last estimate nan)\n")
+    assert (run / "manifest.txt").exists()
 
 
 def test_integral_value_of_an_integer_key_runs(tmp_path):

@@ -57,6 +57,13 @@ def test_custom_spec_growth_violation_rejected():
         ea.custom_spec({2: {1: 5.0}}, {0.05: 1.0})
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_custom_spec_index_below_one_rejected(m):
+    # a row "2 0 0.5 0" would otherwise be dropped, leaving prime 2 at factor 1
+    with pytest.raises(ea.FactorDomainError, match="m < 1"):
+        ea.custom_spec({2: {1: 0.25, m: 0.5}}, {0.05: 2.0})
+
+
 # ---------------------------------------------------------------------------
 # partial products
 # ---------------------------------------------------------------------------
