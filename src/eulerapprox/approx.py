@@ -259,29 +259,28 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
 def _write_norms(state: ApproximationState, rows: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """||u||^2 of each of ``rows``, with ||u[h:]|| written into ``tail``.
 
-    h is the head width of ``state.head``; ``norm2_max`` follows.  ||u||^2
-    is summed as ``_quarter_rows`` always has, so it is bit-identical to the
-    stored ``u_norm2`` and ``move_norm2``.
+    h is the head width of ``state.head``.  ||u||^2 is summed as
+    ``_quarter_rows`` always has, so it is bit-identical to the stored
+    ``u_norm2`` and ``move_norm2``.
     """
     sq = np.abs(rows) ** 2 * state.weights[None, :]
-    n2 = sq.sum(axis=1)
     tail[:] = np.sqrt(sq[:, state.head.shape[-1]:].sum(axis=1))
-    state.norm2_max = max(state.norm2_max, float(n2.max()))
-    return n2
+    return sq.sum(axis=1)
 
 
 def _quarter_rows(state: ApproximationState, stop: int) -> None:
-    """Build the stored twists, quarter rows and disc norms of the pool up to ``stop``.
+    """Build the phase corrections, quarter rows and disc norms of the pool up to ``stop``.
 
-    Writes each quarter's stored twists (quarter + the leading coefficient's
-    phase correction, mod 1), ``_u_rows`` of the pool at those twists and
-    the rows' disc norms into ``state.stored_twists`` / ``state.u_phase`` /
-    ``state.u_norm2``, and their heads and tail norms into ``state.head`` /
-    ``state.tail_norm``, from ``state.built`` on,
+    Writes each prime's phase correction (the leading coefficient's
+    argument, ``state.correction``), ``_u_rows`` of the pool at each
+    quarter's twists ``state.twist(k, i)`` and the rows' disc norms into
+    ``state.u_phase`` / ``state.u_norm2``, and their heads and tail norms
+    into ``state.head`` / ``state.tail_norm``, from ``state.built`` on,
     whole blocks of ``_BLOCK`` primes at a time, until ``stop`` primes (or
-    the pool) are covered; ``state.built`` follows.  A block's phase correction, logarithms and
-    direction are computed once and shared by every quarter.  Each twist
-    and row is bit-identical to one whole-pool pass per quarter.
+    the pool) are covered; ``state.built`` follows.  A block's phase
+    correction, logarithms and direction are computed once and shared by
+    every quarter.  Each twist and row is bit-identical to one whole-pool
+    pass per quarter.
     """
     p = state.problem
     pool = state.pool_primes
@@ -294,12 +293,11 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
     for lo in blocks:
         blk = slice(lo, lo + _BLOCK)
         ps = pool[blk]
-        stored = state.stored_twists[:, blk]
-        np.add.outer(QUARTER_GRID, p.spec.phase_correction(ps), out=stored)
-        np.mod(stored, 1.0, out=stored)
+        state.correction[blk] = p.spec.phase_correction(ps)
+        twists = np.mod(np.add.outer(QUARTER_GRID, state.correction[blk]), 1.0)
         lnp = np.log(ps.astype(float))
         direction = _taylor_direction(lnp, p.order)
-        for k, tws in enumerate(stored):
+        for k, tws in enumerate(twists):
             out = _twisted_rows(p.spec, ps, lnp, tws, p.sigma0, mpow, direction,
                                 out=state.u_phase[k][blk])
             state.u_norm2[blk, k] = _write_norms(state, out, state.tail_norm[blk, k])
@@ -470,18 +468,22 @@ class StallInfo:
 class ApproximationState:
     """Mutable steering state: exact working residual plus the candidate pool.
 
-    ``work`` equals log(target) minus the log factors of every prime already
-    in the product.  ``residual`` (the reporting view) additionally removes
-    ``nu_rest``, the reference-twist curvature log f_p - a_p^1 z summed over
-    the still-unsteered pool, worked out on demand: steering never reads it.
+    ``work`` holds the Taylor coefficients of log(target) minus the log
+    factors of every prime already in the product, on the disc of radius
+    ``problem.hardy_radius``.  ``residual`` (the reporting view)
+    additionally removes ``nu_rest``, the reference-twist curvature log f_p
+    - a_p^1 z summed over the still-unsteered pool, worked out on demand:
+    steering never reads it.
 
-    The pool's quarter rows are built lazily: ``stored_twists[k][:built]``,
-    ``u_phase[k][:built]`` and ``u_norm2[:built, k]`` hold the stored
-    twists, rows and disc norms of the first ``built`` pool primes (whole
-    ``_BLOCK`` blocks), and the rest of those arrays is unwritten.
-    ``row_bound[b]`` bounds the disc norm ||u|| of every row, at any twist,
-    of the primes in blocks b, b+1, ...; greedy steering reads it to decide
-    how far the build must go.
+    The pool's quarter rows are built lazily: ``correction[:built]``,
+    ``u_phase[k][:built]`` and ``u_norm2[:built, k]`` hold the phase
+    corrections, rows and disc norms of the first ``built`` pool primes
+    (whole ``_BLOCK`` blocks), and the rest of those arrays is unwritten.
+    Row ``u_phase[k][i]`` is the prime's row at twist ``twist(k, i)``, the
+    quarter plus the correction, mod 1.  ``row_bound[b]`` bounds the disc
+    norm ||u|| of every row, at any twist, of the primes in blocks b, b+1,
+    ...; greedy steering reads it to decide how far the build must go, and
+    the head screen its rounding slack.
 
     An accepted position a keeps its current row c in ``cur[a]``.  Its
     moves are the rephase u_k - c onto quarter k < ``_DROP`` (u_k the
@@ -504,21 +506,18 @@ class ApproximationState:
     logarithmic number of times.  The moves keep no heads: a step works
     them out from the pool heads and the current rows (``_accepted_best``).
     ``move_tail[a, k]`` holds the tail norm of move k of position a and
-    lives, doubles and shifts with ``cur``.  ``norm2_max`` is the
-    largest ||u||^2 written to either group, for the screen's rounding
-    slack.
+    lives, doubles and shifts with ``cur``.
     """
 
     problem: ApproximationProblem
-    work: H2Element
+    work: np.ndarray                         # (order+1,): the working residual's coefficients
     mandatory: dict[int, float]              # prime -> stored twist
     accepted: list[tuple[int, float]]
     pool_primes: np.ndarray
     pool_mask: np.ndarray                    # True = still available
     u_phase: list[np.ndarray]                # per steering phase: rows (npool, order+1)
     u_norm2: np.ndarray                      # (npool, quarter): ||u||^2, written with the rows
-    stored_twists: np.ndarray                # (quarter, npool): quarter + arg a_p^1 / 2pi, mod 1;
-                                             # written with the rows, like u_phase
+    correction: np.ndarray                   # (npool,): arg a_p^1 / 2pi, written with the rows
     weights: np.ndarray                      # disc norm weights
     row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
     cur: np.ndarray                          # (capacity, order+1): accepted positions' rows
@@ -526,7 +525,6 @@ class ApproximationState:
     head: np.ndarray                         # (capacity >= built, quarter, h): u[:h]
     tail_norm: np.ndarray                    # (capacity >= built, quarter): ||u[h:]||
     move_tail: np.ndarray                    # (capacity, move), as ``tail_norm``
-    norm2_max: float = 0.0                   # largest ||u||^2 written to the screen stores
     built: int = 0                           # pool primes whose rows are written
     accepted_idx: list[int] = field(default_factory=list)
     trace: list[float] = field(default_factory=list)
@@ -542,6 +540,10 @@ class ApproximationState:
         leading = _u_rows(p.spec, rest, ref, p.sigma0, p.order, 1)
         return (full - leading).sum(axis=0)
 
+    def twist(self, k: int, i: int) -> float:
+        """The twist of row ``u_phase[k][i]``: quarter k plus the prime's correction, mod 1."""
+        return (QUARTER_GRID[k] + self.correction[i]) % 1.0
+
     def pool_row(self, k: int, sel: int | slice) -> np.ndarray:
         """Row(s) ``sel`` of pool quarter k."""
         return self.u_phase[k][sel]
@@ -553,12 +555,11 @@ class ApproximationState:
 
     @property
     def residual(self) -> H2Element:
-        coef = self.work.coef - self.nu_rest
-        return H2Element(self.work.radius, coef, self.work.tail_bound + self.tail_bound)
+        return H2Element(self.problem.hardy_radius, self.work - self.nu_rest, self.tail_bound)
 
     def work_norm(self) -> float:
-        """``work.coeff_norm()``, from the stored ``weights``."""
-        return math.sqrt(float(np.sum(np.abs(self.work.coef) ** 2 * self.weights)))
+        """The disc norm of ``work``, from the stored ``weights``."""
+        return math.sqrt(float(np.sum(np.abs(self.work) ** 2 * self.weights)))
 
     def accepted_primes(self) -> list[int]:
         return [p for p, _ in self.accepted]
@@ -577,8 +578,8 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     The working residual is log(target) minus the mandatory log factors: the
     floor primes at twist 0, shifted by t0 log p / 2 pi unless a fixed twist
     is given, and the ``fixed_phases`` primes, whose twists are product twists
-    and are not shifted again.  The pool gets empty stored-twist and row arrays, one
-    row per quarter phase: no twist or row is written here.
+    and are not shifted again.  The pool gets empty correction and row
+    arrays, one row per quarter phase: no twist or row is written here.
     ``greedy_rearrange`` builds them block by block (``_quarter_rows``, which
     works out a block's phase correction once) only as far as the bound
     ``row_bound`` says a prime can still win.  The certified tail covers the
@@ -599,21 +600,19 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     spec = problem.spec
     R = problem.hardy_radius
     N = problem.order
-    L = log_target(problem.target, R, order=N)
+    work = log_target(problem.target, R, order=N).coef     # its tail bound is 0
 
     all_ps = primes_up_to(int(p_max))
     mandatory = {int(p): 0.0 for p in all_ps[all_ps <= problem.y]}
     for p, tw in problem.fixed_phases.items():
         mandatory[int(p)] = float(tw) % 1.0
 
-    work = L.pad(N)
     if mandatory:
         mp = np.array(sorted(mandatory), dtype=np.int64)
         tw = np.array([mandatory[int(p)] for p in mp])
         gam = np.array([0.0 if int(p) in problem.fixed_phases
                         else problem.t0 * math.log(int(p)) / TWO_PI for p in mp])
-        rows = _u_rows(spec, mp, tw + gam, problem.sigma0, N, _SERIES_ORDER)
-        work = H2Element(R, work.coef - rows.sum(axis=0), work.tail_bound)
+        work = work - _u_rows(spec, mp, tw + gam, problem.sigma0, N, _SERIES_ORDER).sum(axis=0)
 
     keep = (all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))
     if spec.kind == "custom":      # a prime without a table row has factor 1
@@ -637,8 +636,7 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         problem=problem, work=work, mandatory=mandatory, accepted=[],
         pool_primes=pool, pool_mask=np.ones(len(pool), dtype=bool),
         u_phase=[np.empty((len(pool), N + 1), dtype=complex) for _ in QUARTER_GRID],
-        u_norm2=np.empty((len(pool), nq)),
-        stored_twists=np.empty((nq, len(pool))), weights=weights,
+        u_norm2=np.empty((len(pool), nq)), correction=np.empty(len(pool)), weights=weights,
         row_bound=row_bound * (math.sqrt(math.pi) * R),
         cur=np.empty((_MOVE_ROWS, N + 1), dtype=complex),
         move_norm2=np.empty((_MOVE_ROWS, _DROP + 1)),
@@ -651,15 +649,14 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
 def _adopt_rows(state: ApproximationState, prev: ApproximationState) -> int:
     """Take ``prev``'s built rows as views if the state's pool is a suffix of its pool.
 
-    Rows, stored twists, norms, heads and tail norms are per-prime functions
-    of (spec, p, sigma0, radius), but for the bits of a row built alone, by
-    a one-row product, which numpy computes by another path: the views hold
-    what ``_quarter_rows`` writes when both layouts build the last row alone
-    or neither does.  Blocks of ``_BLOCK`` rows from row b build it alone
-    when npool - b is 1 modulo ``_BLOCK``.  ``prev`` adopted rows only on
-    this condition, so it built its own last row alone when its pool size
-    is 1 modulo ``_BLOCK``.  ``norm2_max`` is then the largest adopted
-    ||u||^2, as a build writes it.  Returns the rows taken.
+    Rows, phase corrections, norms, heads and tail norms are per-prime
+    functions of (spec, p, sigma0, radius), but for the bits of a row built
+    alone, by a one-row product, which numpy computes by another path: the
+    views hold what ``_quarter_rows`` writes when both layouts build the
+    last row alone or neither does.  Blocks of ``_BLOCK`` rows from row b
+    build it alone when npool - b is 1 modulo ``_BLOCK``.  ``prev`` adopted
+    rows only on this condition, so it built its own last row alone when
+    its pool size is 1 modulo ``_BLOCK``.  Returns the rows taken.
     """
     p, q = state.problem, prev.problem
     npool = len(state.pool_primes)
@@ -672,11 +669,9 @@ def _adopt_rows(state: ApproximationState, prev: ApproximationState) -> int:
             or (rest % _BLOCK == 1) != (npool % _BLOCK == 1)):
         return 0
     state.u_phase = [u[off:] for u in prev.u_phase]
-    state.u_norm2 = prev.u_norm2[off:]
-    state.stored_twists = prev.stored_twists[:, off:]
+    state.u_norm2, state.correction = prev.u_norm2[off:], prev.correction[off:]
     state.head, state.tail_norm = prev.head[off:], prev.tail_norm[off:]
     state.built = built
-    state.norm2_max = float(state.u_norm2[:built].max())
     return built
 
 
@@ -725,10 +720,14 @@ class _Screen(NamedTuple):
 
 
 def _screen_of(state: ApproximationState, cw: np.ndarray, norm: float) -> _Screen:
-    """The step's screen; M = ``norm2_max`` bounds ||u||^2 of every screened row."""
+    """The step's screen; M = 4 ``row_bound[0]``^2 bounds ||u||^2 of every screened row.
+
+    A pool row at any twist is at most ``row_bound[0]`` in norm, so a move
+    u_k - c or -c on an accepted prime is at most twice that.
+    """
     h = state.head.shape[-1]
-    tail = 2.0 * math.sqrt(max(float(np.dot(state.work.coef[h:], cw[h:]).real), 0.0))
-    m2 = state.norm2_max
+    tail = 2.0 * math.sqrt(max(float(np.dot(state.work[h:], cw[h:]).real), 0.0))
+    m2 = 4.0 * float(state.row_bound.max(initial=0.0)) ** 2
     return _Screen(cw, np.conj(2.0 * cw[:h]).view(np.float64), tail,
                    _SCORE_ROUNDING * (norm * math.sqrt(m2) + m2))
 
@@ -871,7 +870,7 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
     lnp = np.log(p.astype(float))
     mpow = _m_powers(problem.order, _SERIES_ORDER)
     direction = _taylor_direction(lnp, problem.order)
-    correction = problem.spec.phase_correction(p)
+    correction = state.correction[idx:idx + 1]
 
     def decrease_of(q: float) -> tuple[float, np.ndarray, float]:
         tws = np.mod(q % 1.0 + correction, 1.0)
@@ -923,7 +922,7 @@ def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray) -> None:
 
 def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) -> None:
     assert idx < state.built, "committing a pool prime whose rows are not built"
-    state.work = H2Element(state.work.radius, state.work.coef - row, state.work.tail_bound)
+    state.work = state.work - row
     state.pool_mask[idx] = False
     state.accepted.append((int(state.pool_primes[idx]), float(twist % 1.0)))
     state.accepted_idx.append(int(idx))
@@ -978,15 +977,13 @@ def _apply(state: ApproximationState, accepted: bool, k: int, i: int) -> None:
     On an accepted prime, k < ``_DROP`` rephases to quarter k and ``_DROP`` drops.
     """
     if not accepted:
-        _commit(state, i, state.u_phase[k][i], state.stored_twists[k][i])
+        _commit(state, i, state.u_phase[k][i], state.twist(k, i))
         return
     idx = state.accepted_idx[i]
-    # a drop's W - (-c) is W + c bit for bit
-    state.work = H2Element(state.work.radius, state.work.coef - state.move_row(k, i),
-                           state.work.tail_bound)
+    state.work = state.work - state.move_row(k, i)      # a drop's W - (-c) is W + c bit for bit
     if k < _DROP:
         _write_moves(state, i, state.u_phase[k][idx])
-        state.accepted[i] = (int(state.pool_primes[idx]), float(state.stored_twists[k][idx] % 1.0))
+        state.accepted[i] = (int(state.pool_primes[idx]), float(state.twist(k, idx) % 1.0))
         return
     n = len(state.accepted_idx)
     for m in (state.cur, state.move_norm2, state.move_tail):
@@ -1029,7 +1026,7 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
         return False
     deltas = np.array([(state.move_row if acc else state.pool_row)(k, i) for acc, k, i, _ in moves])
     wrows = deltas * state.weights[None, :]
-    cvec = (wrows @ np.conj(state.work.coef)).real
+    cvec = (wrows @ np.conj(state.work)).real
     gram = (wrows @ np.conj(deltas.T)).real
     n2 = np.diag(gram)
     single = 2.0 * cvec - n2
@@ -1087,13 +1084,11 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
     problem = state.problem
     steps = 0
     norm = state.work_norm()
-    while steps < _MAX_STEPS:
-        if norm <= stop_norm:
-            state.stall = None
-            return state
+    state.stall = None
+    while steps < _MAX_STEPS and not norm <= stop_norm:    # a NaN norm does not stop
         norm2 = norm ** 2
         tol = 1e-14 * max(norm2, 1e-300)
-        screen = _screen_of(state, np.conj(state.work.coef) * state.weights, norm)
+        screen = _screen_of(state, np.conj(state.work) * state.weights, norm)
         heads = _head_pairings(state, screen)
         acc_best, move, pos = _accepted_best(state, screen, heads, tol)
         grow_best = -math.inf
@@ -1130,7 +1125,6 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
         norm = state.work_norm()
         state.trace.append(norm)
         steps += 1
-    state.stall = None
     return state
 
 
@@ -1141,20 +1135,25 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
 
 @dataclass(frozen=True)
 class ApproximationResult:
+    """The steered product, its surveyed error, and how the run ended.
+
+    ``trace`` holds the residual norm at the start and after each move.
+    ``status`` is success, pool_exhausted, step_cap or stall (``approximate``
+    raises on all but the first); ``stall`` is the last steering round's
+    ``StallInfo``, None when that round did not stall.
+    """
+
     problem: ApproximationProblem
     primes: tuple[int, ...]
     phases: PhaseAssignment
     max_error: float
     argmax: complex
     trace: tuple[float, ...]
-    residual_norm: float
     tail_bound: float
     contraction_deviation: float
-    stalled: bool
-    pool_exhausted: bool
-    step_cap: bool
+    status: str
+    stall: StallInfo | None
     survey: SurveyResult
-    success: bool
 
     def product_evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
         return product_target(self.problem.spec, self.primes, self.phases, self.problem.sigma0)
@@ -1194,50 +1193,42 @@ def _approximate_impl(problem: ApproximationProblem, prev: ApproximationState | 
         _adopt_rows(state, prev)
     R = work_problem.hardy_radius
     stop = 0.5 * problem.eps * math.sqrt(math.pi) * (R - problem.r)
-    survey = None
     for _ in range(3):   # steering rounds, the norm target divided by 4 each time
         state = greedy_rearrange(state, stop_norm=stop)
-        capped = state.stall is None and state.work_norm() > stop   # no stall: the step cap
+        stall = state.stall
+        capped = stall is None and state.trace[-1] > stop   # no stall: the step cap
         # measure against the uncontracted target
         survey = _survey(problem, state.phase_assignment())
-        if survey.max_error <= problem.eps or (state.stall and state.stall.pool_exhausted):
-            break
-        if state.stall and state.stall.best_decrease <= 0 and not state.stall.pool_exhausted:
+        if survey.max_error <= problem.eps or (
+                stall and (stall.pool_exhausted or stall.best_decrease <= 0)):
             break
         stop /= 4.0
+    status = ("success" if survey.max_error <= problem.eps
+              else "pool_exhausted" if stall and stall.pool_exhausted
+              else "step_cap" if capped else "stall")
     phases = state.phase_assignment()
     return ApproximationResult(
         problem=problem, primes=tuple(sorted(phases.theta)), phases=phases,
-        max_error=survey.max_error, argmax=survey.argmax,
-        trace=tuple(state.trace), residual_norm=state.work_norm(),
-        tail_bound=state.work.tail_bound + state.tail_bound,
-        contraction_deviation=dev, stalled=state.stall is not None,
-        pool_exhausted=state.stall is not None and state.stall.pool_exhausted,
-        step_cap=capped,
-        survey=survey, success=survey.max_error <= problem.eps), state
+        max_error=survey.max_error, argmax=survey.argmax, trace=tuple(state.trace),
+        tail_bound=state.tail_bound, contraction_deviation=dev, status=status, stall=stall,
+        survey=survey), state
 
 
 def approximate(problem: ApproximationProblem) -> ApproximationResult:
     """Run the full pipeline; the returned error is the surveyed product error.
 
     The prime set always contains every prime at or below the floor y.
-    Raises ApproximationStall (with the partial result attached) if steering
-    cannot push the surveyed error below eps, its subclass PoolExhausted
-    when that is because no pool prime was left to steer, and its subclass
+    Unless the result's ``status`` is success, raises the class of its
+    status, with the result attached: ApproximationStall for a stall, and
+    its subclasses PoolExhausted when no pool prime was left to steer and
     StepCapReached when the last steering round ended at its step cap.
     """
     result, _ = _approximate_impl(problem)
-    if not result.success:
-        if result.pool_exhausted:
-            raise PoolExhausted(
-                f"pool exhausted at surveyed error {result.max_error:.3e} > eps {problem.eps} "
-                f"(p_max {problem.p_max})", result)
-        if result.step_cap:
-            raise StepCapReached(
-                f"step cap reached at surveyed error {result.max_error:.3e} > eps {problem.eps}",
-                result)
-        raise ApproximationStall(
-            f"stalled at surveyed error {result.max_error:.3e} > eps {problem.eps}", result)
+    if result.status != "success":
+        raise {"stall": ApproximationStall, "pool_exhausted": PoolExhausted,
+               "step_cap": StepCapReached}[result.status](
+            f"{result.status} at surveyed error {result.max_error:.3e} > eps {problem.eps} "
+            f"(p_max {problem.p_max})", result)
     return result
 
 

@@ -46,9 +46,7 @@ from .approx import (
     ApproximationProblem,
     ApproximationStall,
     InvalidProblem,
-    PoolExhausted,
     RefineStall,
-    StepCapReached,
     approximate,
     product_target,
     refine_sequence,
@@ -196,6 +194,9 @@ def read_phases(path: str) -> dict[int, float]:
                 if len(parts) == 2:
                     theta[int(parts[0])] = float(parts[1])
         PhaseAssignment(theta)      # rejects a twist outside [0, 1), NaN and inf included
+        for n in theta:     # trial division by the primes up to sqrt(n), at most 10^7
+            if not 2 <= n <= 10**14 or np.any(n % primes_up_to(math.isqrt(n)) == 0):
+                raise ValueError(f"key {n} is not a prime up to 1e14")
     except (OSError, ValueError) as exc:
         raise InvalidProblem(f"cannot read phases file {path!r}: {exc}") from None
     return theta
@@ -229,9 +230,8 @@ def _write(outdir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-#: ``approximate``'s stop reasons -> (report status, exit code)
-_STOPS = {ApproximationStall: ("stall", 2), PoolExhausted: ("pool_exhausted", 5),
-          StepCapReached: ("step_cap", 6)}
+#: ``approximate``'s result status -> exit code
+_EXIT_CODES = {"success": 0, "stall": 2, "pool_exhausted": 5, "step_cap": 6}
 
 
 def cmd_approximate(cfg: RunConfig) -> int:
@@ -240,20 +240,21 @@ def cmd_approximate(cfg: RunConfig) -> int:
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
     try:
-        result, (status, code) = approximate(problem), ("success", 0)
+        result = approximate(problem)
     except ApproximationStall as exc:
-        result, (status, code) = exc.result, _STOPS[type(exc)]
+        result = exc.result
     _write(out, "phases.txt", result.phases_text())
     _write(out, "trace.txt", result.trace_text())
     _write(out, "heatmap.txt", result.survey.heatmap_text())
     _write(out, "report.txt",
-           f"status {status}\nmax_error {result.max_error!r}\n"
+           f"status {result.status}\nmax_error {result.max_error!r}\n"
            f"argmax {result.argmax.real!r} {result.argmax.imag!r}\n"
-           f"primes {len(result.primes)}\nresidual_norm {result.residual_norm!r}\n"
+           f"primes {len(result.primes)}\nresidual_norm {result.trace[-1]!r}\n"
            f"tail_bound {result.tail_bound!r}\n"
            f"contraction_deviation {result.contraction_deviation!r}\n")
-    print(f"{status}: surveyed error {result.max_error:.6g} over {len(result.primes)} primes")
-    return code
+    print(f"{result.status}: surveyed error {result.max_error:.6g} over "
+          f"{len(result.primes)} primes")
+    return _EXIT_CODES[result.status]
 
 
 def cmd_refine(cfg: RunConfig) -> int:
@@ -330,15 +331,17 @@ def cmd_zero_scan(cfg: RunConfig) -> int:
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
     try:
-        count = zero_count(f, contour, quadrature_n=samples)
-        m = min_modulus(f, contour, samples=max(64, samples))
-        lines = [f"zero_count {count}", f"min_modulus {m!r}"]
-        if compare_n is not None:
-            g = product_target(spec, [p for p in plist if p <= compare_n], pa, 0.0)
-            rr = rouche_check(f, g, contour, samples=max(64, samples))
-            lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}"]
-            if rr.zeros_g is not None:   # counted only when dominance holds
-                lines.append(f"zeros_truncated {rr.zeros_g}")
+        # where the winding fails the product overflows: report.txt says why, not numpy
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            count = zero_count(f, contour, quadrature_n=samples)
+            m = min_modulus(f, contour, samples=max(64, samples))
+            lines = [f"zero_count {count}", f"min_modulus {m!r}"]
+            if compare_n is not None:
+                g = product_target(spec, [p for p in plist if p <= compare_n], pa, 0.0)
+                rr = rouche_check(f, g, contour, samples=max(64, samples))
+                lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}"]
+                if rr.zeros_g is not None:   # counted only when dominance holds
+                    lines.append(f"zeros_truncated {rr.zeros_g}")
     except ContourZeroError as exc:
         _write(out, "report.txt", f"status contour_failure\nreason {exc}\n")
         print(f"contour failure: {exc}")

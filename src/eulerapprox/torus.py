@@ -44,7 +44,9 @@ def tikhonov_distance(x: np.ndarray, y: np.ndarray, n: int) -> tuple[float, floa
 
 def log_prime_frequencies(n: int) -> np.ndarray:
     """The n frequencies log p_k / 2pi, strictly increasing and positive."""
-    ps = primes_up_to(10_000_000)
+    # sieve to p_n < n (log n + log log n) for n >= 6 (Rosser), at most to 10^7
+    bound = 11 if n < 6 else math.ceil(n * (math.log(n) + math.log(math.log(n))))
+    ps = primes_up_to(min(bound, 10_000_000))
     if len(ps) < n:
         raise ValueError("frequency count exceeds the sieve range")
     return np.log(ps[:n].astype(float)) / TWO_PI

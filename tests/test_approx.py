@@ -26,7 +26,7 @@ from eulerapprox.approx import (
     norm_to_max,
 )
 from eulerapprox.factors import QUARTER_GRID, PhaseAssignment, twist_argument
-from eulerapprox.hardy import disc_quadrature
+from eulerapprox.hardy import H2Element, disc_quadrature
 
 
 def exp_target(a):
@@ -112,7 +112,7 @@ def test_init_residual_self_target():
     state = ea.init_residual(prob)
     assert state.work_norm() < 1e-9
     # the reported residual keeps the pool curvature visible
-    assert np.allclose(state.residual.coef, state.work.coef - state.nu_rest)
+    assert np.allclose(state.residual.coef, state.work - state.nu_rest)
     assert state.tail_bound > 0
 
 
@@ -170,17 +170,17 @@ def test_nu_rest_follows_grow_rephase_and_drop():
         return (full - leading).sum(axis=0)
 
     assert np.allclose(state.nu_rest, curvature_of_remaining_pool(), rtol=1e-12, atol=1e-15)
-    moves = [lambda: _commit(state, 0, state.u_phase[1][0], state.stored_twists[1][0]),
-             lambda: _commit(state, 3, state.u_phase[0][3], state.stored_twists[0][3]),
+    moves = [lambda: _commit(state, 0, state.u_phase[1][0], state.twist(1, 0)),
+             lambda: _commit(state, 3, state.u_phase[0][3], state.twist(0, 3)),
              lambda: _apply(state, True, 2, 0),
              lambda: _apply(state, True, _DROP, 1)]
     for move in moves:
         move()
         assert np.allclose(state.nu_rest, curvature_of_remaining_pool(),
                            rtol=1e-12, atol=1e-15)
-        assert np.array_equal(state.residual.coef, state.work.coef - state.nu_rest)
+        assert np.array_equal(state.residual.coef, state.work - state.nu_rest)
     assert state.accepted_primes() == [int(state.pool_primes[0])]
-    assert state.accepted[0][1] == state.stored_twists[2][0] % 1.0
+    assert state.accepted[0][1] == state.twist(2, 0) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +205,15 @@ BUILD_SPECS = pytest.mark.parametrize("spec", [
 ], ids=["zeta", "chi4", "chi5", "custom"])
 
 
+def assert_whole_pool_twists(state, n):
+    """``state.twist(k, i)`` of the first n pool primes is one whole-pool pass's, bit for bit."""
+    corr = state.problem.spec.phase_correction(state.pool_primes[:n])
+    whole = np.mod(np.add.outer(QUARTER_GRID, corr), 1.0)
+    for k in range(len(QUARTER_GRID)):
+        assert np.array_equal([state.twist(k, i) for i in range(n)], whole[k])
+    return whole
+
+
 def whole_pool_quarter(prob, pool, q):
     """Twists, rows and disc norms of the pool at steering phase q, in one call each."""
     spec = prob.spec
@@ -222,11 +231,11 @@ def test_blocked_pool_build_matches_whole_pool_rows(spec):
     state = ea.init_residual(prob)
     _quarter_rows(state, len(state.pool_primes))   # the stall path's full build
     pool = state.pool_primes
+    assert_whole_pool_twists(state, len(pool))
     # three blocks, the last one partial
     assert 2 * _BLOCK < len(pool) < 3 * _BLOCK
     for k, q in enumerate(QUARTER_GRID):
-        tws, rows, norm2 = whole_pool_quarter(prob, pool, q)
-        assert np.array_equal(state.stored_twists[k], tws)
+        _, rows, norm2 = whole_pool_quarter(prob, pool, q)
         assert np.array_equal(state.u_phase[k], rows)
         assert np.array_equal(state.u_norm2[:, k], norm2)
 
@@ -249,7 +258,8 @@ def test_screen_stores_grow_with_the_build():
         assert np.array_equal(state.head[:, k], rows[:, :h])
         tail = np.sqrt(np.sum(np.abs(rows[:, h:]) ** 2 * state.weights[h:], axis=1))
         assert np.array_equal(state.tail_norm[:, k], tail)
-    assert state.norm2_max == state.u_norm2.max()
+    # the head screen's slack takes M = 4 row_bound[0]^2 for every row
+    assert np.all(state.u_norm2 <= 4.0 * state.row_bound[0] ** 2)
 
 
 @BUILD_SPECS
@@ -374,7 +384,7 @@ def test_row_bound_dominates_every_gain(spec):
         assert state.row_bound[b] == np.max(beta[b * _BLOCK:])
     n = np.arange(prob.order + 1)
     rng = np.random.default_rng(7)
-    residuals = [state.work.coef, state.u_phase[0][0], -state.u_phase[3][5]]
+    residuals = [state.work, state.u_phase[0][0], -state.u_phase[3][5]]
     for _ in range(6):
         z = rng.normal(size=prob.order + 1) + 1j * rng.normal(size=prob.order + 1)
         residuals.append(z * float(rng.uniform(1e-4, 1.0)) / R ** n)
@@ -399,7 +409,7 @@ def test_lazy_steering_matches_full_pool(phase_mode):
         assert lazy.accepted == full.accepted
         assert lazy.accepted_idx == full.accepted_idx
         assert np.array_equal(lazy.trace, full.trace)
-        assert np.array_equal(lazy.work.coef, full.work.coef)
+        assert np.array_equal(lazy.work, full.work)
         assert lazy.stall == full.stall
         if stop == 1e-3:
             assert lazy.built == _BLOCK   # the first steps read block 0 only
@@ -423,18 +433,17 @@ def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
         monkeypatch.setattr(ea.EulerFactorSpec, name, counting(name))
     prob = make_problem(p_max=1_000_000)
     res, state = _approximate_impl(prob)
-    assert res.success
+    assert res.status == "success"
     pool = state.pool_primes
     assert len(pool) == 78_497
     assert state.built <= 2 * _BLOCK
     # set-up and steering work out the embedding tail of block 0, the row
     # bound at the first prime of each other block and the floor prime 2,
-    # and the stored twists of the built blocks only
+    # and the phase corrections of the built blocks only
     for name, count in handed.items():
         assert count <= 2 * _BLOCK + -(-len(pool) // _BLOCK), name
     monkeypatch.undo()
-    whole = np.mod(np.add.outer(QUARTER_GRID, prob.spec.phase_correction(pool)), 1.0)
-    assert np.array_equal(state.stored_twists[:, :state.built], whole[:, :state.built])
+    assert_whole_pool_twists(state, state.built)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +473,7 @@ def test_move_rows_match_whole_list_gains(spec):
     rng = np.random.default_rng(5)
     probes = [rng.normal(size=prob.order + 1) + 1j * rng.normal(size=prob.order + 1)
               for _ in range(2)]
-    rows, work = [], state.work.coef    # tracked here with the whole-list arithmetic
+    rows, work = [], state.work    # tracked here with the whole-list arithmetic
 
     def check():
         n = len(rows)
@@ -480,9 +489,9 @@ def test_move_rows_match_whole_list_gains(spec):
             d = state.move_row(k, slice(n))
             tail = np.sqrt(np.sum(np.abs(d[:, h:]) ** 2 * state.weights[h:], axis=1))
             assert np.array_equal(state.move_tail[:n, k], tail)
-        assert np.array_equal(state.work.coef, work)
-        assert state.work_norm() == state.work.coeff_norm()
-        for w in [state.work.coef] + probes:
+        assert np.array_equal(state.work, work)
+        assert state.work_norm() == H2Element(prob.hardy_radius, state.work).coeff_norm()
+        for w in [state.work] + probes:
             cw = np.conj(w) * state.weights
             want = whole_list_gains(state, rows, cw)
             assert np.array_equal(accepted_scores(state, cw), want)
@@ -493,7 +502,7 @@ def test_move_rows_match_whole_list_gains(spec):
                 move, pos = np.unravel_index(int(np.argmax(want)), want.shape)
                 best = (float(want[move, pos]), int(move), int(pos))
             assert_same_best(approx._accepted_best(state, screen, heads, tol), best, tol)
-        state.work = replace(state.work, coef=work)
+        state.work = work
 
     def grow(idx, row, twist):
         nonlocal work
@@ -518,23 +527,23 @@ def test_move_rows_match_whole_list_gains(spec):
         check()
 
     check()
-    grow(0, state.u_phase[1][0], state.stored_twists[1][0])     # one row
+    grow(0, state.u_phase[1][0], state.twist(1, 0))             # one row
     for idx in range(1, _MOVE_ROWS + 6):                         # past one doubling
         k = int(rng.integers(len(QUARTER_GRID)))
-        grow(idx, state.u_phase[k][idx], state.stored_twists[k][idx])
+        grow(idx, state.u_phase[k][idx], state.twist(k, idx))
     assert len(state.move_norm2) == 2 * _MOVE_ROWS
-    cw = np.conj(state.work.coef) * state.weights
+    cw = np.conj(state.work) * state.weights
     row, twist, _ = _golden_refine(state, cw, 80, QUARTER_GRID[2])
     grow(80, row, twist)
     idx = state.accepted_idx[5]
     rephase(5, next(k for k in range(len(QUARTER_GRID))
-                    if state.stored_twists[k][idx] % 1.0 != state.accepted[5][1]))
+                    if state.twist(k, idx) % 1.0 != state.accepted[5][1]))
     rephase(len(rows) - 1, 3)                                    # the golden row
     drop(0)
     drop(len(rows) // 2)
     drop(len(rows) - 1)
 
-    cw = np.conj(state.work.coef) * state.weights
+    cw = np.conj(state.work) * state.weights
     _, pairings = pool_scores(state, cw)
     before = dict(zip(state.accepted, rows))
     assert _pair_rescue(state, pairings, accepted_scores(state, cw))
@@ -542,11 +551,11 @@ def test_move_rows_match_whole_list_gains(spec):
     assert set(before) - set(state.accepted)
     rows = [before[(p, tw)] if (p, tw) in before else
             next(state.u_phase[k][idx] for k in range(len(QUARTER_GRID))
-                 if state.stored_twists[k][idx] % 1.0 == tw)
+                 if state.twist(k, idx) % 1.0 == tw)
             for (p, tw), idx in zip(state.accepted, state.accepted_idx)]
-    work = state.work.coef   # the pair's rows are re-derived above, its residual taken as is
+    work = state.work   # the pair's rows are re-derived above, its residual taken as is
     check()
-    grow(90, state.u_phase[0][90], state.stored_twists[0][90])
+    grow(90, state.u_phase[0][90], state.twist(0, 90))
 
 
 @pytest.mark.parametrize("kw,accepted", [
@@ -606,7 +615,7 @@ def assert_same_best(got, want, bar):
 
 def screen_for(state, w):
     """The step screen and pool head pairings of residual ``w``, as a greedy step makes them."""
-    state.work = replace(state.work, coef=w)
+    state.work = w
     norm = state.work_norm()
     screen = approx._screen_of(state, np.conj(w) * state.weights, norm)
     return screen, approx._head_pairings(state, screen), 1e-14 * max(norm ** 2, 1e-300)
@@ -646,7 +655,7 @@ def steered(prob, stop_norm, full=False):
 def assert_same_run(a, b):
     assert a.accepted == b.accepted and a.accepted_idx == b.accepted_idx
     assert [float(v).hex() for v in a.trace] == [float(v).hex() for v in b.trace]
-    assert np.array_equal(a.work.coef, b.work.coef)
+    assert np.array_equal(a.work, b.work)
     assert a.stall == b.stall
 
 
@@ -660,15 +669,19 @@ def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
     # accepted moves of every kind: quarter rows, a golden row, a rephase, a drop
     for idx in range(1, 40, 3):
         k = int(rng.integers(len(QUARTER_GRID)))
-        _commit(state, idx, state.u_phase[k][idx], state.stored_twists[k][idx])
-    cw = np.conj(state.work.coef) * state.weights
+        _commit(state, idx, state.u_phase[k][idx], state.twist(k, idx))
+    cw = np.conj(state.work) * state.weights
     row, twist, _ = _golden_refine(state, cw, 50, QUARTER_GRID[1])
     _commit(state, 50, row, twist)
     _apply(state, True, 3, 2)
     _apply(state, True, _DROP, 4)
+    # the slack's M bounds every row and every move, golden and rephased ones included
+    m2 = 4.0 * state.row_bound[0] ** 2
+    assert np.all(state.u_norm2 <= m2)
+    assert np.all(state.move_norm2[:len(state.accepted_idx)] <= m2)
     R = prob.hardy_radius
     n = np.arange(prob.order + 1)
-    base = state.work.coef.copy()
+    base = state.work.copy()
     residuals = [base, np.zeros_like(base), state.u_phase[0][5], state.cur[0]]
     while len(residuals) < 200:
         z = rng.normal(size=prob.order + 1) + 1j * rng.normal(size=prob.order + 1)
@@ -712,14 +725,14 @@ def test_screened_greedy_matches_full_scores_at_every_step(monkeypatch, spec, ra
     assert_same_run(state, steered(prob, 1e-9, full=True))
 
 
-@pytest.mark.parametrize("kw,rescues", [
+@pytest.mark.parametrize("kw,rescues,status", [
     # `approximate --pmax 20000 --y 13 --target exp:0.5 --eps 0.02`: the step cap
-    (dict(p_max=20_000, y=13.0, target=exp_target(0.5), eps=0.02), 0),
-    (dict(p_max=30, eps=0.001), 2),                    # exit 2 after two pair rescues
-    (dict(p_max=3000, y=11.0, eps=0.02), 57),          # pool exhausted after 57 of them
+    (dict(p_max=20_000, y=13.0, target=exp_target(0.5), eps=0.02), 0, "step_cap"),
+    (dict(p_max=30, eps=0.001), 2, "stall"),           # exit 2 after two pair rescues
+    (dict(p_max=3000, y=11.0, eps=0.02), 57, "pool_exhausted"),   # after 57 of them
 ], ids=["step-cap", "stall", "exhausted"])
 def test_screened_greedy_matches_full_scores_through_stall_and_pair_rescue(monkeypatch, kw,
-                                                                           rescues):
+                                                                           rescues, status):
     done = []
     pair_rescue = approx._pair_rescue
 
@@ -729,13 +742,15 @@ def test_screened_greedy_matches_full_scores_through_stall_and_pair_rescue(monke
 
     monkeypatch.setattr(approx, "_pair_rescue", counting)
     res, _ = _approximate_impl(make_problem(**kw))
-    assert not res.success and sum(done) == rescues
+    assert res.status == status and sum(done) == rescues
+    assert (res.stall is None) == (status == "step_cap")
     monkeypatch.setattr(approx, "_pool_best", full_pool_best)
     monkeypatch.setattr(approx, "_accepted_best", full_accepted_best)
     oracle, _ = _approximate_impl(make_problem(**kw))
     assert res.phases_text() == oracle.phases_text()
     assert [float(v).hex() for v in res.trace] == [float(v).hex() for v in oracle.trace]
-    assert (res.max_error, res.pool_exhausted) == (oracle.max_error, oracle.pool_exhausted)
+    assert (res.max_error, res.status, res.stall) == (oracle.max_error, oracle.status,
+                                                      oracle.stall)
 
 
 @pytest.mark.parametrize("head", [1, 2])
@@ -813,14 +828,14 @@ def test_greedy_trace_monotone():
 
 def test_approximate_exp_target_succeeds():
     res = ea.approximate(make_problem())
-    assert res.success and res.max_error <= 0.1
+    assert res.status == "success" and res.stall is None and res.max_error <= 0.1
     assert 2 in res.primes  # the floor is always included
-    assert res.residual_norm <= 0.5 * 0.1 * math.sqrt(math.pi) * (0.04 - 0.02) + 1e-12
+    assert res.trace[-1] <= 0.5 * 0.1 * math.sqrt(math.pi) * (0.04 - 0.02) + 1e-12
 
 
 def test_approximate_constant_one_log_norm():
     res = ea.approximate(make_problem(target=one_target, eps=0.05))
-    assert res.success
+    assert res.status == "success"
     lt = ea.log_target(res.product_evaluator(), 0.02, order=32)
     assert ea.h2_norm(lt) <= 0.05
 
@@ -831,14 +846,28 @@ def test_approximate_vanishing_target_rejected():
         ea.approximate(make_problem(target=bad))
 
 
-def test_approximate_stall_is_reported_with_result():
-    # floor demand beyond pool capacity: an honest stall
-    prob = make_problem(y=11.0, p_max=3000, eps=0.02)
-    with pytest.raises(ea.ApproximationStall) as exc:
-        ea.approximate(prob)
-    res = exc.value.result
-    assert res.max_error > 0.02
-    assert not res.success
+def test_approximate_stall_is_reported_with_result(tmp_path):
+    # each stop short of eps raises its status's class with the result attached,
+    # and the CLI reports the status and exits with its code
+    cases = [
+        # no single move or pair decreases the residual: a stall
+        (dict(p_max=30, eps=0.001), "stall", ea.ApproximationStall, 2),
+        # floor demand beyond pool capacity: every pool prime is used up
+        (dict(y=11.0, p_max=3000, eps=0.02), "pool_exhausted", ea.PoolExhausted, 5),
+    ]
+    for kw, status, error, code in cases:
+        with pytest.raises(ea.ApproximationStall) as exc:
+            ea.approximate(make_problem(**kw))
+        assert type(exc.value) is error
+        res = exc.value.result
+        assert res.max_error > kw["eps"]
+        assert res.status == status and str(exc.value).startswith(status + " at ")
+        assert res.stall.pool_exhausted == (status == "pool_exhausted")
+        assert res.stall.best_decrease <= 0 or status == "pool_exhausted"
+        out = tmp_path / status
+        argv = ["--pmax", str(kw["p_max"]), "--y", str(kw.get("y", 2.0)), "--eps", str(kw["eps"])]
+        assert cli.main(["approximate"] + argv + ["--out", str(out)]) == code
+        assert (out / "report.txt").read_text().startswith(f"status {status}\n")
 
 
 def test_step_cap_is_its_own_stop_reason(monkeypatch, tmp_path):
@@ -853,7 +882,7 @@ def test_step_cap_is_its_own_stop_reason(monkeypatch, tmp_path):
         ea.approximate(make_problem(eps=1e-4))
     assert isinstance(exc.value, ea.ApproximationStall)
     res = exc.value.result
-    assert res.step_cap and not (res.stalled or res.pool_exhausted or res.success)
+    assert res.status == "step_cap" and res.stall is None
     assert len(rounds) == 3 and len(res.trace) > 1 + 2 * 7
     assert all(b < a for a, b in zip(res.trace, res.trace[1:]))
     out = tmp_path / "run"
@@ -869,7 +898,16 @@ def test_custom_pool_holds_table_primes_only():
     assert state.pool_primes.tolist() == [int(p) for p in ea.primes_up_to(500) if p > 7]
     # steering uses up the table: a pool exhaustion, not a stall
     res, _ = _approximate_impl(make_problem(spec=CUSTOM_7, p_max=2000, eps=0.01))
-    assert res.pool_exhausted and res.stalled and not res.success
+    assert res.status == "pool_exhausted" and res.stall.pool_exhausted
+    # a leading coefficient just below the positive axis has correction 1.0 exactly:
+    # its twists reduce to the quarters, as one whole-pool pass gives them
+    spec = ea.custom_spec({2: {1: 0.25}, 3: {1: 1 - 1e-20j}, 5: {1: 0.5}}, {0.05: 2.0})
+    state = ea.init_residual(make_problem(spec=spec, p_max=10))
+    _quarter_rows(state, 2)
+    assert state.correction.tolist() == [1.0, 0.0]
+    assert assert_whole_pool_twists(state, 2).tolist() == [[q, q] for q in QUARTER_GRID]
+    _apply(state, False, 3, 0)
+    assert state.accepted == [(3, 0.75)]
 
 
 def test_approximate_deterministic_rerun():
@@ -905,7 +943,7 @@ def test_surrogate_bounds_survey_error():
                             seed=k)
         res, _ = _approximate_impl(prob)
         C = norm_to_max(prob.hardy_radius, prob.r)
-        m = C * (res.residual_norm + res.tail_bound)
+        m = C * (res.trace[-1] + res.tail_bound)
         amax = math.exp(abs(a) * prob.r) + res.contraction_deviation
         bound = res.contraction_deviation + amax * (math.exp(m) - 1.0)
         assert res.max_error <= bound * (1 + 1e-9)
@@ -931,11 +969,11 @@ def test_empty_pool_is_an_exhausted_pool(spec):
         tws, rows, norm2 = whole_pool_quarter(prob, state.pool_primes, q)
         assert state.u_phase[k].shape == rows.shape == (0, prob.order + 1)
         assert state.u_phase[k].dtype == complex and state.u_norm2.dtype == float
-        assert np.array_equal(state.stored_twists[k], tws)
+        assert state.correction.shape == tws.shape == (0,)
         assert np.array_equal(state.u_norm2[:, k], norm2)
     # the floor factors are removed exactly as with a non-empty pool
     wider = ea.init_residual(make_problem(spec=spec, y=7.0, p_max=50))
-    assert np.array_equal(state.work.coef, wider.work.coef)
+    assert np.array_equal(state.work, wider.work)
     assert state.tail_bound > 0
     state = ea.greedy_rearrange(state, stop_norm=1e-8)
     assert state.accepted == []
@@ -948,7 +986,7 @@ def test_empty_pool_floor_product_target_succeeds():
     floor = [2, 3, 5, 7]
     target = ea.product_target(spec, floor, ea.trivial_phases(floor), 0.75)
     res = ea.approximate(make_problem(target=target, y=7.0, p_max=10))
-    assert res.success
+    assert res.status == "success"
     assert res.primes == (2, 3, 5, 7)
 
 
@@ -957,7 +995,7 @@ def test_empty_pool_unmatched_target_is_pool_exhausted(tmp_path):
         ea.approximate(make_problem(y=7.0, p_max=10, eps=1e-4))
     assert isinstance(exc.value, ea.ApproximationStall)
     res = exc.value.result
-    assert res.pool_exhausted and not res.success
+    assert res.status == "pool_exhausted" and res.stall.pool_exhausted
     assert res.max_error > 1e-4
     out = tmp_path / "run"
     code = cli.main(["approximate", "--y", "7", "--pmax", "10", "--eps", "1e-4",
@@ -1137,15 +1175,14 @@ def test_adopted_rows_match_a_fresh_build(spec, cut, kw):
     assert adopted.built == (0 if n == 1 else n)
     if adopted.built:
         assert np.shares_memory(adopted.u_phase[0], prev.u_phase[0])   # views, no copy
-        assert adopted.norm2_max.hex() == fresh.norm2_max.hex()
     _quarter_rows(adopted, n)
     for k in range(len(QUARTER_GRID)):
         assert np.array_equal(adopted.u_phase[k][:n], fresh.u_phase[k])
     assert np.array_equal(adopted.u_norm2[:n], fresh.u_norm2)
-    assert np.array_equal(adopted.stored_twists[:, :n], fresh.stored_twists)
+    assert np.array_equal(adopted.correction[:n], fresh.correction)
+    assert_whole_pool_twists(adopted, n)
     assert np.array_equal(adopted.head[:n], fresh.head[:n])
     assert np.array_equal(adopted.tail_norm[:n], fresh.tail_norm[:n])
-    assert adopted.norm2_max.hex() == fresh.norm2_max.hex()
 
 
 @pytest.mark.parametrize("spec,kw,layouts", [
@@ -1198,7 +1235,7 @@ def test_rows_of_another_pool_are_not_adopted():
         prob, _ = ea.contract_target(make_problem(**{"p_max": 5000, "y": 4.0, **kw}))
         state = ea.init_residual(prob)
         assert approx._adopt_rows(state, prev) == 0
-        assert state.built == 0 and state.norm2_max == 0.0
+        assert state.built == 0
 
 
 def test_refine_builds_each_pool_row_once(monkeypatch):

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,10 +133,16 @@ def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     ("phases", "2 1.5\n", ["zero-scan", "--phases", "{}"]),
     ("phases", "2 0.25\n3 nan\n", ["approximate", "--target", "product:{}"]),
     ("phases", "2 0.25\n3 nan\n", ["zero-scan", "--phases", "{}"]),
+    # a key that is not a prime would put a non-Euler factor into the target
+    ("phases", "2 0.25\n4 0.5\n", ["approximate", "--target", "product:{}"]),
+    ("phases", "2 0.25\n4 0.5\n", ["zero-scan", "--phases", "{}"]),
+    ("phases", "1 0.5\n", ["approximate", "--target", "product:{}"]),
+    ("phases", "1 0.5\n", ["zero-scan", "--phases", "{}"]),
     # a coefficient index below 1 would otherwise be dropped from the table
     ("spec", "c_eps 0.05 2.0\n2 0 0.5 0\n", ["approximate", "--spec", "custom:{}"]),
 ], ids=["twist-range-target", "twist-range-zero-scan", "twist-nan-target",
-        "twist-nan-zero-scan", "custom-index-0"])
+        "twist-nan-zero-scan", "composite-key-target", "composite-key-zero-scan",
+        "key-1-target", "key-1-zero-scan", "custom-index-0"])
 def test_malformed_input_file_is_an_invalid_config(tmp_path, capsys, name, text, argv):
     path = tmp_path / name
     path.write_text(text)
@@ -145,13 +152,29 @@ def test_malformed_input_file_is_an_invalid_config(tmp_path, capsys, name, text,
     assert err.startswith("invalid config: ") and err.count("\n") == 1
 
 
+def test_large_prime_phase_key_sieves_to_its_square_root(tmp_path, monkeypatch):
+    path = tmp_path / "phases"
+    path.write_text("2 0.25\n999999999989 0.5\n")      # the largest prime below 10^12
+    bounds = []
+    sieve = cli.primes_up_to
+    monkeypatch.setattr(cli, "primes_up_to", lambda n: bounds.append(n) or sieve(n))
+    assert cli.read_phases(str(path)) == {2: 0.25, 999999999989: 0.5}
+    assert max(bounds) == 999999
+    path.write_text("999999999999 0.5\n")      # 3 x 333333333333
+    with pytest.raises(cli.InvalidProblem, match="key 999999999999 is not a prime"):
+        cli.read_phases(str(path))
+
+
 def test_zero_scan_contour_failure_has_its_exit_code(tmp_path, capsys):
     # a valid circle near Re s = 0, where the product's argument is not resolved
     run = tmp_path / "run"
     argv = ["zero-scan", "--pmax", "2000", "--center-re", "0.03", "--cradius", "0.02"]
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert cli.main(argv + ["--out", str(run)]) == 7
-    assert capsys.readouterr().out.startswith("contour failure: ")
+    assert not caught      # the report says why, without numpy's overflow warnings
+    out, err = capsys.readouterr()
+    assert out.startswith("contour failure: ") and err == ""
     report = (run / "report.txt").read_text()
     assert report == ("status contour_failure\n"
                       "reason winding failed to stabilize (last estimate nan)\n")

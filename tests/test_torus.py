@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import eulerapprox as ea
+from eulerapprox import torus
+from eulerapprox.hardy import TWO_PI
 from eulerapprox.torus import log_prime_frequencies, metric_weights
 
 
@@ -51,6 +53,19 @@ def test_orbit_points():
 def test_frequencies_increasing():
     f = log_prime_frequencies(30)
     assert np.all(np.diff(f) > 0) and f[0] > 0
+
+
+def test_frequencies_sieve_only_as_far_as_the_primes_need(monkeypatch):
+    ps = ea.primes_up_to(10_000_000)
+    bounds = []
+    monkeypatch.setattr(torus, "primes_up_to", lambda n: bounds.append(n) or ea.primes_up_to(n))
+    for n in (0, 1, 5, 6, 8, 1000, 664_579):
+        f = log_prime_frequencies(n)
+        assert np.array_equal(f, np.log(ps[:n].astype(float)) / TWO_PI)
+    # the torus runs at most 8 coordinates: a sieve to 23, not to 10^7
+    assert bounds == [11, 11, 11, 15, 23, 8841, 10_000_000]
+    with pytest.raises(ValueError, match="exceeds the sieve range"):
+        log_prime_frequencies(664_580)
 
 
 # ---------------------------------------------------------------------------
