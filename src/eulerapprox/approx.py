@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,8 +194,10 @@ def contract_target(problem: ApproximationProblem) -> tuple[ApproximationProblem
 # ---------------------------------------------------------------------------
 
 
-#: primes per block of the pool row build and of the embedding tail; small
-#: enough that a block's temporaries stay a few MB next to the stored rows
+#: rows of the first and of the largest block of the pool row build and of the
+#: embedding tail (``_blocks``); a block's temporaries stay a few MB next to
+#: the stored rows
+_FIRST_BLOCK = 64
 _BLOCK = 2048
 
 #: log-series order of the pool, floor and fixed-twist rows (m = 1..64)
@@ -246,9 +248,7 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
     Row p holds the coefficients of log f_p(e^{-2 pi i tw} p^{-s-sigma0})
     around s = 0, from the log series sum_m c_m z^m composed with
     z(s) = B e^{-s log p}:  alpha_n = (sum_m c_m B^m m^n) (-log p)^n / n!.
-    The twist enters only the sum; the direction (-log p)^n / n! and the
-    powers m^n do not, so the pool build (``_quarter_rows``) and the golden
-    search compute them once and call ``_twisted_rows`` per twist.
+    The twist enters only the sum (``_twisted_rows``).
     """
     primes = np.asarray(primes, dtype=np.int64)
     lnp = np.log(primes.astype(float))
@@ -268,30 +268,41 @@ def _write_norms(state: ApproximationState, rows: np.ndarray, tail: np.ndarray) 
     return sq.sum(axis=1)
 
 
+def _blocks(lo: int, stop: int, n: int) -> Iterator[slice]:
+    """The blocks of rows ``lo``, lo + 1, ... of ``n`` rows that cover the first ``stop``.
+
+    A block from row i holds i rows, at least ``_FIRST_BLOCK`` and at most
+    ``_BLOCK`` (64, 64, 128, 256, ... from row 0), and a lone last row joins
+    the block before it: only a block that starts at row n - 1 has one row.
+    """
+    while lo < min(stop, n):
+        hi = min(lo + min(max(lo, _FIRST_BLOCK), _BLOCK), n)
+        hi += n - hi == 1
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _quarter_rows(state: ApproximationState, stop: int) -> None:
     """Build the phase corrections, quarter rows and disc norms of the pool up to ``stop``.
 
-    Writes each prime's phase correction (the leading coefficient's
-    argument, ``state.correction``), ``_u_rows`` of the pool at each
-    quarter's twists ``state.twist(k, i)`` and the rows' disc norms into
-    ``state.u_phase`` / ``state.u_norm2``, and their heads and tail norms
-    into ``state.head`` / ``state.tail_norm``, from ``state.built`` on,
-    whole blocks of ``_BLOCK`` primes at a time, until ``stop`` primes (or
-    the pool) are covered; ``state.built`` follows.  A block's phase
-    correction, logarithms and direction are computed once and shared by
-    every quarter.  Each twist and row is bit-identical to one whole-pool
-    pass per quarter.
+    From ``state.built`` on, in the blocks of ``_blocks``, until ``stop``
+    primes (or the pool) are covered: each prime's phase correction (the
+    leading coefficient's argument, ``correction``), its ``_u_rows`` at the
+    quarter twists ``twist(k, i)`` (``u_phase``) and their disc norms,
+    heads and tail norms (``u_norm2``, ``head``, ``tail_norm``); ``built``
+    and ``row_bound[built]`` follow.  A block's logarithms and direction are
+    shared by every quarter.  Each twist and row is bit-identical to one
+    whole-pool pass per quarter: no block but a one-prime pool's has one
+    row, which numpy would multiply by another path.
     """
     p = state.problem
     pool = state.pool_primes
     mpow = _m_powers(p.order, _SERIES_ORDER)
-    blocks = range(state.built, min(stop, len(pool)), _BLOCK)
-    rows = min(blocks[-1] + _BLOCK, len(pool)) if blocks else 0
-    if rows > len(state.head):      # the screen stores grow to twice the build
-        cap = min(2 * rows, len(pool))
+    blocks = list(_blocks(state.built, stop, len(pool)))
+    if blocks and blocks[-1].stop > len(state.head):   # the screen stores grow to twice it
+        cap = min(2 * blocks[-1].stop, len(pool))
         state.head, state.tail_norm = (_resized(a, cap) for a in (state.head, state.tail_norm))
-    for lo in blocks:
-        blk = slice(lo, lo + _BLOCK)
+    for blk in blocks:
         ps = pool[blk]
         state.correction[blk] = p.spec.phase_correction(ps)
         twists = np.mod(np.add.outer(QUARTER_GRID, state.correction[blk]), 1.0)
@@ -302,7 +313,8 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
                                 out=state.u_phase[k][blk])
             state.u_norm2[blk, k] = _write_norms(state, out, state.tail_norm[blk, k])
             state.head[blk, k] = out[:, :state.head.shape[-1]]
-        state.built = min(lo + _BLOCK, len(pool))
+        state.built = blk.stop
+    _write_row_bound(state)
 
 
 def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[slice],
@@ -313,11 +325,10 @@ def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[sl
     past ``series_order`` plus, for each m, |c_m| q^m times the Taylor
     remainder a^{N+1} e^a / (N+1)! of the exponential beyond ``order`` (a =
     m radius log p); the row sum is sum_{m <= series_order} |c_m| q^m (q =
-    p^{radius-sigma0}).  A generator, so a
-    chunk's temporaries live until the next chunk replaces them, as in one
-    loop: returned from a call per chunk, they are all freed at once and the
-    next chunk faults its pages in again (p_max 1e6 at orders 24/40: 60
-    against 90 ms on a 2-vCPU VM).
+    p^{radius-sigma0}).  A generator, so a chunk's temporaries live until the
+    next chunk replaces them, as in one loop: returned from a call per chunk,
+    they are all freed at once and the next chunk faults its pages in again
+    (p_max 1e6 at orders 24/40: 60 against 90 ms on a 2-vCPU VM).
     """
     ms = np.arange(1, series_order + 1, dtype=float)
     for sel in chunks:
@@ -364,55 +375,60 @@ def _character_tail_majorant(P: int, X: int, radius: float, sigma0: float, order
 
 def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
                     sigma0: float, order: int,
-                    series_order: int) -> tuple[float, np.ndarray]:
+                    series_order: int) -> tuple[float, np.ndarray | None]:
     """Certified sup bound on what the truncated rows drop, summed over primes.
 
     Two cuts are covered: log-series terms beyond series_order (geometric in
     p^{radius-sigma0}) and Taylor terms beyond ``order`` (factorial tail of
     each exponential).  ``primes`` must be ascending.  The per-prime bounds
     (``_prime_bounds``) go into a zero-padded vector of every prime, worked
-    out in blocks of ``_BLOCK`` primes (the (primes x series_order)
-    temporaries stay small), and the total is one sum over that vector.
+    out in the blocks of ``_blocks``, and the total is one sum over it.
 
     Characters bound every prime alike (K = 1), so the pass runs block by
     block only until the closed-form ``_character_tail_majorant`` M of the
     primes past the block is at most 2^-60 of the running sum S.  What the
     zero padding leaves out is then below 2^-7 of half an ulp of S, so the
     total is bit-equal to the sum over every prime except at a near-tie of
-    its rounding.  The last block
-    always stops the pass (M = 0).  At radius 0.04, sigma0 0.75 and orders
-    64 (the defaults) the pass stops after the first block at every p_max
-    tried, up to 1e8.  Custom specs have no majorant and run every block.
+    its rounding.  The last block always stops the pass (M = 0).  At radius
+    0.04, sigma0 0.75 and orders 64 (the defaults) the pass stops after the
+    first block of 64 primes at every p_max tried, up to 1e8.
 
-    The same pass returns, per block b, the largest sum_{m <= series_order}
-    |c_m(p)| q_p^m over the primes of blocks b, b+1, ... (q_p =
-    p^{radius-sigma0}).  It bounds sum_n |u_n| radius^n for every row u of
-    those primes at any twist, since sum_n |u_n| radius^n <= sum_m |c_m|
-    |B|^m e^{m radius log p}.  For characters that row sum decreases in p
-    (the tail bound does not), so a block the pass did not reach takes it at
-    its first prime.
+    Custom specs have no majorant and run every block; for them the pass
+    also returns each prime's row sum sum_{m <= series_order} |c_m(p)| q^m,
+    which bounds sum_n |u_n| radius^n <= sum_m |c_m| |B|^m e^{m radius log
+    p} for every row u of the prime at any twist.  Characters get None.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    if len(primes) == 0:
-        return 0.0, np.empty(0)
     args = (radius, sigma0, order, series_order)
     per_prime = np.zeros(len(primes))
-    block_max = np.zeros(-(-len(primes) // _BLOCK))
+    sums = np.zeros(len(primes)) if spec.kind == "custom" else None
     head = 0.0
-    blocks = (slice(lo, lo + _BLOCK) for lo in range(0, len(primes), _BLOCK))
-    for b, (blk, bounds, rows) in enumerate(_prime_bounds(spec, primes, blocks, *args)):
+    blocks = _blocks(0, len(primes), len(primes))
+    for blk, bounds, rows in _prime_bounds(spec, primes, blocks, *args):
         per_prime[blk] = bounds
-        block_max[b] = np.max(rows)
-        if spec.kind != "custom":      # the majorant holds for characters only
-            head += float(np.sum(bounds))
-            rest = _character_tail_majorant(int(primes[blk][-1]), int(primes[-1]), *args)
-            if rest <= head * 2.0**-60:
-                break
-    if b + 1 < len(block_max):     # blocks not reached: the row sum at their first prime
-        first = [slice((b + 1) * _BLOCK, None, _BLOCK)]
-        block_max[b + 1:] = next(_prime_bounds(spec, primes, first, *args))[2]
-    total = float(np.sum(per_prime))
-    return total, np.maximum.accumulate(block_max[::-1])[::-1]
+        if sums is not None:       # the majorant holds for characters only
+            sums[blk] = rows
+            continue
+        head += float(np.sum(bounds))
+        if _character_tail_majorant(int(primes[blk.stop - 1]), int(primes[-1]),
+                                    *args) <= head * 2.0**-60:
+            break
+    return float(np.sum(per_prime)), sums
+
+
+def _write_row_bound(state: ApproximationState) -> None:
+    """Write ``row_bound[built]`` of a character pool (a custom pool holds every prime's).
+
+    sqrt(pi) R times the row sum of ``_prime_bounds`` at the pool prime
+    ``built``, which bounds every later prime's rows too: ``log_series_tail``
+    takes K = 1 for every character, so the sum decreases in p, and
+    ``_pool_scores``' margin of 1e-9 covers its rounding.
+    """
+    p, i, R = state.problem, state.built, state.problem.hardy_radius
+    if p.spec.kind != "custom" and i < len(state.pool_primes):
+        one = next(_prime_bounds(p.spec, state.pool_primes, [slice(i, i + 1)], R, p.sigma0,
+                                 p.order, _SERIES_ORDER))[2]
+        state.row_bound[i] = one[0] * (math.sqrt(math.pi) * R)
 
 
 def beyond_pool_tail(spec: EulerFactorSpec, p_max: int, r: float,
@@ -478,12 +494,13 @@ class ApproximationState:
     The pool's quarter rows are built lazily: ``correction[:built]``,
     ``u_phase[k][:built]`` and ``u_norm2[:built, k]`` hold the phase
     corrections, rows and disc norms of the first ``built`` pool primes
-    (whole ``_BLOCK`` blocks), and the rest of those arrays is unwritten.
-    Row ``u_phase[k][i]`` is the prime's row at twist ``twist(k, i)``, the
-    quarter plus the correction, mod 1.  ``row_bound[b]`` bounds the disc
-    norm ||u|| of every row, at any twist, of the primes in blocks b, b+1,
-    ...; greedy steering reads it to decide how far the build must go, and
-    the head screen its rounding slack.
+    (whole blocks of ``_blocks``), and the rest of those arrays is
+    unwritten.  Row ``u_phase[k][i]`` is the prime's row at twist
+    ``twist(k, i)``, the quarter plus the correction, mod 1.
+    ``row_bound[i]`` bounds the disc norm ||u|| of every row, at any twist,
+    of the pool primes i, i+1, ...; greedy steering reads it at ``built``,
+    and the head screen at 0.  A custom pool's holds every i; a character
+    pool's is written only at 0 and ``built`` (``_write_row_bound``).
 
     An accepted position a keeps its current row c in ``cur[a]``.  Its
     moves are the rephase u_k - c onto quarter k < ``_DROP`` (u_k the
@@ -492,19 +509,16 @@ class ApproximationState:
     the first ``len(accepted_idx)`` rows are live; the move store starts at
     ``_MOVE_ROWS`` rows and doubles when full, so it grows with the
     accepted count, not with the pool.  ``_apply`` (through ``_commit`` for
-    a new prime) updates it where the accepted set changes, and a full pass
-    scores either group's rows alike (``_full_scores`` of ``pool_row`` or
-    ``move_row``).
+    a new prime) updates it where the accepted set changes.
 
     Greedy steps screen every move by its head (``_best_move``), so the
     norms are laid out as the screen reads them: a row per prime or
     accepted position, a column per move.  ``head[i, k]`` holds the first
     h = min(``_HEAD``, order + 1) coefficients of pool row ``u_phase[k][i]``
-    and ``tail_norm[i, k]`` the disc norm of the rest of the row.  They are
-    written for the built prefix only, and grow to twice the built rows
-    when the build passes them, so a block-by-block build copies them a
-    logarithmic number of times.  The moves keep no heads: a step works
-    them out from the pool heads and the current rows (``_accepted_best``).
+    and ``tail_norm[i, k]`` the disc norm of the rest of the row, written
+    for the built prefix only (``_quarter_rows`` grows them).  The moves
+    keep no heads: a step works them out from the pool heads and the
+    current rows (``_accepted_best``).
     ``move_tail[a, k]`` holds the tail norm of move k of position a and
     lives, doubles and shifts with ``cur``.
     """
@@ -519,7 +533,7 @@ class ApproximationState:
     u_norm2: np.ndarray                      # (npool, quarter): ||u||^2, written with the rows
     correction: np.ndarray                   # (npool,): arg a_p^1 / 2pi, written with the rows
     weights: np.ndarray                      # disc norm weights
-    row_bound: np.ndarray                    # per block: ||u|| bound over that block onward
+    row_bound: np.ndarray                    # (npool,): ||u|| bound from that prime on
     cur: np.ndarray                          # (capacity, order+1): accepted positions' rows
     move_norm2: np.ndarray                   # (capacity, move): ||u||^2
     head: np.ndarray                         # (capacity >= built, quarter, h): u[:h]
@@ -579,15 +593,15 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     floor primes at twist 0, shifted by t0 log p / 2 pi unless a fixed twist
     is given, and the ``fixed_phases`` primes, whose twists are product twists
     and are not shifted again.  The pool gets empty correction and row
-    arrays, one row per quarter phase: no twist or row is written here.
-    ``greedy_rearrange`` builds them block by block (``_quarter_rows``, which
-    works out a block's phase correction once) only as far as the bound
-    ``row_bound`` says a prime can still win.  The certified tail covers the
-    log-series cuts of the floor and of the whole pool, and every prime
-    beyond the pool; ``_embedding_tail`` works out per-prime bounds only on
-    the pool's leading blocks and bounds the rest in closed form, and also
-    yields ``row_bound``.  So the set-up work grows with the built blocks,
-    not with the pool, past the sieve and the pool selection.  An empty
+    arrays, one row per quarter phase: ``greedy_rearrange`` builds them
+    block by block (``_quarter_rows``) only as far as ``row_bound`` says a
+    prime can still win.  The certified tail covers the log-series cuts of
+    the floor and of the whole pool, and every prime beyond the pool.  For
+    characters ``_embedding_tail`` works out per-prime bounds only on the
+    pool's leading blocks, and ``row_bound`` is written at 0 alone, so the
+    set-up work grows with the built blocks, not with the pool, past the
+    sieve and the pool selection.  For custom specs it visits every table
+    prime, and ``row_bound`` is the suffix maxima of its row sums.  An empty
     pool (every prime up to p_max is a floor prime or has a fixed twist) is
     allowed: the state then holds no candidates, and greedy steering
     reports the pool as exhausted at once.  A custom spec's pool holds only
@@ -622,12 +636,12 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     n = np.arange(N + 1)
     weights = math.pi * R ** (2 * n + 2) / (n + 1)
 
-    tail = _embedding_tail(spec, np.array(sorted(mandatory), dtype=np.int64), R,
-                           problem.sigma0, N, _SERIES_ORDER)[0] if mandatory else 0.0
-    pool_tail, row_bound = _embedding_tail(spec, pool, R, problem.sigma0, N,
-                                           _SERIES_ORDER)
-    tail += pool_tail
-    tail += beyond_pool_tail(spec, p_max, problem.r, problem.sigma0)
+    floor_tail = _embedding_tail(spec, np.array(sorted(mandatory), dtype=np.int64), R,
+                                 problem.sigma0, N, _SERIES_ORDER)[0]
+    pool_tail, sums = _embedding_tail(spec, pool, R, problem.sigma0, N, _SERIES_ORDER)
+    row_bound = (np.empty(len(pool)) if sums is None     # characters: ``_write_row_bound``
+                 else np.maximum.accumulate(sums[::-1])[::-1] * (math.sqrt(math.pi) * R))
+    tail = floor_tail + pool_tail + beyond_pool_tail(spec, p_max, problem.r, problem.sigma0)
     tail_norm = tail * math.sqrt(math.pi) * R
 
     # never-written pages of the row arrays cost no memory
@@ -637,11 +651,12 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         pool_primes=pool, pool_mask=np.ones(len(pool), dtype=bool),
         u_phase=[np.empty((len(pool), N + 1), dtype=complex) for _ in QUARTER_GRID],
         u_norm2=np.empty((len(pool), nq)), correction=np.empty(len(pool)), weights=weights,
-        row_bound=row_bound * (math.sqrt(math.pi) * R),
+        row_bound=row_bound,
         cur=np.empty((_MOVE_ROWS, N + 1), dtype=complex),
         move_norm2=np.empty((_MOVE_ROWS, _DROP + 1)),
         head=np.empty((0, nq, h), dtype=complex), tail_norm=np.empty((0, nq)),
         move_tail=np.empty((_MOVE_ROWS, _DROP + 1)), tail_bound=tail_norm)
+    _write_row_bound(state)
     state.trace.append(state.work_norm())
     return state
 
@@ -651,27 +666,24 @@ def _adopt_rows(state: ApproximationState, prev: ApproximationState) -> int:
 
     Rows, phase corrections, norms, heads and tail norms are per-prime
     functions of (spec, p, sigma0, radius), but for the bits of a row built
-    alone, by a one-row product, which numpy computes by another path: the
-    views hold what ``_quarter_rows`` writes when both layouts build the
-    last row alone or neither does.  Blocks of ``_BLOCK`` rows from row b
-    build it alone when npool - b is 1 modulo ``_BLOCK``.  ``prev`` adopted
-    rows only on this condition, so it built its own last row alone when
-    its pool size is 1 modulo ``_BLOCK``.  Returns the rows taken.
+    alone, by a one-row product, which numpy computes by another path.
+    ``_blocks`` builds a row alone only in a one-prime pool, so the views
+    hold what ``_quarter_rows`` writes unless the state's pool is one prime
+    and ``prev``'s is longer.  Returns the rows taken.
     """
     p, q = state.problem, prev.problem
     npool = len(state.pool_primes)
     off = len(prev.pool_primes) - npool
     built = prev.built - off
-    rest = len(prev.pool_primes) if built == npool else npool - built
-    if (off < 0 or built <= 0
+    if (off < 0 or built <= 0 or (npool == 1 and off > 0)
             or (q.spec, q.sigma0, q.hardy_radius) != (p.spec, p.sigma0, p.hardy_radius)
-            or not np.array_equal(prev.pool_primes[off:], state.pool_primes)
-            or (rest % _BLOCK == 1) != (npool % _BLOCK == 1)):
+            or not np.array_equal(prev.pool_primes[off:], state.pool_primes)):
         return 0
     state.u_phase = [u[off:] for u in prev.u_phase]
     state.u_norm2, state.correction = prev.u_norm2[off:], prev.correction[off:]
     state.head, state.tail_norm = prev.head[off:], prev.tail_norm[off:]
     state.built = built
+    _write_row_bound(state)
     return built
 
 
@@ -722,12 +734,13 @@ class _Screen(NamedTuple):
 def _screen_of(state: ApproximationState, cw: np.ndarray, norm: float) -> _Screen:
     """The step's screen; M = 4 ``row_bound[0]``^2 bounds ||u||^2 of every screened row.
 
-    A pool row at any twist is at most ``row_bound[0]`` in norm, so a move
+    A pool row at any twist is at most ``row_bound[0]`` in norm (a
+    character's up to rounding, far inside the slack's margin), so a move
     u_k - c or -c on an accepted prime is at most twice that.
     """
     h = state.head.shape[-1]
     tail = 2.0 * math.sqrt(max(float(np.dot(state.work[h:], cw[h:]).real), 0.0))
-    m2 = 4.0 * float(state.row_bound.max(initial=0.0)) ** 2
+    m2 = 4.0 * float(state.row_bound[0] if len(state.row_bound) else 0.0) ** 2
     return _Screen(cw, np.conj(2.0 * cw[:h]).view(np.float64), tail,
                    _SCORE_ROUNDING * (norm * math.sqrt(m2) + m2))
 
@@ -836,13 +849,13 @@ def _pool_scores(state: ApproximationState, screen: _Screen, heads: np.ndarray, 
     """``_pool_best`` after building rows as far as a prime can still win.
 
     A move u scores 2 Re<u,W> - ||u||^2 <= 2 ||u|| ||W|| <= 2 ||W|| beta,
-    with ||W|| = ``norm`` and beta = ``row_bound`` of its block.  Blocks
-    are built one at a time until that bound for the unbuilt rest is
-    strictly below the best score so far (this prefix's or ``acc_best``,
-    the best move on an accepted prime), so no unbuilt prime can win or
-    tie.  When the best score is at most ``tol`` the step is headed for a
-    stall or a pair rescue, which read the whole pool: the rest is built
-    at once.
+    ||W|| = ``norm`` and beta = ``row_bound[built]`` for every unbuilt
+    prime.  The blocks of ``_blocks`` are built one at a time (they double,
+    so the built prefix is screened a logarithmic number of times) until
+    2 ||W|| (1 + 1e-9) beta is below the best score so far (this prefix's
+    or ``acc_best``, the best move on an accepted prime): no unbuilt prime
+    can win or tie.  A best score at most ``tol`` heads for a stall or a
+    pair rescue, which read the whole pool: the rest is built at once.
 
     The prefix is screened against the bar max(``acc_best``, ``tol``): the
     pool's best is exact whenever it reaches the bar, and below it the step
@@ -856,9 +869,9 @@ def _pool_scores(state: ApproximationState, screen: _Screen, heads: np.ndarray, 
         if state.built == npool:
             return found
         best = max(found[0], acc_best)
-        if best > tol and reach * state.row_bound[state.built // _BLOCK] < best:
+        if best > tol and reach * state.row_bound[state.built] < best:
             return found
-        _quarter_rows(state, npool if best <= tol and state.built else state.built + _BLOCK)
+        _quarter_rows(state, npool if best <= tol and state.built else state.built + 1)
         heads = _head_pairings(state, screen)
 
 
@@ -1057,29 +1070,17 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
     section).  Stops at the norm ``stop_norm``, on pool exhaustion, or when
     no move -- including a joint two-prime rescue -- decreases the norm,
     where ``state.stall`` records the stall diagnostics; or after
-    ``_MAX_STEPS`` moves, the step cap.  The cap is not a stall: moves may
-    still decrease the norm, so ``state.stall`` is None, as at ``stop_norm``,
-    and the caller tells the two apart by the norm.
+    ``_MAX_STEPS`` moves, the step cap, which is not a stall (``stall`` is
+    None, as at ``stop_norm``; the caller tells the two apart by the norm).
 
-    Pool rows are built on demand (``_pool_scores``): a step extends the
-    built prefix block by block until 2 ||W|| ``row_bound`` of the unbuilt
-    rest is strictly below the best score, so every choice and every trace
-    value is the one a fully built pool gives.  A step whose best score is
-    not a decrease builds everything first, so the pair rescue and the
-    stall diagnostics see the whole pool.
-
-    Moves on accepted primes are scored from the state's current rows and
-    move norms (``cur``, ``move_norm2``), which the commits keep current,
-    so a step computes only their pairings with the residual.  The
-    residual norm is computed once per step.
-
-    Both move groups are screened by their first ``_HEAD`` coefficients
-    plus a certified bound on the rest (``_best_move``); the full pairing
-    is worked out only for moves that can win, with the arithmetic of a
-    full pass, so the choice, its score and the trace are bit-identical to
-    scoring every move in full.  A step whose best score is not a decrease
-    scores both groups in full (``_full_scores``).  Every move, of either
-    group, is committed by ``_apply``; a golden-refined row by ``_commit``.
+    Pool rows are built on demand (``_pool_scores``), so every choice and
+    trace value is the one a fully built pool gives.  Moves on accepted
+    primes are scored from the rows and norms the commits keep current
+    (``cur``, ``move_norm2``).  Both groups are screened by their heads
+    (``_best_move``), bit-identically to scoring every move in full, which
+    a step whose best score is not a decrease does (``_full_scores``), on
+    the whole pool.  Every move is committed by ``_apply``; a golden-refined
+    row by ``_commit``.
     """
     problem = state.problem
     steps = 0
@@ -1442,17 +1443,16 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     every draw.  The batch is one ``rng.random((batch, fillers))`` call, the
     same PCG64 doubles in the same order as one call per draw.
 
-    A stage's pool is a suffix of the previous stage's: its floor and its
-    inherited twists cover a prefix of the primes.  So each core adopts the
-    built pool rows of the previous core's state as views (``_adopt_rows``;
-    ``_approximate_impl`` returns its state and takes the previous one as
-    ``prev``), and a refine call builds each pool prime's rows once.
+    A stage's pool is a suffix of the previous stage's, so each core adopts
+    the built rows of the previous core's state (``_adopt_rows``), and a
+    refine call builds each pool prime's rows at most once.
 
     Inherited twists are product twists: a stage passes on theta_p + gamma_p
     (mod 1) of every prime it assigned, and the next stage uses them as
     ``fixed_phases``, not shifted again.  Only floor primes without an
-    inherited twist get gamma_p = t0 log p / 2 pi.  So an inherited twist describes the same
-    factor at every stage; with t0 = 0 it is the previous theta bit for bit.
+    inherited twist get gamma_p = t0 log p / 2 pi.  So an inherited twist
+    describes the same factor at every stage; with t0 = 0 it is the previous
+    theta bit for bit.
 
     The pool cutoff ``p_max`` is the same at every stage and is never raised.
     A stage whose floor and inherited twists already cover every prime up to

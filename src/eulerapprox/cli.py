@@ -29,6 +29,9 @@ every prime up to pmax and the surveyed error is still above eps; raise pmax
 or lower the floor y), 6 step cap (``approximate``'s last steering round
 ran out of steps while moves still decreased the residual), 7 contour failure
 (``zero-scan`` could not count windings on its circle; ``report.txt`` says why).
+The ``report.txt`` of an ``approximate`` run that ends on a stall or an
+exhausted pool closes with the last round's ``best_decrease`` and
+``best_pairing``.
 """
 
 from __future__ import annotations
@@ -189,9 +192,11 @@ def read_phases(path: str) -> dict[int, float]:
     theta = {}
     try:
         with open(path) as fh:
-            for line in fh:
+            for ln, line in enumerate(fh, 1):
                 parts = line.split()
-                if len(parts) == 2:
+                if len(parts) not in (0, 2):
+                    raise ValueError(f"line {ln} is not 'prime twist': {line.strip()!r}")
+                if parts:
                     theta[int(parts[0])] = float(parts[1])
         PhaseAssignment(theta)      # rejects a twist outside [0, 1), NaN and inf included
         for n in theta:     # trial division by the primes up to sqrt(n), at most 10^7
@@ -246,12 +251,15 @@ def cmd_approximate(cfg: RunConfig) -> int:
     _write(out, "phases.txt", result.phases_text())
     _write(out, "trace.txt", result.trace_text())
     _write(out, "heatmap.txt", result.survey.heatmap_text())
+    stall = result.stall if result.status != "success" else None   # why the run stopped short
     _write(out, "report.txt",
            f"status {result.status}\nmax_error {result.max_error!r}\n"
            f"argmax {result.argmax.real!r} {result.argmax.imag!r}\n"
            f"primes {len(result.primes)}\nresidual_norm {result.trace[-1]!r}\n"
            f"tail_bound {result.tail_bound!r}\n"
-           f"contraction_deviation {result.contraction_deviation!r}\n")
+           f"contraction_deviation {result.contraction_deviation!r}\n"
+           + (f"best_decrease {stall.best_decrease!r}\nbest_pairing {stall.best_pairing!r}\n"
+              if stall else ""))
     print(f"{result.status}: surveyed error {result.max_error:.6g} over "
           f"{len(result.primes)} primes")
     return _EXIT_CODES[result.status]

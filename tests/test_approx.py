@@ -10,9 +10,11 @@ from eulerapprox import approx, cli
 from eulerapprox.approx import (
     _BLOCK,
     _DROP,
+    _FIRST_BLOCK,
     _MOVE_ROWS,
     _apply,
     _approximate_impl,
+    _blocks,
     _character_tail_majorant,
     _commit,
     _embedding_tail,
@@ -23,6 +25,7 @@ from eulerapprox.approx import (
     _quarter_rows,
     _survey,
     _u_rows,
+    _write_row_bound,
     norm_to_max,
 )
 from eulerapprox.factors import QUARTER_GRID, PhaseAssignment, twist_argument
@@ -232,7 +235,7 @@ def test_blocked_pool_build_matches_whole_pool_rows(spec):
     _quarter_rows(state, len(state.pool_primes))   # the stall path's full build
     pool = state.pool_primes
     assert_whole_pool_twists(state, len(pool))
-    # three blocks, the last one partial
+    # blocks of 64 to 2,048 rows, the last one partial
     assert 2 * _BLOCK < len(pool) < 3 * _BLOCK
     for k, q in enumerate(QUARTER_GRID):
         _, rows, norm2 = whole_pool_quarter(prob, pool, q)
@@ -246,13 +249,15 @@ def test_screen_stores_grow_with_the_build():
     state = ea.init_residual(make_problem(p_max=100_000))
     npool, h = len(state.pool_primes), state.head.shape[-1]
     assert 4 * _BLOCK < npool < 5 * _BLOCK
-    caps = []
+    caps, built = [], []
     while state.built < npool:
-        _quarter_rows(state, state.built + _BLOCK)
+        _quarter_rows(state, state.built + 1)
+        built.append(state.built)
         assert len(state.tail_norm) == len(state.head) >= state.built
         if not caps or caps[-1] != len(state.head):
             caps.append(len(state.head))
-    assert caps == [2 * _BLOCK, npool]
+    assert built == [64, 128, 256, 512, 1024, 2048, 4096, 6144, 8192, npool]
+    assert caps == [128, 512, 2048, 8192, npool]
     for k in range(len(QUARTER_GRID)):
         rows = state.u_phase[k]
         assert np.array_equal(state.head[:, k], rows[:, :h])
@@ -260,6 +265,29 @@ def test_screen_stores_grow_with_the_build():
         assert np.array_equal(state.tail_norm[:, k], tail)
     # the head screen's slack takes M = 4 row_bound[0]^2 for every row
     assert np.all(state.u_norm2 <= 4.0 * state.row_bound[0] ** 2)
+
+
+def test_blocks_double_and_leave_no_row_alone():
+    def sizes(lo, n):
+        return [(b.start, b.stop) for b in _blocks(lo, n, n)]
+
+    assert [b.stop - b.start for b in _blocks(0, 10_000, 10_000)] == [
+        64, 64, 128, 256, 512, 1024, 2048, 2048, 2048, 1808]
+    assert sizes(0, 129) == [(0, 64), (64, 129)]      # a lone last row joins its block
+    assert sizes(0, 65) == [(0, 65)]
+    assert sizes(0, 1) == [(0, 1)]                    # a one-prime pool alone
+    assert sizes(53, 291) == [(53, 117), (117, 234), (234, 291)]   # from adopted rows
+    assert sizes(0, 0) == [] and sizes(7, 7) == []
+    # the first block that covers stop: one block per call of the lazy build
+    assert [(b.start, b.stop) for b in _blocks(64, 65, 5000)] == [(64, 128)]
+    # a pool of 129 builds its last row beside 64 others, bit-identical to one
+    # whole-pool product, not by numpy's one-row path
+    prob = make_problem(p_max=int(ea.primes_up_to(800)[129]))   # pool primes 3..p_max
+    state = ea.init_residual(prob)
+    assert len(state.pool_primes) == 129
+    _quarter_rows(state, 129)
+    for k, q in enumerate(QUARTER_GRID):
+        assert np.array_equal(state.u_phase[k], whole_pool_quarter(prob, state.pool_primes, q)[1])
 
 
 @BUILD_SPECS
@@ -285,10 +313,10 @@ def per_prime_pass(spec, primes, R, sigma0, order, series_order):
     """The embedding tail's per-prime pass over every prime, with no stop rule.
 
     Returns the total (one sum over the per-prime bounds), the per-prime
-    bounds, and the row bound of ``_embedding_tail`` (per block, the largest
-    row sum over that block onward).  Primes are taken 8,192 at a time only
-    to keep the temporaries small; each prime's arithmetic does not depend on
-    the others.
+    bounds, and the per-prime row sums sum_{m <= series_order} |c_m| q^m
+    that ``_embedding_tail`` returns for custom specs.  Primes are taken
+    8,192 at a time only to keep the temporaries small; each prime's
+    arithmetic does not depend on the others.
     """
     bounds, beta = np.empty(len(primes)), np.empty(len(primes))
     ms = np.arange(1, series_order + 1, dtype=float)
@@ -302,8 +330,7 @@ def per_prime_pass(spec, primes, R, sigma0, order, series_order):
         tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
         bounds[lo:lo + 8192] = terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1)
         beta[lo:lo + 8192] = np.sum(terms[:, :-1], axis=1)
-    block_max = np.array([np.max(beta[lo:lo + _BLOCK]) for lo in range(0, len(primes), _BLOCK)])
-    return float(np.sum(bounds)), bounds, np.maximum.accumulate(block_max[::-1])[::-1]
+    return float(np.sum(bounds)), bounds, beta
 
 
 @BUILD_SPECS
@@ -316,30 +343,31 @@ def per_prime_pass(spec, primes, R, sigma0, order, series_order):
 def test_embedding_tail_matches_per_prime_pass(spec, p_max, y, radius, order, series_order):
     primes = ea.primes_up_to(p_max)
     primes = primes[primes > y]
-    want_total, _, want_bound = per_prime_pass(spec, primes, radius, 0.75, order, series_order)
-    total, bound = _embedding_tail(spec, primes, radius, 0.75, order, series_order)
+    want_total, _, want_sums = per_prime_pass(spec, primes, radius, 0.75, order, series_order)
+    total, sums = _embedding_tail(spec, primes, radius, 0.75, order, series_order)
     assert total.hex() == want_total.hex()
-    assert np.array_equal(bound, want_bound)
+    # only a custom pool's row bound needs every prime's row sum
+    assert np.array_equal(sums, want_sums) if spec.kind == "custom" else sums is None
 
 
 @pytest.mark.parametrize("p_max,radius,order,series_order", [
-    (60_000, 0.03, 20, 20), (20_000, 0.03, 24, 40), (60_000, 0.02, 16, 16),
+    (60_000, 0.03, 24, 24), (20_000, 0.02, 24, 40), (60_000, 0.03, 20, 16),
 ])
 def test_embedding_tail_near_stop_margin_matches_per_prime_pass(p_max, radius, order,
                                                                 series_order):
-    # the majorant past the first block lies between 2^-60 and 2^-50 of that
-    # block's sum (lost in it as a float in the first two configurations),
-    # so the pass runs on past the first block
+    # the majorant past the first block of 64 primes lies between 2^-60 and
+    # 2^-50 of that block's sum (lost in it as a float in the first two
+    # configurations), so the pass runs on past the first block
     spec = ea.zeta_spec()
     primes = ea.primes_up_to(p_max)[1:]
     args = (radius, 0.75, order, series_order)
-    want_total, bounds, want_bound = per_prime_pass(spec, primes, *args)
-    head = float(np.sum(bounds[:_BLOCK]))
-    rest = _character_tail_majorant(int(primes[_BLOCK - 1]), int(primes[-1]), *args)
+    want_total, bounds, _ = per_prime_pass(spec, primes, *args)
+    head = float(np.sum(bounds[:_FIRST_BLOCK]))
+    rest = _character_tail_majorant(int(primes[_FIRST_BLOCK - 1]), int(primes[-1]), *args)
     assert 2.0**-60 < rest / head < 2.0**-50
-    total, bound = _embedding_tail(spec, primes, *args)
-    assert total.hex() == want_total.hex()
-    assert np.array_equal(bound, want_bound)
+    assert (head + rest == head) == (order == 24)
+    total, sums = _embedding_tail(spec, primes, *args)
+    assert total.hex() == want_total.hex() and sums is None
 
 
 @pytest.mark.parametrize("p_max", [20_000, 200_000])
@@ -349,8 +377,7 @@ def test_character_tail_majorant_bounds_the_rest(p_max, radius, sigma0, order, s
     primes = ea.primes_up_to(p_max)[1:]
     _, bounds, _ = per_prime_pass(ea.zeta_spec(), primes, radius, sigma0, order,
                                   series_order)
-    ends = list(range(_BLOCK, len(primes), _BLOCK)) + [len(primes)]
-    for hi in ends:
+    for hi in (b.stop for b in _blocks(0, len(primes), len(primes))):
         rest = float(np.sum(bounds[hi:]))
         majorant = _character_tail_majorant(int(primes[hi - 1]), int(primes[-1]), radius,
                                             sigma0, order, series_order)
@@ -358,8 +385,8 @@ def test_character_tail_majorant_bounds_the_rest(p_max, radius, sigma0, order, s
         assert (majorant == 0.0) == (hi == len(primes))
     if order <= 8:   # not negligible: the pass must run past the first block
         total = float(np.sum(bounds))
-        first = _character_tail_majorant(int(primes[_BLOCK - 1]), int(primes[-1]), radius,
-                                         sigma0, order, series_order)
+        first = _character_tail_majorant(int(primes[_FIRST_BLOCK - 1]), int(primes[-1]),
+                                         radius, sigma0, order, series_order)
         assert total + first != total
 
 
@@ -379,9 +406,17 @@ def test_row_bound_dominates_every_gain(spec):
     q = np.exp((R - prob.sigma0) * np.log(pool.astype(float)))
     _, terms = spec.log_series_tail(pool, q, approx._SERIES_ORDER)
     beta = math.sqrt(math.pi) * R * np.sum(terms[:, :-1], axis=1)
-    # the greedy step reads per-block suffix maxima of beta_p
-    for b in range(len(state.row_bound)):
-        assert state.row_bound[b] == np.max(beta[b * _BLOCK:])
+    # the greedy step reads beta(built): a custom pool's suffix maximum of
+    # beta_p, stored for every prime; a character's beta_p itself, written
+    # where the build stops
+    bound = np.empty(len(pool))
+    for i in range(len(pool)):
+        if spec.kind != "custom":
+            state.built = i
+            _write_row_bound(state)
+        bound[i] = state.row_bound[i]
+    want = np.maximum.accumulate(beta[::-1])[::-1] if spec.kind == "custom" else beta
+    assert np.array_equal(bound, want)
     n = np.arange(prob.order + 1)
     rng = np.random.default_rng(7)
     residuals = [state.work, state.u_phase[0][0], -state.u_phase[3][5]]
@@ -391,9 +426,11 @@ def test_row_bound_dominates_every_gain(spec):
     for w in residuals:
         w_norm = math.sqrt(float(np.sum(np.abs(w) ** 2 * weights)))
         cw = np.conj(w) * weights
-        for k in range(len(QUARTER_GRID)):
-            gain = 2.0 * (state.u_phase[k] @ cw).real - state.u_norm2[:, k]
-            assert np.all(2.0 * w_norm * beta >= gain)
+        gain = np.max([2.0 * (state.u_phase[k] @ cw).real - state.u_norm2[:, k]
+                       for k in range(len(QUARTER_GRID))], axis=0)
+        # every row at index >= i, with the 1e-9 margin of _pool_scores
+        assert np.all(2.0 * w_norm * (1.0 + 1e-9) * bound
+                      >= np.maximum.accumulate(gain[::-1])[::-1])
 
 
 @pytest.mark.parametrize("phase_mode", ["quarter", "golden"])
@@ -403,6 +440,7 @@ def test_lazy_steering_matches_full_pool(phase_mode):
     npool = len(full.pool_primes)
     assert npool > 2 * _BLOCK
     _quarter_rows(full, npool)
+    assert lazy.built == 0
     for stop in (1e-3, 1e-9):
         ea.greedy_rearrange(lazy, stop_norm=stop)
         ea.greedy_rearrange(full, stop_norm=stop)
@@ -412,9 +450,9 @@ def test_lazy_steering_matches_full_pool(phase_mode):
         assert np.array_equal(lazy.work, full.work)
         assert lazy.stall == full.stall
         if stop == 1e-3:
-            assert lazy.built == _BLOCK   # the first steps read block 0 only
-    # steering went past block 0
-    assert any(idx >= _BLOCK for idx in lazy.accepted_idx)
+            assert lazy.built == _FIRST_BLOCK   # the first steps read the first block only
+    # steering went past the first block
+    assert any(idx >= _FIRST_BLOCK for idx in lazy.accepted_idx)
 
 
 def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
@@ -436,12 +474,11 @@ def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
     assert res.status == "success"
     pool = state.pool_primes
     assert len(pool) == 78_497
-    assert state.built <= 2 * _BLOCK
-    # set-up and steering work out the embedding tail of block 0, the row
-    # bound at the first prime of each other block and the floor prime 2,
-    # and the phase corrections of the built blocks only
-    for name, count in handed.items():
-        assert count <= 2 * _BLOCK + -(-len(pool) // _BLOCK), name
+    assert state.built == _FIRST_BLOCK
+    # set-up and steering work out the embedding tail of the first block, the
+    # floor prime 2 and the row bound at pool primes 0 and 64, and the phase
+    # corrections of the first block only
+    assert handed == {"log_series_tail": _FIRST_BLOCK + 3, "phase_correction": _FIRST_BLOCK}
     monkeypatch.undo()
     assert_whole_pool_twists(state, state.built)
 
@@ -1171,8 +1208,10 @@ def adopted_and_fresh(spec, cut, **kw):
 def test_adopted_rows_match_a_fresh_build(spec, cut, kw):
     prev, adopted, fresh = adopted_and_fresh(spec, cut, **kw)
     n = len(fresh.pool_primes)
-    assert 0 < n < len(prev.pool_primes) == prev.built     # a proper suffix, built
-    assert adopted.built == (0 if n == 1 else n)
+    assert 0 < n < len(prev.pool_primes)     # a proper suffix
+    # every row prev built past the state's floor, unless the state builds its one row alone
+    assert adopted.built == (0 if n == 1 else prev.built - (len(prev.pool_primes) - n))
+    assert adopted.built or n == 1
     if adopted.built:
         assert np.shares_memory(adopted.u_phase[0], prev.u_phase[0])   # views, no copy
     _quarter_rows(adopted, n)
@@ -1185,19 +1224,23 @@ def test_adopted_rows_match_a_fresh_build(spec, cut, kw):
     assert np.array_equal(adopted.tail_norm[:n], fresh.tail_norm[:n])
 
 
-@pytest.mark.parametrize("spec,kw,layouts", [
-    # stage 2's pool of 49 (1 mod 16) is not adopted from 21 built rows; stage 3's
-    # 20 would be all adopted from a pool of 49, whose last row was built alone
-    (ea.zeta_spec(), dict(p_max=291), [(49, 0), (20, 0)]),
-    (ea.zeta_spec(), dict(p_max=300), [(50, 21), (21, 21)]),
-    (ea.zeta_spec(), dict(p_max=148), [(22, 0), (0, 0)]),   # 21 built: one row left alone
-    (CUSTOM_WIDE, dict(p_max=65, seed=1), [(1, 1), (0, 0)]),  # from a pool of 17
-    (CUSTOM_WIDE, dict(p_max=71), [(1, 0), (0, 0)]),          # from a pool of 19
-    (CUSTOM_WIDE, dict(p_max=150), [(13, 13), (0, 0)]),
-], ids=["zeta-291", "zeta-300", "zeta-148", "custom-65", "custom-71", "custom-150"])
-def test_refine_adoption_at_a_small_block_matches_fresh_builds(monkeypatch, spec, kw, layouts):
-    # at _BLOCK = 2048 no REFINE_CASES run reaches a one-row block after adoption
-    monkeypatch.setattr(approx, "_BLOCK", 16)
+@pytest.mark.parametrize("spec,kw,layouts,ends", [
+    # pools of at most 64 primes are built in one block and adopted whole
+    (ea.zeta_spec(), dict(p_max=291), [(49, 49), (20, 20)], [60, 49, 20]),
+    (ea.zeta_spec(), dict(p_max=300), [(50, 50), (21, 21)], [61, 50, 21]),
+    (ea.zeta_spec(), dict(p_max=148), [(22, 22), (0, 0)], [33, 22, 0]),
+    # a one-prime custom pool builds its row alone: not adopted from a pool of 17 or 19
+    (CUSTOM_WIDE, dict(p_max=65, seed=1), [(1, 0), (0, 0)], [17, 1, 0]),
+    (CUSTOM_WIDE, dict(p_max=71), [(1, 0), (0, 0)], [19, 1, 0]),
+    (CUSTOM_WIDE, dict(p_max=150), [(13, 13), (0, 0)], [34, 13, 0]),
+    # adopted prefixes of 53, 88 and 417 rows: the later blocks start there, so
+    # their boundaries differ from a fresh build's (64, 128, 256, ...)
+    (ea.zeta_spec(), dict(p_max=2000), [(291, 53), (262, 88)], [64, 117, 176]),
+    (ea.zeta_spec(), dict(p_max=5000, seed=2), [(657, 53), (606, 417)], [64, 468, 606]),
+], ids=["zeta-291", "zeta-300", "zeta-148", "custom-65", "custom-71", "custom-150",
+        "zeta-2000", "zeta-5000"])
+def test_refine_adoption_at_a_small_block_matches_fresh_builds(monkeypatch, spec, kw, layouts,
+                                                               ends):
     prob = make_problem(spec=spec, **kw)
     runs, impl, adopt = [], approx._approximate_impl, approx._adopt_rows
     seen = []     # (pool size, rows taken) of each adoption
@@ -1220,6 +1263,7 @@ def test_refine_adoption_at_a_small_block_matches_fresh_builds(monkeypatch, spec
     runs.append([])
     assert refine_bits(prob) == adopted
     assert seen == layouts
+    assert [state.built for _, state in runs[0]] == ends
     # every core steers alike, and the rows both runs built are the same bits
     for (trace, a), (fresh_trace, b) in zip(*runs):
         assert [v.hex() for v in trace] == [v.hex() for v in fresh_trace]
@@ -1257,9 +1301,10 @@ def test_refine_builds_each_pool_row_once(monkeypatch):
         return built
 
     built = built_primes(adopt=True)
-    assert len(built) == len(set(built)) == len(ea.primes_up_to(5000)) - 1
-    # without adoption the later stages build their pools again
-    assert len(built_primes(adopt=False)) > 2 * len(built)
+    assert len(built) == len(set(built)) > _FIRST_BLOCK
+    # without adoption the later stages build their pools' first blocks again
+    fresh = built_primes(adopt=False)
+    assert len(fresh) > len(set(fresh)) and len(fresh) > len(built)
 
 
 def test_screened_refine_surveys_few_draws(monkeypatch):

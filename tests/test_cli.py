@@ -138,11 +138,17 @@ def test_malformed_input_is_an_invalid_config(tmp_path, capsys, argv):
     ("phases", "2 0.25\n4 0.5\n", ["zero-scan", "--phases", "{}"]),
     ("phases", "1 0.5\n", ["approximate", "--target", "product:{}"]),
     ("phases", "1 0.5\n", ["zero-scan", "--phases", "{}"]),
+    # a line that is not "prime twist" would otherwise be skipped
+    ("phases", "2 0.25\n3\n", ["approximate", "--target", "product:{}"]),
+    ("phases", "2 0.25\n3\n", ["zero-scan", "--phases", "{}"]),
+    ("phases", "2 0.25\n5 0.5 0.1\n", ["approximate", "--target", "product:{}"]),
+    ("phases", "2 0.25\n5 0.5 0.1\n", ["zero-scan", "--phases", "{}"]),
     # a coefficient index below 1 would otherwise be dropped from the table
     ("spec", "c_eps 0.05 2.0\n2 0 0.5 0\n", ["approximate", "--spec", "custom:{}"]),
 ], ids=["twist-range-target", "twist-range-zero-scan", "twist-nan-target",
         "twist-nan-zero-scan", "composite-key-target", "composite-key-zero-scan",
-        "key-1-target", "key-1-zero-scan", "custom-index-0"])
+        "key-1-target", "key-1-zero-scan", "one-field-target", "one-field-zero-scan",
+        "three-fields-target", "three-fields-zero-scan", "custom-index-0"])
 def test_malformed_input_file_is_an_invalid_config(tmp_path, capsys, name, text, argv):
     path = tmp_path / name
     path.write_text(text)
@@ -150,6 +156,36 @@ def test_malformed_input_file_is_an_invalid_config(tmp_path, capsys, name, text,
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("invalid config: ") and err.count("\n") == 1
+
+
+def test_phases_file_skips_blank_lines_only(tmp_path):
+    path = tmp_path / "phases"
+    path.write_text("2 0.25\n\n   \n3 0.5\n")
+    assert cli.read_phases(str(path)) == {2: 0.25, 3: 0.5}
+    path.write_text("2 0.25\n\n5 0.5 0.1\n")
+    with pytest.raises(cli.InvalidProblem, match="line 3 is not 'prime twist'"):
+        cli.read_phases(str(path))
+
+
+@pytest.mark.parametrize("argv,code,stalled", [
+    (["--pmax", "30", "--eps", "0.001"], 2, True),              # two pair rescues, then a stall
+    (["--pmax", "3000", "--y", "11", "--eps", "0.02"], 5, True),   # every pool prime steered
+    (["--pmax", "2000"], 0, False),
+    (["--pmax", "30", "--eps", "0.005"], 0, True),      # the last round stalls within eps
+], ids=["rescue", "exhausted", "success", "success-after-stall"])
+def test_stall_record_parses_back(tmp_path, argv, code, stalled):
+    run = tmp_path / "run"
+    assert cli.main(["approximate"] + argv + ["--out", str(run)]) == code
+    report = dict(line.split(" ", 1) for line in (run / "report.txt").read_text().splitlines())
+    cfg = cli.load_config("approximate", str(run / "manifest.txt"), {})
+    stall = _approximate_impl(cli.build_problem(cfg))[0].stall
+    assert (stall is not None) == stalled
+    if code == 0:      # a success report has no stall record
+        assert "best_decrease" not in report and "best_pairing" not in report
+    else:
+        assert float(report["best_decrease"]) == stall.best_decrease
+        assert float(report["best_pairing"]) == stall.best_pairing
+        assert list(report)[-2:] == ["best_decrease", "best_pairing"]
 
 
 def test_large_prime_phase_key_sieves_to_its_square_root(tmp_path, monkeypatch):
