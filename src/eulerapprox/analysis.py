@@ -154,8 +154,10 @@ def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
     sampled modulus below ``_ZERO_GUARD`` aborts, since the contour then
     (numerically) passes through a zero.
 
-    f must be pointwise: each value depends only on its own point.  A
-    doubling then evaluates only the new odd-index points, since
+    f must give the same values for the same array, and each value may
+    depend on the call's other points only within a small bound, as the
+    series route of ``partial_product_grid`` does within its certified tail.
+    A doubling then evaluates only the new odd-index points, since
     ``contour.points(2 n)[0::2]`` equals ``contour.points(n)`` bit for bit.
     An n-sample estimate whose steps all stay under pi/2 is below n/4 turns,
     so a small n caps the count (n <= 4 can only give 0); ``quadrature_n``
@@ -188,8 +190,8 @@ def min_modulus(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
                 samples: int = 256) -> float:
     """min |f| on the circle: coarse scan plus local bisection refinement.
 
-    f must be pointwise: each value depends only on its own point.  The
-    coarse scan samples ``contour.points(samples)``.
+    f is as in ``zero_count``.  The coarse scan samples
+    ``contour.points(samples)``.
     """
     if samples < 64:
         raise ValueError("samples >= 64")
@@ -241,10 +243,11 @@ def rouche_check(f: Callable[[np.ndarray], np.ndarray],
     whenever the dominance inequality holds on the whole contour); the
     counts are part of the result rather than assumed.
 
-    f and g must be pointwise: each value depends only on its own point.
-    Both are memoized for this call, so the dominance scan, the coarse scan
-    of ``min_modulus`` and the first stage of ``zero_count`` (which sample
-    the same points when ``samples`` is 512) share one evaluation.
+    f and g are as in ``zero_count``.  Both are memoized for this call, so
+    the dominance scan, the coarse scan of ``min_modulus`` and the first
+    stage of ``zero_count`` (which sample the same points when ``samples`` is
+    512) share one evaluation; the same array takes the same route and gives
+    the same bits, so sharing changes no value.
     """
     f, g = _memo(f), _memo(g)
     pts = contour.points(max(samples, 64))

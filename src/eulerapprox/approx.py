@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .analysis import DiscGrid, SurveyResult, disc_error_survey
 from .factors import (
+    _LADDER_RUNGS,
     QUARTER_GRID,
     EulerFactorSpec,
     FactorDomainError,
     PhaseAssignment,
+    _ladder_orders,
+    _prime_bounds,
     partial_product_grid,
 )
 from .hardy import TWO_PI, H2Element, log_target
@@ -155,7 +158,9 @@ def product_target(spec: EulerFactorSpec, primes: Sequence[int],
 
     The one product evaluator in local coordinates: targets built from a
     phases file, result products, disc surveys, refine draws and the
-    zero-scan contours (sigma0 = 0 there) all use it.
+    zero-scan contours (sigma0 = 0 there) all use it.  Large calls take the
+    series route of ``partial_product_grid``: exact within its certified tail
+    and rounding, not bit for bit.
     """
     plist = [int(p) for p in primes]
 
@@ -317,32 +322,6 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
     _write_row_bound(state)
 
 
-def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[slice],
-                  radius: float, sigma0: float, order: int, series_order: int):
-    """Yield (chunk, per-prime truncation bounds, row sums) for each chunk of ``primes``.
-
-    A chunk is a slice of ``primes``.  The bound is the log-series majorant
-    past ``series_order`` plus, for each m, |c_m| q^m times the Taylor
-    remainder a^{N+1} e^a / (N+1)! of the exponential beyond ``order`` (a =
-    m radius log p); the row sum is sum_{m <= series_order} |c_m| q^m (q =
-    p^{radius-sigma0}).  A generator, so a chunk's temporaries live until the
-    next chunk replaces them, as in one loop: returned from a call per chunk,
-    they are all freed at once and the next chunk faults its pages in again
-    (p_max 1e6 at orders 24/40: 60 against 90 ms on a 2-vCPU VM).
-    """
-    ms = np.arange(1, series_order + 1, dtype=float)
-    for sel in chunks:
-        ps = primes[sel]
-        lnp = np.log(ps.astype(float))
-        q = np.exp((radius - sigma0) * lnp)
-        _, terms = spec.log_series_tail(ps, q, series_order)
-        a = ms[None, :] * lnp[:, None] * radius
-        la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
-        tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
-        yield (sel, terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1),
-               np.sum(terms[:, :-1], axis=1))
-
-
 def _character_tail_majorant(P: int, X: int, radius: float, sigma0: float, order: int,
                              series_order: int) -> float:
     """Closed-form bound on the character bounds of ``_prime_bounds`` over (P, X].
@@ -381,8 +360,8 @@ def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
     Two cuts are covered: log-series terms beyond series_order (geometric in
     p^{radius-sigma0}) and Taylor terms beyond ``order`` (factorial tail of
     each exponential).  ``primes`` must be ascending.  The per-prime bounds
-    (``_prime_bounds``) go into a zero-padded vector of every prime, worked
-    out in the blocks of ``_blocks``, and the total is one sum over it.
+    (``_prime_bounds``), worked out in the blocks of ``_blocks``, are summed
+    as a zero-padded vector of every prime would be (``_padded_sum``).
 
     Characters bound every prime alike (K = 1), so the pass runs block by
     block only until the closed-form ``_character_tail_majorant`` M of the
@@ -400,12 +379,12 @@ def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
     """
     primes = np.asarray(primes, dtype=np.int64)
     args = (radius, sigma0, order, series_order)
-    per_prime = np.zeros(len(primes))
+    per_prime = [np.zeros(0)]
     sums = np.zeros(len(primes)) if spec.kind == "custom" else None
     head = 0.0
     blocks = _blocks(0, len(primes), len(primes))
     for blk, bounds, rows in _prime_bounds(spec, primes, blocks, *args):
-        per_prime[blk] = bounds
+        per_prime.append(bounds)
         if sums is not None:       # the majorant holds for characters only
             sums[blk] = rows
             continue
@@ -413,7 +392,24 @@ def _embedding_tail(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
         if _character_tail_majorant(int(primes[blk.stop - 1]), int(primes[-1]),
                                     *args) <= head * 2.0**-60:
             break
-    return float(np.sum(per_prime)), sums
+    return _padded_sum(np.concatenate(per_prime), len(primes)), sums
+
+
+def _padded_sum(head: np.ndarray, n: int) -> float:
+    """``np.sum`` of ``head`` followed by n - len(head) zeros, without the zeros.
+
+    numpy sums a float array pairwise: a run of more than 128 splits after
+    half its length, rounded down to a multiple of 8, and an all-zero run
+    adds an exact 0.0.  So only the leading run that still splits after
+    ``head`` is summed, padded: O(len(head)) memory, not a pool-long vector
+    (628 KB at p_max 1e6) whose pages fault in anew on every call once the
+    heap has been trimmed.
+    """
+    while n > 128 and n // 2 - n // 2 % 8 >= len(head):
+        n = n // 2 - n // 2 % 8
+    out = np.zeros(n)
+    out[:len(head)] = head
+    return float(np.sum(out))
 
 
 def _write_row_bound(state: ApproximationState) -> None:
@@ -1256,21 +1252,19 @@ _DRAWS = 64
 _MAX_DRAWS = 512
 _SLACK = 2.0
 
-#: Taylor order of the refine screen's filler rows, and the rungs of their
-#: log-series orders.  The screen is held against the exact survey product,
-#: not against the pool rows, so its certified tail only has to stay far below
-#: ``_SCREEN_ROUNDING``.  A filler's series order is the least rung past which
-#: the spec's ``log_series_tail`` majorant leaves at most ``_SCREEN_CUT``: at
+#: Taylor order of the refine screen's filler rows.  The screen is held
+#: against the exact survey product, not against the pool rows, so its
+#: certified tail only has to stay far below ``_SCREEN_ROUNDING``.  A filler's
+#: series order is its rung on the band ladder (``factors._ladder_orders``): at
 #: r = 0.02 the zeta primes up to 5000 take orders 6 to 40, 5,528 (prime, m)
 #: cells against 26,720 at order 40 for all.
 _SCREEN_ORDER = 24
-_SCREEN_RUNGS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40)
-_SCREEN_CUT = 1e-18
 
 #: rounding allowance of the refine screen, relative to max(|target| + |screen
 #: product|) on the survey grid.  The survey's product rounds a few ulp per
 #: factor over about 1e3 factors (<= 1e-12 relative); the screen's core product,
 #: summed rows, grid sum and exp round alike.  Observed gaps are below 1e-14.
+#: A product on the series route adds at most its ``_SERIES_TAIL`` of 1e-13.
 _SCREEN_ROUNDING = 1e-10
 
 #: bytes of the temporaries of one screened chunk of draws
@@ -1281,21 +1275,15 @@ def _screen_bands(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
                   sigma0: float) -> list[tuple[np.ndarray, int, float]]:
     """The refine screen's bands of ``primes``: (indices, series order M, tail T) each.
 
-    A prime's M is the least rung of ``_SCREEN_RUNGS`` past which the terms
-    of the spec's ``log_series_tail`` majorant on |z| <= p^(radius - sigma0),
-    taken at the top rung, sum to at most ``_SCREEN_CUT`` (the top rung where
-    none does).  A band holds the primes of one M, ascending; T is its
-    certified ``_embedding_tail`` at radius, orders ``_SCREEN_ORDER`` and M.
-    Bands come in descending M.
+    A prime's M is its rung on the band ladder (``_ladder_orders``), the top
+    rung where none fits.  A band holds the primes of one M, ascending; T is
+    its certified ``_embedding_tail`` at radius, orders ``_SCREEN_ORDER`` and
+    M.  Bands come in descending M.
     """
-    rungs = np.array(_SCREEN_RUNGS)
-    q = np.exp((radius - sigma0) * np.log(primes.astype(float)))
-    terms = spec.log_series_tail(primes, q, rungs[-1])[1]
-    past = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][:, rungs]   # the terms past each rung
-    fits = past <= _SCREEN_CUT
-    orders = np.where(fits.any(axis=1), rungs[np.argmax(fits, axis=1)], rungs[-1])
+    orders = _ladder_orders(spec, primes, radius, sigma0)
+    orders[orders == 0] = _LADDER_RUNGS[-1]
     bands = []
-    for m in _SCREEN_RUNGS[::-1]:
+    for m in _LADDER_RUNGS[::-1]:
         idx = np.flatnonzero(orders == m)
         if len(idx):
             tail = _embedding_tail(spec, primes[idx], radius, sigma0, _SCREEN_ORDER, m)[0]

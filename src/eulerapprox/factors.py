@@ -22,6 +22,11 @@ the two oracle routes that tests cross-check against: ``eval_factor`` and
 The exact oracle ``partial_product_exact`` takes its character values from
 ``coeff_exact``.
 
+``partial_product_grid`` multiplies the factors (bit-identical to the
+per-prime loop) or, for large calls, takes the exp of one Taylor polynomial
+of the log product, certified by ``_prime_bounds``, the bound of ``approx``'s
+pool rows and tails.
+
 Everything here is immutable after construction and safe for concurrent
 read-only use.
 """
@@ -34,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,8 +53,21 @@ DEFAULT_SERIES_ORDER = 64
 #: quantized steering phases (turns)
 QUARTER_GRID = (0.0, 0.25, 0.5, 0.75)
 
-#: cells (primes x points) of one factor block in ``partial_product_grid``
+#: cells of one block of the factor route (primes x points) and of the series
+#: route (primes x ladder rungs) of ``partial_product_grid``
 _PRODUCT_BLOCK_CELLS = 1 << 15
+
+#: the band ladder: the log-series orders a prime may take, and the cut that
+#: picks its rung (``_ladder_orders``)
+_LADDER_RUNGS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40)
+_LADDER_CUT = 1e-18
+
+#: the series route's build in factor-route cells, per prime and per call
+#: (again per custom table row in the call: its ``log_series_tail`` K is
+#: worked out twice), and the largest certified log tail it accepts
+_SERIES_PRIME_CELLS = 48
+_SERIES_CALL_CELLS = 1 << 14
+_SERIES_TAIL = 1e-13
 
 #: radius rho of the circle just inside |z| = 1 on which custom factors are
 #: checked zero-free, so that ``log_series_tail``'s Cauchy bound
@@ -489,13 +507,17 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
                          phases: PhaseAssignment | None = None) -> np.ndarray:
     """Vectorized partial_product over an array of exponents s (any shape).
 
-    The factor arguments of a block of primes x points (about
-    ``_PRODUCT_BLOCK_CELLS`` cells, one reused buffer) are built at once and
-    folded into the product by ``EulerFactorSpec.fold_factors``.  Each point
-    sees exactly the operations of the per-prime loop
-    ``acc = spec.times_factor(acc, p, exp(-2 pi i twist_p - s log p))`` over
-    the points as an array, so the result is bit-identical to it; tests keep
-    that loop as the oracle.
+    The factor route folds blocks of about ``_PRODUCT_BLOCK_CELLS`` primes x
+    points into the product (``EulerFactorSpec.fold_factors``), each point
+    seeing exactly the operations of the per-prime loop ``acc =
+    spec.times_factor(acc, p, exp(-2 pi i twist_p - s log p))``: the result is
+    bit-identical to it, and tests keep the loop as the oracle.  The series
+    route (``_series_product``) runs when its build, ``_SERIES_PRIME_CELLS``
+    per prime plus ``_SERIES_CALL_CELLS`` (per call and table row), costs
+    fewer cells and every point is finite.  It gives the product times e^E,
+    |E| <= ``_SERIES_TAIL`` (certified by ``_prime_bounds``), plus rounding;
+    a value depends on the other points only within that, and the same array
+    gives the same bits.
     """
     phases = phases or trivial_phases()
     s = np.asarray(s, dtype=complex)
@@ -504,10 +526,26 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
         raise FactorDomainError("Re s must be positive for |p^{-s}| < 1")
     if not plist or s.size == 0:
         return np.ones_like(s)
+    pts = s.ravel()
+    rows = len(spec.table.keys() & set(plist)) if spec.table else 0
+    out = None
+    if (len(plist) * (pts.size - _SERIES_PRIME_CELLS) > _SERIES_CALL_CELLS * (1 + rows)
+            and np.isfinite(pts).all()):   # a NaN would spread to every point
+        out = _series_product(spec, pts, plist, phases)
+    if out is None:
+        out = _factor_product(spec, pts, plist, phases)
+    return out.reshape(s.shape)[()]
+
+
+def _factor_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
+                    phases: PhaseAssignment) -> np.ndarray:
+    """The factor route of ``partial_product_grid`` on the flat, non-empty ``pts``."""
+    n = pts.size
     # A lone point is taken twice: numpy may reorder a complex product that it
     # reduces along one contiguous axis, and with two columns the fold's inner
     # loop runs across points, never along the prime axis.
-    pts = s.ravel() if s.size > 1 else np.repeat(s.ravel(), 2)
+    if n == 1:
+        pts = np.repeat(pts, 2)
     acc = np.ones(pts.shape, dtype=complex)
     rows = max(1, _PRODUCT_BLOCK_CELLS // pts.size)
     block = np.empty((min(rows, len(plist)) + 1, pts.size), dtype=complex)
@@ -520,7 +558,103 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
         np.subtract((-1j * TWO_PI * phases.twists(ps, logs.real))[:, None], z, out=z)
         np.exp(z, out=z)
         spec.fold_factors(acc, ps, block[:len(ps) + 1])
-    return acc[:s.size].reshape(s.shape)[()]
+    return acc[:n]
+
+
+def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[slice],
+                  radius: float, sigma0: float, order: int, series_order: int):
+    """Yield (chunk, per-prime truncation bounds, row sums) for each chunk of ``primes``.
+
+    A chunk is a slice of ``primes``.  The bound is the log-series majorant
+    past ``series_order`` plus, for each m, |c_m| q^m times the Taylor
+    remainder a^{N+1} e^a / (N+1)! of the exponential beyond ``order`` (a =
+    m radius log p); the row sum is sum_{m <= series_order} |c_m| q^m (q =
+    p^{radius-sigma0}).  A generator, so a chunk's temporaries live until the
+    next chunk replaces them, as in one loop: returned from a call per chunk,
+    they are all freed at once and the next chunk faults its pages in again
+    (p_max 1e6 at orders 24/40: 60 against 90 ms on a 2-vCPU VM).
+    """
+    ms = np.arange(1, series_order + 1, dtype=float)
+    for sel in chunks:
+        ps = primes[sel]
+        lnp = np.log(ps.astype(float))
+        q = np.exp((radius - sigma0) * lnp)
+        _, terms = spec.log_series_tail(ps, q, series_order)
+        a = ms[None, :] * lnp[:, None] * radius
+        la = (order + 1) * np.log(np.maximum(a, 1e-300)) + a - math.lgamma(order + 2)
+        tails = np.where(la > -700, np.exp(np.minimum(la, 700)), 0.0)
+        yield (sel, terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1),
+               np.sum(terms[:, :-1], axis=1))
+
+
+def _ladder_orders(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
+                   sigma0: float) -> np.ndarray:
+    """Each prime's rung on the band ladder, its log-series order (0 if none fits).
+
+    The least rung of ``_LADDER_RUNGS`` past which the terms of the spec's
+    ``log_series_tail`` majorant on |z| <= p^(radius - sigma0), taken at the
+    top rung, sum to at most ``_LADDER_CUT``.
+    """
+    rungs = np.array(_LADDER_RUNGS)
+    q = np.exp((radius - sigma0) * np.log(primes.astype(float)))
+    terms = spec.log_series_tail(primes, q, rungs[-1])[1]
+    past = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][:, rungs]   # the terms past each rung
+    fits = past <= _LADDER_CUT
+    return np.where(fits.any(axis=1), rungs[np.argmax(fits, axis=1)], 0)
+
+
+def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
+                    phases: PhaseAssignment) -> np.ndarray | None:
+    """The series route of ``partial_product_grid`` on flat, finite ``pts``, or None.
+
+    About the centre c of the points' bounding box, sum_p log f_p has Taylor
+    coefficients a_n = sum_m (-m)^n / n! sum_p c_m B^m (log p)^n, B = e(-twist)
+    p^-c, each log series cut at its prime's rung on the band ladder.  The
+    degree N takes each Taylor cell of ``_prime_bounds`` (<= (rho / (Re c - 2
+    rho))^(N+1) for characters, rho = max |s - c|) below ``_LADDER_CUT``.
+    None where no prime has a rung (as near Re s = 0), N passes the top rung
+    or the tail passes ``_SERIES_TAIL``.
+    """
+    c = complex(0.5 * (pts.real.min() + pts.real.max()), 0.5 * (pts.imag.min() + pts.imag.max()))
+    d = pts - c
+    rho = float(np.max(np.abs(d)))
+    if not c.real > 3.0 * rho:      # the cells shrink with N only while rho < Re c - 2 rho
+        return None
+    ratio = rho / (c.real - 2.0 * rho)
+    degree = math.ceil(math.log(_LADDER_CUT) / math.log(ratio)) - 1 if rho else 0
+    if degree > _LADDER_RUNGS[-1]:
+        return None
+    ns = np.arange(degree + 1, dtype=float)
+    sums = np.zeros((degree + 1, _LADDER_RUNGS[-1]), dtype=complex)   # sum_p c_m B^m (log p)^n
+    tail, exact = 0.0, []
+    rows = _PRODUCT_BLOCK_CELLS // _LADDER_RUNGS[-1]
+    for lo in range(0, len(plist), rows):
+        ps = np.array(plist[lo:lo + rows], dtype=np.int64)
+        orders = _ladder_orders(spec, ps, rho, c.real)
+        exact += ps[orders == 0].tolist()
+        lnp = np.log(ps.astype(float))
+        base = np.exp(-1j * TWO_PI * phases.twists(plist[lo:lo + rows], lnp) - c * lnp)
+        for m in _LADDER_RUNGS:     # not np.unique, which imports numpy.ma (1 MB of RSS)
+            idx = np.flatnonzero(orders == m)
+            if not len(idx):
+                continue
+            terms = spec.log_terms(ps[idx], base[idx], m).view(np.float64)   # (re, im) pairs
+            sums[:, :m] += ((lnp[idx, None] ** ns).T @ terms).view(complex)
+            tail += float(np.sum(next(_prime_bounds(spec, ps[idx], [slice(None)], rho, c.real,
+                                                    degree, m))[1]))
+    if len(exact) == len(plist) or tail > _SERIES_TAIL:
+        return None
+    ms = np.arange(1, sums.shape[1] + 1, dtype=float)
+    fact = np.cumprod(np.concatenate(([1.0], ns[1:])))
+    coef = np.sum(sums * ((-ms[None, :]) ** ns[:, None] / fact[:, None]), axis=1)
+    acc = np.full(pts.shape, coef[-1])
+    for a in coef[-2::-1]:
+        acc *= d
+        acc += a
+    out = np.exp(acc)
+    if exact:
+        out *= _factor_product(spec, pts, exact, phases)
+    return out
 
 
 def partial_product_exact(spec: EulerFactorSpec, s: int, primes: Sequence[int],

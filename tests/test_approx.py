@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import eulerapprox as ea
-from eulerapprox import approx, cli
+from eulerapprox import approx, cli, factors
 from eulerapprox.approx import (
     _BLOCK,
     _DROP,
@@ -331,6 +331,16 @@ def per_prime_pass(spec, primes, R, sigma0, order, series_order):
         bounds[lo:lo + 8192] = terms[:, -1] + np.sum(terms[:, :-1] * tails, axis=1)
         beta[lo:lo + 8192] = np.sum(terms[:, :-1], axis=1)
     return float(np.sum(bounds)), bounds, beta
+
+
+@pytest.mark.parametrize("n", [0, 7, 128, 129, 300, 8193, 78_498])
+def test_padded_sum_is_the_sum_of_the_padded_vector(n):
+    rng = np.random.default_rng(n)
+    for k in sorted({0, 1, 9, 64, 129, n // 3, n}):
+        if k <= n:
+            head = rng.random(k) * 10.0 ** rng.uniform(-25, 0, k)
+            padded = np.concatenate([head, np.zeros(n - k)])
+            assert approx._padded_sum(head, n) == float(np.sum(padded))
 
 
 @BUILD_SPECS
@@ -1348,7 +1358,7 @@ SCREEN_SPECS = pytest.mark.parametrize("spec", [
 ], ids=["zeta", "chi5", "custom-wide"])
 
 #: the refine screen's series cut, and a coarse one under which every rung shows
-SCREEN_CUTS = pytest.mark.parametrize("cut", [approx._SCREEN_CUT, 1e-6], ids=["cut", "coarse"])
+SCREEN_CUTS = pytest.mark.parametrize("cut", [factors._LADDER_CUT, 1e-6], ids=["cut", "coarse"])
 
 
 def grid_gap(rows, pts):
@@ -1359,7 +1369,7 @@ def grid_gap(rows, pts):
 @SCREEN_SPECS
 @SCREEN_CUTS
 def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec, cut):
-    monkeypatch.setattr(approx, "_SCREEN_CUT", cut)
+    monkeypatch.setattr(factors, "_LADDER_CUT", cut)
     prob = make_problem(spec=spec)
     ps = ea.primes_up_to(20_000)[1:]
     bands = approx._screen_bands(spec, ps, prob.r, prob.sigma0)
@@ -1368,10 +1378,10 @@ def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec
     assert np.array_equal(np.sort(np.concatenate([idx for idx, *_ in bands])),
                           np.arange(len(ps)))
     # a prime's order is the least rung past which the majorant leaves <= cut
-    top = approx._SCREEN_RUNGS[-1]
+    top = factors._LADDER_RUNGS[-1]
     q = np.exp((prob.r - prob.sigma0) * np.log(ps.astype(float)))
     terms = spec.log_series_tail(ps, q, top)[1]
-    rungs = list(approx._SCREEN_RUNGS)
+    rungs = list(factors._LADDER_RUNGS)
     pts = approx._survey_grid(prob).points()
     rng = np.random.default_rng(3)
     for idx, m, tail in bands:
@@ -1393,7 +1403,7 @@ def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec
 @SCREEN_SPECS
 @SCREEN_CUTS
 def test_screen_sums_are_the_band_rows(monkeypatch, spec, cut):
-    monkeypatch.setattr(approx, "_SCREEN_CUT", cut)
+    monkeypatch.setattr(factors, "_LADDER_CUT", cut)
     prob = make_problem(spec=spec, p_max=2000)
     core, _ = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
     ps = np.array([int(p) for p in ea.primes_up_to(20_000) if int(p) not in core.phases.theta])

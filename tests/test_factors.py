@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eulerapprox as ea
+from eulerapprox import factors
 from eulerapprox.approx import _u_rows
 from eulerapprox.exact import QI, QI_ONE
 from eulerapprox.factors import HypothesisError, _custom_log_coefficients, interval_weights
@@ -446,6 +447,13 @@ def test_grid_factor_product_matches_scalar_custom():
 # ---------------------------------------------------------------------------
 
 
+def factor_route(*args):
+    """``partial_product_grid`` with the series route switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factors, "_series_product", lambda *_: None)
+        return ea.partial_product_grid(*args)
+
+
 def per_prime_product(spec, s, primes, phases=None):
     """Oracle: one factor array per prime, folded into the product one at a time."""
     phases = phases or ea.trivial_phases()
@@ -484,23 +492,23 @@ def test_blocked_product_matches_per_prime_loop(spec, shifted):
     rng = np.random.default_rng(7)
     for n in (0, 1, 9, 512, 767, 1024, 4096):
         s = 0.8 + 0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n)) + 35j
-        assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases),
+        assert_same_bits(factor_route(spec, s, PRODUCT_PRIMES, phases),
                          per_prime_product(spec, s, PRODUCT_PRIMES, phases))
     s = 0.7 + rng.random((3, 5)) + 1j * rng.random((3, 5))
-    assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases),
+    assert_same_bits(factor_route(spec, s, PRODUCT_PRIMES, phases),
                      per_prime_product(spec, s, PRODUCT_PRIMES, phases))
     # On a 0-d s the loop leaves arrays after the first factor, and numpy's
     # scalar complex product rounds differently from its array loop, so the
     # bits are those of the loop over the one-point array.
     s = np.asarray(0.9 - 2j)
-    got = ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases)
+    got = factor_route(spec, s, PRODUCT_PRIMES, phases)
     assert isinstance(got, np.complex128)
     assert_same_bits(got, per_prime_product(spec, s.reshape(1), PRODUCT_PRIMES, phases)[0])
     scalar_loop = per_prime_product(spec, s, PRODUCT_PRIMES, phases)
     # a few roundings per factor on either side
     assert abs(got - scalar_loop) <= 4 * len(PRODUCT_PRIMES) * np.finfo(float).eps * abs(got)
     s = np.array([0.75 + 1j, 0.8 - 3j])
-    assert_same_bits(ea.partial_product_grid(spec, s, [], phases), np.ones(2, dtype=complex))
+    assert_same_bits(factor_route(spec, s, [], phases), np.ones(2, dtype=complex))
 
 
 @PRODUCT_SPECS
@@ -508,7 +516,107 @@ def test_blocked_product_over_several_blocks_of_few_points(spec):
     # 4,203 primes: two blocks at 9 points, one (with a doubled column) at 1
     ps = [int(p) for p in ea.primes_up_to(40_000)]
     for s in (np.array([0.9 + 10j]), 0.9 + 10j + 0.01 * np.arange(9)):
-        assert_same_bits(ea.partial_product_grid(spec, s, ps), per_prime_product(spec, s, ps))
+        assert_same_bits(factor_route(spec, s, ps), per_prime_product(spec, s, ps))
+
+
+# ---------------------------------------------------------------------------
+# the series route against the factor route
+# ---------------------------------------------------------------------------
+
+SERIES_SPECS = pytest.mark.parametrize("spec", [ea.zeta_spec(), CHI4, CUSTOM],
+                                       ids=["zeta", "chi4", "custom"])
+
+
+def rounding_allowance(s, primes):
+    """Relative rounding of either route's product over ``primes`` at the points ``s``.
+
+    Each factor argument z = exp(-2 pi i twist - s log p) carries a few
+    rounding errors of its exponent, of size eps (|s| log p + 2 pi), which
+    move log f_p by up to |z| / (1 - |z|) times that for characters (and
+    custom factors of this file); the sum over the primes is the bound.
+    """
+    lnp = np.log(np.asarray(primes, dtype=float))
+    z = np.exp(-np.min(s.real) * lnp)
+    size = np.max(np.abs(s)) * lnp + TWO_PI + 1.0
+    return 4 * np.finfo(float).eps * float(np.sum(z / (1.0 - z) * size))
+
+
+def assert_within_series_bound(got, want, s, primes):
+    """|series - factor| <= |factor| (e^T - 1 + rounding), T <= ``_SERIES_TAIL`` certified."""
+    allowed = math.expm1(factors._SERIES_TAIL) + rounding_allowance(s, primes)
+    assert np.all(np.abs(got - want) <= allowed * np.abs(want))
+
+
+def series_route(spec, s, primes, phases):
+    """The series route on ``s`` of any shape (None where it does not apply)."""
+    s = np.asarray(s, dtype=complex)
+    out = factors._series_product(spec, s.ravel(), [int(p) for p in primes], phases)
+    return None if out is None else out.reshape(s.shape)
+
+
+@SERIES_SPECS
+@pytest.mark.parametrize("shifted", [False, True], ids=["t0=0", "t0-restricted"])
+def test_series_route_is_within_its_bound_of_the_factor_route(spec, shifted):
+    phases = product_phases(shifted)
+    rng = np.random.default_rng(11)
+    cases = [np.asarray(0.8 + 35j)] + [
+        0.8 + 35j + 0.03 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        for n in (1, 9, 512, 4096)]
+    cases.append(0.6 + 98j + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512))  # Im 98
+    for s in cases:
+        got = series_route(spec, s, PRODUCT_PRIMES, phases)
+        want = factor_route(spec, s, PRODUCT_PRIMES, phases)
+        assert got.shape == s.shape
+        assert_within_series_bound(got, want, s, PRODUCT_PRIMES)
+        if s.size > 9:   # what partial_product_grid takes: the series route, bit for bit
+            assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases), got)
+
+
+@SERIES_SPECS
+def test_disc_near_re_zero_takes_the_factor_route(spec):
+    s = 0.05 + 20j + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+    assert series_route(spec, s, PRODUCT_PRIMES, ea.trivial_phases()) is None
+    got = ea.partial_product_grid(spec, s, PRODUCT_PRIMES)
+    assert_same_bits(got, factor_route(spec, s, PRODUCT_PRIMES))
+
+
+def test_large_custom_table_takes_the_factor_route():
+    # 303 table rows: the series route would work out each row's K twice
+    spec = make_custom({int(p): {1: 0.3 * cmath.exp(1j * int(p))} for p in ea.primes_up_to(2000)})
+    s = 0.75 + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+    assert series_route(spec, s, PRODUCT_PRIMES, ea.trivial_phases()) is not None
+    assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES),
+                     factor_route(spec, s, PRODUCT_PRIMES))
+
+
+def test_non_finite_point_takes_the_factor_route():
+    spec, phases = ea.zeta_spec(), product_phases(True)
+    s = 0.75 + 40j + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+    s[7], s[300] = complex(np.nan, 40.0), complex(np.inf, 0.0)
+    with np.errstate(invalid="ignore"):
+        got = ea.partial_product_grid(spec, s, PRODUCT_PRIMES, phases)
+    with np.errstate(invalid="ignore"):
+        want = factor_route(spec, s, PRODUCT_PRIMES, phases)
+    assert np.isnan(got[7]) and np.isfinite(np.delete(got, [7, 300])).all()
+    assert_same_bits(np.delete(got, [7, 300]), np.delete(want, [7, 300]))
+
+
+def test_large_contour_call_takes_the_series_route(monkeypatch):
+    # 9,592 primes at 512 points: only the primes past the ladder's top rung
+    # may reach the factor route
+    ps = [int(p) for p in ea.primes_up_to(100_000)]
+    s = 0.75 + 40j + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+    seen = []
+    factor_product = factors._factor_product
+
+    def recorded(spec, pts, plist, phases):
+        seen.extend(plist)
+        return factor_product(spec, pts, plist, phases)
+
+    monkeypatch.setattr(factors, "_factor_product", recorded)
+    got = ea.partial_product_grid(ea.zeta_spec(), s, ps)
+    assert seen == [2, 3]
+    assert_within_series_bound(got, factor_route(ea.zeta_spec(), s, ps), s, ps)
 
 
 @FAMILIES
