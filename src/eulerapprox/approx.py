@@ -23,12 +23,11 @@ import numpy as np
 
 from .analysis import DiscGrid, SurveyResult, disc_error_survey
 from .factors import (
-    _LADDER_RUNGS,
     QUARTER_GRID,
     EulerFactorSpec,
     FactorDomainError,
     PhaseAssignment,
-    _ladder_orders,
+    _log_taylor,
     _prime_bounds,
     partial_product_grid,
 )
@@ -1252,126 +1251,70 @@ _DRAWS = 64
 _MAX_DRAWS = 512
 _SLACK = 2.0
 
-#: Taylor order of the refine screen's filler rows.  The screen is held
-#: against the exact survey product, not against the pool rows, so its
-#: certified tail only has to stay far below ``_SCREEN_ROUNDING``.  A filler's
-#: series order is its rung on the band ladder (``factors._ladder_orders``): at
-#: r = 0.02 the zeta primes up to 5000 take orders 6 to 40, 5,528 (prime, m)
-#: cells against 26,720 at order 40 for all.
-_SCREEN_ORDER = 24
-
 #: rounding allowance of the refine screen, relative to max(|target| + |screen
 #: product|) on the survey grid.  The survey's product rounds a few ulp per
 #: factor over about 1e3 factors (<= 1e-12 relative); the screen's core product,
-#: summed rows, grid sum and exp round alike.  Observed gaps are below 1e-14.
-#: A product on the series route adds at most its ``_SERIES_TAIL`` of 1e-13.
+#: Taylor coefficients (``factors._log_taylor``), grid sum and exp round alike.
+#: Observed gaps are below 1e-14.  A product on the series route adds at most
+#: its ``_SERIES_TAIL`` of 1e-13.
 _SCREEN_ROUNDING = 1e-10
 
 #: bytes of the temporaries of one screened chunk of draws
 _SCREEN_BYTES = 2**20
 
 
-def _screen_bands(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
-                  sigma0: float) -> list[tuple[np.ndarray, int, float]]:
-    """The refine screen's bands of ``primes``: (indices, series order M, tail T) each.
-
-    A prime's M is its rung on the band ladder (``_ladder_orders``), the top
-    rung where none fits.  A band holds the primes of one M, ascending; T is
-    its certified ``_embedding_tail`` at radius, orders ``_SCREEN_ORDER`` and
-    M.  Bands come in descending M.
-    """
-    orders = _ladder_orders(spec, primes, radius, sigma0)
-    orders[orders == 0] = _LADDER_RUNGS[-1]
-    bands = []
-    for m in _LADDER_RUNGS[::-1]:
-        idx = np.flatnonzero(orders == m)
-        if len(idx):
-            tail = _embedding_tail(spec, primes[idx], radius, sigma0, _SCREEN_ORDER, m)[0]
-            bands.append((idx, m, tail))
-    return bands
-
-
 class _FillerScreen:
     """Screen of a refine stage's filler draws: ``screen(twists)`` -> (errors, delta).
 
     ``twists`` is (draws, filler).  A draw's screen error is max |target -
-    core exp(P)| over the survey grid, P the sum of the fillers' Taylor rows
-    at its twists.  The grid, the target on it, the core product (one
-    ``partial_product_grid`` call), the ``bands`` (``_screen_bands``), each
-    band's c_m(p) (``log_terms`` at base 1) and the Taylor direction are
-    worked out once.  ``delta`` bounds |screen - surveyed error| of every
-    draw of the batch: the bands' tails summed, T, give ``grow`` = e^T - 1
-    times max |core exp(P)|, and ``_SCREEN_ROUNDING`` covers the rounding
-    of both routes.  Draws go in chunks of at most ``_SCREEN_BYTES`` of
-    temporaries.
+    core exp(P) F| over the survey grid: P the ``_log_taylor`` polynomial of
+    the fillers at its twists about sigma0 (one call per batch, a column
+    per draw), F the exact factors of the fillers without a rung (one
+    ``partial_product_grid`` call per draw).  The grid, the target on it and
+    the core product are worked out once.  ``delta`` bounds |screen -
+    surveyed error| of every draw of the batch: the tail T gives e^T - 1
+    times max |core exp(P) F|, and ``_SCREEN_ROUNDING`` covers the rounding
+    of both routes.  Draws are evaluated in chunks of at most
+    ``_SCREEN_BYTES`` of temporaries.
     """
 
     def __init__(self, problem: ApproximationProblem, core_phases: PhaseAssignment,
                  filler: Sequence[int]):
+        self.spec, self.sigma0 = problem.spec, problem.sigma0
         self.pts = _survey_grid(problem).points()
+        self.s = self.pts + problem.sigma0
         self.target = np.asarray(problem.target(self.pts), dtype=complex)
-        self.core = partial_product_grid(problem.spec, self.pts + problem.sigma0,
-                                         sorted(core_phases.theta), core_phases)
-        ps = np.asarray(filler, dtype=np.int64)
-        self.bands = _screen_bands(problem.spec, ps, problem.r, problem.sigma0)
-        self.grow = math.expm1(sum(tail for *_, tail in self.bands))
-        # fillers by descending series order: those of order > k are a prefix
-        self.order = np.concatenate([idx for idx, *_ in self.bands])
-        ps = ps[self.order]
-        lnp = np.log(ps.astype(float))
-        self.shift = problem.sigma0 * lnp[:, None]
-        self.dir_t = np.ascontiguousarray(_taylor_direction(lnp, _SCREEN_ORDER).T)
-        self.mpow = _m_powers(_SCREEN_ORDER, self.bands[0][1])
-        lo, terms = 0, []
-        for idx, m, _ in self.bands:
-            terms.append(problem.spec.log_terms(ps[lo:lo + len(idx)], np.ones(len(idx)), m))
-            lo += len(idx)
-        self.coefs = [np.concatenate([t[:, k] for t in terms if t.shape[1] > k])
-                      for k in range(len(self.mpow))]
-        self.chunk = max(1, _SCREEN_BYTES // (48 * len(ps) + 24 * len(self.pts)))
-        # s^n on the grid as a real matrix: complex coefficients seen as (re, im)
-        # pairs times it give the polynomial's values as (re, im) pairs
-        power = np.vander(self.pts, _SCREEN_ORDER + 1, increasing=True).T
-        grid = np.empty((_SCREEN_ORDER + 1, 2, len(self.pts), 2))
-        grid[:, 0, :, 0], grid[:, 0, :, 1] = power.real, power.imag
-        grid[:, 1, :, 0], grid[:, 1, :, 1] = -power.imag, power.real
-        self.grid = grid.reshape(2 * (_SCREEN_ORDER + 1), -1)
-
-    def sums(self, twists: np.ndarray) -> np.ndarray:
-        """The Taylor coefficients of P per draw, (order + 1, draws), rows never formed.
-
-        One ``np.exp`` gives the bases B = e^(-2 pi i tw - sigma0 log p) of
-        every (filler, draw) cell.  For m = 1, 2, ... the fillers of order
-        >= m take their powers B^m by one more multiplication, and one real
-        product over their cells adds m^n (direction^T @ c_m B^m).
-        """
-        tw = twists[:, self.order].T
-        base = np.empty(tw.shape, dtype=complex)
-        np.multiply(tw, -1j * TWO_PI, out=base)
-        base -= self.shift
-        np.exp(base, out=base)
-        power, cell = base.copy(), np.empty_like(base)
-        acc = np.zeros((_SCREEN_ORDER + 1, 2 * len(twists)))
-        for k, c in enumerate(self.coefs):
-            a = len(c)
-            if k:
-                power[:a] *= base[:a]
-            np.multiply(c[:, None], power[:a], out=cell[:a])
-            acc += self.mpow[k][:, None] * (self.dir_t[:, :a] @ cell[:a].view(np.float64))
-        return acc.view(complex)
+        self.core = partial_product_grid(problem.spec, self.s, sorted(core_phases.theta),
+                                         core_phases)
+        self.filler = np.asarray(filler, dtype=np.int64)
+        self.chunk = max(1, _SCREEN_BYTES // (24 * len(self.pts)))
 
     def __call__(self, twists: np.ndarray) -> tuple[np.ndarray, float]:
+        # sigma0 > 3 max |s| holds for every valid problem (r < r0 <= sigma0 / 3)
+        coef, tail, none = _log_taylor(self.spec, self.filler, twists.T, self.sigma0,
+                                       float(np.max(np.abs(self.pts))))
+        grow, exact = math.expm1(tail), self.filler[none].tolist()
+        # s^n on the grid as a real matrix: complex coefficients seen as (re, im)
+        # pairs times it give the polynomial's values as (re, im) pairs
+        power = np.vander(self.pts, len(coef), increasing=True).T
+        grid = np.empty((len(coef), 2, len(self.pts), 2))
+        grid[:, 0, :, 0], grid[:, 0, :, 1] = power.real, power.imag
+        grid[:, 1, :, 0], grid[:, 1, :, 1] = -power.imag, power.real
+        grid = grid.reshape(2 * len(coef), -1)
         errs = np.empty(len(twists))
         gaps = np.empty(len(twists))     # |screen - survey| bound per draw
         for lo in range(0, len(twists), self.chunk):
             hi = lo + self.chunk
-            coef = np.ascontiguousarray(self.sums(twists[lo:hi]).T)
             # a real product: a complex one here slows the exp after it 20-fold
-            prod = (coef.view(np.float64) @ self.grid).view(complex)
+            prod = (np.ascontiguousarray(coef[:, lo:hi].T).view(np.float64) @ grid).view(complex)
             np.exp(prod, out=prod)
             prod *= self.core
+            if exact:
+                for row, tw in zip(prod, twists[lo:hi, none].tolist()):
+                    row *= partial_product_grid(self.spec, self.s, exact,
+                                                PhaseAssignment(dict(zip(exact, tw))))
             size = np.abs(prod)
-            gaps[lo:hi] = self.grow * np.max(size, axis=1)
+            gaps[lo:hi] = grow * np.max(size, axis=1)
             size += np.abs(self.target)
             gaps[lo:hi] += _SCREEN_ROUNDING * np.max(size, axis=1)
             np.subtract(self.target, prod, out=prod)
@@ -1420,16 +1363,18 @@ def refine_sequence(problem: ApproximationProblem, stages: int) -> list[RefineSt
     stay within ``_SLACK`` * 2^{1 + k beta} eps of the schedule and must not
     increase.
 
-    Draws are screened before they are surveyed (``_FillerScreen``): every
-    draw of a batch gets a screen error e' with |e' - e| <= delta against its
-    surveyed error e, delta the batch's certified truncation tail plus a
-    rounding allowance.  Only draws with e' <= min(best so far, batch minimum
-    of e') + 2 delta are surveyed, in draw order with the strict-< rule.
-    Any other draw has e > e'_min + delta >= e of the batch's screen minimum
-    (or e > best so far), so it could never have been kept: the kept draw,
-    its error, ``draws_used`` and every stall message are those of surveying
-    every draw.  The batch is one ``rng.random((batch, fillers))`` call, the
-    same PCG64 doubles in the same order as one call per draw.
+    Draws are screened before they are surveyed (``_FillerScreen``, which
+    evaluates the fillers' log product as one ``factors._log_taylor``
+    polynomial per draw): every draw of a batch gets a screen error e' with
+    |e' - e| <= delta against its surveyed error e, delta the batch's
+    certified truncation tail plus a rounding allowance.  Only draws with e'
+    <= min(best so far, batch minimum of e') + 2 delta are surveyed, in draw
+    order with the strict-< rule.  Any other draw has e > e'_min + delta >=
+    e of the batch's screen minimum (or e > best so far), so it could never
+    have been kept: the kept draw, its error, ``draws_used`` and every stall
+    message are those of surveying every draw.  The batch is one
+    ``rng.random((batch, fillers))`` call, the same PCG64 doubles in the same
+    order as one call per draw.
 
     A stage's pool is a suffix of the previous stage's, so each core adopts
     the built rows of the previous core's state (``_adopt_rows``), and a

@@ -24,8 +24,10 @@ The exact oracle ``partial_product_exact`` takes its character values from
 
 ``partial_product_grid`` multiplies the factors (bit-identical to the
 per-prime loop) or, for large calls, takes the exp of one Taylor polynomial
-of the log product, certified by ``_prime_bounds``, the bound of ``approx``'s
-pool rows and tails.
+of the log product.  ``_log_taylor`` builds that polynomial, certified by
+``_prime_bounds`` (the bound of ``approx``'s pool rows and tails), with one
+column per set of twists: the refine screen builds a batch of filler draws
+in one call.
 
 Everything here is immutable after construction and safe for concurrent
 read-only use.
@@ -53,8 +55,8 @@ DEFAULT_SERIES_ORDER = 64
 #: quantized steering phases (turns)
 QUARTER_GRID = (0.0, 0.25, 0.5, 0.75)
 
-#: cells of one block of the factor route (primes x points) and of the series
-#: route (primes x ladder rungs) of ``partial_product_grid``
+#: cells of one block of the factor route (primes x points) and of
+#: ``_log_taylor`` (primes x ladder rungs, and a rung's primes x m x columns)
 _PRODUCT_BLOCK_CELLS = 1 << 15
 
 #: the band ladder: the log-series orders a prime may take, and the cut that
@@ -63,8 +65,8 @@ _LADDER_RUNGS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40)
 _LADDER_CUT = 1e-18
 
 #: the series route's build in factor-route cells, per prime and per call
-#: (again per custom table row in the call: its ``log_series_tail`` K is
-#: worked out twice), and the largest certified log tail it accepts
+#: (again per custom table row in the call: its ``log_series_tail`` K, worked
+#: out once per process and row), and the largest certified log tail it accepts
 _SERIES_PRIME_CELLS = 48
 _SERIES_CALL_CELLS = 1 << 14
 _SERIES_TAIL = 1e-13
@@ -227,12 +229,13 @@ class EulerFactorSpec:
         """acc * f_p(z) for a scalar or an array z (|z| < 1 is the caller's job).
 
         Characters compute acc / (1 - chi(p) z), skipping the product when
-        chi(p) = 1; custom factors sum the table polynomial by powers of z.
+        chi(p) = 1; custom factors sum the table polynomial by powers of z
+        (``_row_value``).
         """
         if self.kind == "dirichlet":
             chi = self.character[p % self.modulus]
             return acc / (1.0 - z) if chi == 1 else acc / (1.0 - chi * z)
-        return acc * self._table_value(p, z)
+        return acc * _row_value(self.table.get(p, {}), z)
 
     def fold_factors(self, acc: np.ndarray, primes: Sequence[int], block: np.ndarray) -> None:
         """acc <- acc * f_p(z_p) for the primes in order, in place; z_p = block[1 + i].
@@ -254,39 +257,30 @@ class EulerFactorSpec:
             fold = np.divide
         else:
             for i, p in enumerate(primes):
-                z[i] = self._table_value(p, z[i])
+                z[i] = _row_value(self.table.get(p, {}), z[i])
             fold = np.multiply
         block[0] = acc
         fold.reduce(block, axis=0, out=acc)
 
-    def _table_value(self, p: int, z):
-        """1 + sum_m a_p^m z^m of a custom factor, summed by powers of z."""
-        row = self.table.get(p, {})
-        fz = zp = 1.0 + 0j
-        for m in range(1, self.table_degree(p) + 1):
-            zp = zp * z
-            a = row.get(m)
-            if a:
-                fz = fz + a * zp
-        return fz
-
     def log_terms(self, primes: np.ndarray, base: np.ndarray, order: int) -> np.ndarray:
-        """G[i, m-1] = c_m(p_i) B_i^m for m = 1..order, where log f_p(z) = sum_m c_m z^m.
+        """G[..., m-1] = c_m(p) B^m for m = 1..order, where log f_p(z) = sum_m c_m z^m.
 
+        ``base`` has shape (primes, ...), prime p_i's bases at index i.
         Characters fold chi into the base: G = (chi(p) B)^m / m.  Custom rows
         use the recurrence m c_m = m a_m - sum_{j<m} j c_j a_{m-j}; primes
-        without a table row get a zero row.
+        without a table row get zero terms.
         """
         primes = np.asarray(primes, dtype=np.int64)
         ms = np.arange(1, order + 1, dtype=float)
         if self.kind == "dirichlet":
-            terms = (self.leading(primes) * base)[:, None] ** ms[None, :]
-            terms *= (1.0 / ms)[None, :]      # in place: one (primes x order) array fewer
+            lead = self.leading(primes).reshape((-1,) + (1,) * (base.ndim - 1))
+            terms = (lead * base)[..., None] ** ms
+            terms *= 1.0 / ms      # in place: one (primes x ... x order) array fewer
             return terms
-        out = np.zeros((len(primes), order), dtype=complex)
+        out = np.zeros(base.shape + (order,), dtype=complex)
         for p, row, hit in self._table_hits(primes):
             c = _custom_log_coefficients(tuple(sorted(row.items())), order)
-            out[hit] = c[None, :] * base[hit][:, None] ** ms[None, :]
+            out[hit] = c * base[hit][..., None] ** ms
         return out
 
     def log_series_tail(self, primes: np.ndarray, q: np.ndarray,
@@ -305,15 +299,36 @@ class EulerFactorSpec:
             terms = q[:, None] ** ms[None, :] / ms[None, :]
             past = q ** (order + 1) / ((order + 1) * (1.0 - q))
             return np.ones_like(q), np.column_stack([terms, past])
-        rho = _ZERO_FREE_RADIUS
-        ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
         ks = np.zeros_like(q)
-        for p, _, hit in self._table_hits(primes):
-            ks[hit] = max(abs(np.log(self.times_factor(1.0, p, rho * a))) for a in ang)
-        ratio = q / rho
+        for _, row, hit in self._table_hits(primes):
+            ks[hit] = _custom_log_bound(tuple(sorted(row.items())))
+        ratio = q / _ZERO_FREE_RADIUS
         terms = ks[:, None] * ratio[:, None] ** ms[None, :]
         past = ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)
         return ks, np.column_stack([terms, past])
+
+
+def _row_value(row: Mapping[int, complex], z):
+    """1 + sum_m a_m z^m of one custom table row, summed by powers of z."""
+    fz = zp = 1.0 + 0j
+    for m in range(1, max(row, default=0) + 1):
+        zp = zp * z
+        a = row.get(m)
+        if a:
+            fz = fz + a * zp
+    return fz
+
+
+@functools.cache
+def _custom_log_bound(row: tuple[tuple[int, complex], ...]) -> float:
+    """K = max |log f| over 64 points of |z| = ``_ZERO_FREE_RADIUS``, for one custom table row.
+
+    Cached per row, as ``_custom_log_coefficients`` is: the pool build, the
+    series route and the refine screen ask for the same rows again.
+    """
+    coeffs = dict(row)
+    ang = np.exp(1j * TWO_PI * np.arange(64) / 64)
+    return max(abs(np.log(_row_value(coeffs, _ZERO_FREE_RADIUS * a))) for a in ang)
 
 
 @functools.cache
@@ -512,12 +527,13 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
     seeing exactly the operations of the per-prime loop ``acc =
     spec.times_factor(acc, p, exp(-2 pi i twist_p - s log p))``: the result is
     bit-identical to it, and tests keep the loop as the oracle.  The series
-    route (``_series_product``) runs when its build, ``_SERIES_PRIME_CELLS``
-    per prime plus ``_SERIES_CALL_CELLS`` (per call and table row), costs
-    fewer cells and every point is finite.  It gives the product times e^E,
-    |E| <= ``_SERIES_TAIL`` (certified by ``_prime_bounds``), plus rounding;
-    a value depends on the other points only within that, and the same array
-    gives the same bits.
+    route (``_series_product``, the exp of a one-column ``_log_taylor``
+    polynomial) runs when its build, ``_SERIES_PRIME_CELLS`` per prime plus
+    ``_SERIES_CALL_CELLS`` (per call and table row), costs fewer cells and
+    every point is finite.  It gives the product times e^E, |E| <=
+    ``_SERIES_TAIL`` (certified by ``_prime_bounds``), plus rounding; a value
+    depends on the other points only within that, and the same array gives
+    the same bits.
     """
     phases = phases or trivial_phases()
     s = np.asarray(s, dtype=complex)
@@ -603,57 +619,86 @@ def _ladder_orders(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
     return np.where(fits.any(axis=1), rungs[np.argmax(fits, axis=1)], 0)
 
 
-def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
-                    phases: PhaseAssignment) -> np.ndarray | None:
-    """The series route of ``partial_product_grid`` on flat, finite ``pts``, or None.
+def _log_taylor(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray, c: complex,
+                rho: float) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """Taylor coefficients about c of sum_p log f_p(e(-twist) p^-s), one column per twist set.
 
-    About the centre c of the points' bounding box, sum_p log f_p has Taylor
-    coefficients a_n = sum_m (-m)^n / n! sum_p c_m B^m (log p)^n, B = e(-twist)
-    p^-c, each log series cut at its prime's rung on the band ladder.  The
+    ``twists`` is (primes, columns).  Returns (a, T, none): a is (N + 1,
+    columns), a_n = sum_m (-m)^n / n! sum_p c_m B^m (log p)^n with B =
+    e(-twist) p^-c, each log series cut at its prime's rung on the band
+    ladder (``_ladder_orders`` on |s - c| <= rho); T, from ``_prime_bounds``,
+    bounds what the rung and degree cuts drop there, for every column;
+    ``none`` marks the primes without a rung, whose terms are left out.  The
     degree N takes each Taylor cell of ``_prime_bounds`` (<= (rho / (Re c - 2
-    rho))^(N+1) for characters, rho = max |s - c|) below ``_LADDER_CUT``.
-    None where no prime has a rung (as near Re s = 0), N passes the top rung
-    or the tail passes ``_SERIES_TAIL``.
+    rho))^(N+1) for characters) below ``_LADDER_CUT``, but stops one past the
+    top rung: ``_series_product`` declines there, and the refine screen keeps
+    the polynomial, whose T covers the larger cells.  None where Re c <= 3
+    rho: the cells shrink with N only while rho < Re c - 2 rho.  Per block of
+    primes, each rung adds its terms by one real matrix product per chunk of
+    at most ``_PRODUCT_BLOCK_CELLS`` (prime, m, column) cells.
     """
-    c = complex(0.5 * (pts.real.min() + pts.real.max()), 0.5 * (pts.imag.min() + pts.imag.max()))
-    d = pts - c
-    rho = float(np.max(np.abs(d)))
-    if not c.real > 3.0 * rho:      # the cells shrink with N only while rho < Re c - 2 rho
+    if not c.real > 3.0 * rho:
         return None
     ratio = rho / (c.real - 2.0 * rho)
-    degree = math.ceil(math.log(_LADDER_CUT) / math.log(ratio)) - 1 if rho else 0
-    if degree > _LADDER_RUNGS[-1]:
-        return None
+    top = _LADDER_RUNGS[-1]
+    degree = min(top + 1, math.ceil(math.log(_LADDER_CUT) / math.log(ratio)) - 1) if rho else 0
     ns = np.arange(degree + 1, dtype=float)
-    sums = np.zeros((degree + 1, _LADDER_RUNGS[-1]), dtype=complex)   # sum_p c_m B^m (log p)^n
-    tail, exact = 0.0, []
-    rows = _PRODUCT_BLOCK_CELLS // _LADDER_RUNGS[-1]
-    for lo in range(0, len(plist), rows):
-        ps = np.array(plist[lo:lo + rows], dtype=np.int64)
+    sums = np.zeros((degree + 1, twists.shape[1], top), dtype=complex)  # sum_p c_m B^m (log p)^n
+    tail, none = 0.0, np.zeros(len(primes), dtype=bool)
+    rows = _PRODUCT_BLOCK_CELLS // top
+    for lo in range(0, len(primes), rows):
+        ps = primes[lo:lo + rows]
         orders = _ladder_orders(spec, ps, rho, c.real)
-        exact += ps[orders == 0].tolist()
+        none[lo:lo + rows] = orders == 0
         lnp = np.log(ps.astype(float))
-        base = np.exp(-1j * TWO_PI * phases.twists(plist[lo:lo + rows], lnp) - c * lnp)
+        base = np.multiply(twists[lo:lo + rows], -1j * TWO_PI)
+        base -= c * lnp[:, None]
+        np.exp(base, out=base)
         for m in _LADDER_RUNGS:     # not np.unique, which imports numpy.ma (1 MB of RSS)
             idx = np.flatnonzero(orders == m)
             if not len(idx):
                 continue
-            terms = spec.log_terms(ps[idx], base[idx], m).view(np.float64)   # (re, im) pairs
-            sums[:, :m] += ((lnp[idx, None] ** ns).T @ terms).view(complex)
+            power = (lnp[idx, None] ** ns).T
+            step = max(1, _PRODUCT_BLOCK_CELLS // (len(idx) * m))
+            for j in range(0, twists.shape[1], step):
+                terms = spec.log_terms(ps[idx], base[idx, j:j + step], m)
+                add = power @ terms.reshape(len(idx), -1).view(np.float64)   # (re, im) pairs
+                sums[:, j:j + step, :m] += add.view(complex).reshape(degree + 1, -1, m)
             tail += float(np.sum(next(_prime_bounds(spec, ps[idx], [slice(None)], rho, c.real,
                                                     degree, m))[1]))
-    if len(exact) == len(plist) or tail > _SERIES_TAIL:
-        return None
-    ms = np.arange(1, sums.shape[1] + 1, dtype=float)
+    ms = np.arange(1, top + 1, dtype=float)
     fact = np.cumprod(np.concatenate(([1.0], ns[1:])))
-    coef = np.sum(sums * ((-ms[None, :]) ** ns[:, None] / fact[:, None]), axis=1)
-    acc = np.full(pts.shape, coef[-1])
-    for a in coef[-2::-1]:
+    sums *= ((-ms[None, :]) ** ns[:, None] / fact[:, None])[:, None, :]
+    return np.sum(sums, axis=2), tail, none
+
+
+def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
+                    phases: PhaseAssignment) -> np.ndarray | None:
+    """The series route of ``partial_product_grid`` on flat, finite ``pts``, or None.
+
+    exp of the one-column ``_log_taylor`` polynomial about the centre c of
+    the points' bounding box (rho = max |s - c|), times the exact factors of
+    the primes without a rung.  None where ``_log_taylor`` is (as near Re s =
+    0), where its degree passes the top rung, where no prime has a rung, or
+    where the tail passes ``_SERIES_TAIL``.
+    """
+    c = complex(0.5 * (pts.real.min() + pts.real.max()), 0.5 * (pts.imag.min() + pts.imag.max()))
+    d = pts - c
+    ps = np.array(plist, dtype=np.int64)
+    twists = phases.twists(plist, np.log(ps.astype(float)))
+    series = _log_taylor(spec, ps, twists[:, None], c, float(np.max(np.abs(d))))
+    if series is None:
+        return None
+    coef, tail, none = series
+    if len(coef) > _LADDER_RUNGS[-1] + 1 or none.all() or tail > _SERIES_TAIL:
+        return None
+    acc = np.full(pts.shape, coef[-1, 0])
+    for a in coef[-2::-1, 0]:
         acc *= d
         acc += a
     out = np.exp(acc)
-    if exact:
-        out *= _factor_product(spec, pts, exact, phases)
+    if none.any():
+        out *= _factor_product(spec, pts, ps[none].tolist(), phases)
     return out
 
 

@@ -1335,20 +1335,43 @@ def test_screened_refine_surveys_few_draws(monkeypatch):
 def test_filler_screen_is_within_delta_of_the_survey(spec):
     prob = make_problem(spec=spec, p_max=2000)
     core, _ = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
-    # fillers up to 20,000 take every band; 12 draws of them go in two chunks
-    for bound, count in ((1000, 48), (20_000, 12)):
+    rho = screen_radius(prob)
+    # fillers up to 20,000 take every rung; 64 draws of them go in two chunks
+    for bound, count in ((1000, 48), (20_000, 64)):
         filler = [int(p) for p in ea.primes_up_to(bound) if int(p) not in core.phases.theta]
         draws = np.random.default_rng(5).random((count, len(filler)))
         screen = _FillerScreen(prob, core.phases, filler)
         errs, delta = screen(draws)
         assert 0.0 < delta < 1e-8   # a tight cut: about 1e-10 of the product's size
+        orders = factors._ladder_orders(spec, np.array(filler), rho, prob.sigma0)
         if bound > 1000:
-            assert screen.chunk < count and len(screen.bands) >= (3 if spec.table else 5)
-        for tw, e in zip(draws, errs):
-            theta = dict(core.phases.theta)
-            theta.update(zip(filler, tw.tolist()))
-            pa = PhaseAssignment(theta, t0=prob.t0, shifted=core.phases.shifted)
-            assert abs(e - _survey(prob, pa).max_error) <= 1e-3 * delta
+            assert screen.chunk < count and len(set(orders) - {0}) >= (3 if spec.table else 5)
+        if spec.kind == "dirichlet" and spec.modulus == 4:
+            assert 3 in filler and (orders == 0).any()   # exact factors: the filler 3 has no rung
+        assert surveyed_gap(prob, core, filler, draws, errs) <= 1e-3 * delta
+
+
+def surveyed_gap(prob, core, filler, draws, errs):
+    """max |screen error - surveyed error| over the draws."""
+    gaps = []
+    for tw, e in zip(draws, errs):
+        theta = dict(core.phases.theta)
+        theta.update(zip(filler, tw.tolist()))
+        pa = PhaseAssignment(theta, t0=prob.t0, shifted=core.phases.shifted)
+        gaps.append(abs(e - _survey(prob, pa).max_error))
+    return max(gaps)
+
+
+def test_filler_screen_past_the_top_rung_is_within_delta_of_the_survey():
+    # at r = 0.2 the cut asks for degree 74 about sigma0: the screen takes the
+    # polynomial one past the top rung, whose tail covers the larger cells
+    prob = make_problem(r=0.2, gamma_c=1.05, p_max=2000)
+    core, _ = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
+    filler = [int(p) for p in ea.primes_up_to(5000) if int(p) not in core.phases.theta]
+    draws = np.random.default_rng(5).random((16, len(filler)))
+    errs, delta = _FillerScreen(prob, core.phases, filler)(draws)
+    assert 0.0 < delta < 1e-8
+    assert surveyed_gap(prob, core, filler, draws, errs) <= delta
 
 
 SCREEN_SPECS = pytest.mark.parametrize("spec", [
@@ -1357,13 +1380,13 @@ SCREEN_SPECS = pytest.mark.parametrize("spec", [
     CUSTOM_WIDE,
 ], ids=["zeta", "chi5", "custom-wide"])
 
-#: the refine screen's series cut, and a coarse one under which every rung shows
+#: the ladder's cut, and a coarse one under which every rung shows
 SCREEN_CUTS = pytest.mark.parametrize("cut", [factors._LADDER_CUT, 1e-6], ids=["cut", "coarse"])
 
 
-def grid_gap(rows, pts):
-    """max over ``pts`` of |sum_n (sum of ``rows``)[n] s^n|."""
-    return float(np.max(np.abs(np.polyval(rows.sum(axis=0)[::-1], pts))))
+def screen_radius(prob):
+    """rho = max |s| over the survey grid: the radius of the screen's ``_log_taylor`` call."""
+    return float(np.max(np.abs(approx._survey_grid(prob).points())))
 
 
 @SCREEN_SPECS
@@ -1372,32 +1395,33 @@ def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec
     monkeypatch.setattr(factors, "_LADDER_CUT", cut)
     prob = make_problem(spec=spec)
     ps = ea.primes_up_to(20_000)[1:]
-    bands = approx._screen_bands(spec, ps, prob.r, prob.sigma0)
-    orders = [m for _, m, _ in bands]
-    assert orders == sorted(set(orders), reverse=True)
-    assert np.array_equal(np.sort(np.concatenate([idx for idx, *_ in bands])),
-                          np.arange(len(ps)))
-    # a prime's order is the least rung past which the majorant leaves <= cut
-    top = factors._LADDER_RUNGS[-1]
-    q = np.exp((prob.r - prob.sigma0) * np.log(ps.astype(float)))
-    terms = spec.log_series_tail(ps, q, top)[1]
+    rho = screen_radius(prob)
+    orders = factors._ladder_orders(spec, ps, rho, prob.sigma0)
+    # a prime's rung is the least one past which the majorant leaves <= cut;
+    # a prime without a rung (0) leaves more past the top rung
     rungs = list(factors._LADDER_RUNGS)
+    top = rungs[-1]
+    q = np.exp((rho - prob.sigma0) * np.log(ps.astype(float)))
+    terms = spec.log_series_tail(ps, q, top)[1]
+    assert len(set(orders.tolist()) - {0}) >= 3
+    for m in set(orders.tolist()):
+        past = terms[orders == m]
+        if m:
+            assert np.all(past[:, m:].sum(axis=1) <= cut)
+        if m != rungs[0]:
+            lower = rungs[rungs.index(m) - 1] if m else top
+            assert np.all(past[:, lower:].sum(axis=1) > cut)
+    # the tail bounds what the rung and degree cuts drop against the top-rung
+    # series on the survey grid
+    tw = np.random.default_rng(3).random(len(ps))
+    coef, tail, none = factors._log_taylor(spec, ps, tw[:, None], prob.sigma0, rho)
+    assert np.array_equal(none, orders == 0)
+    full_rows = _u_rows(spec, ps[~none], tw[~none], prob.sigma0, prob.order, top)
     pts = approx._survey_grid(prob).points()
-    rng = np.random.default_rng(3)
-    for idx, m, tail in bands:
-        assert np.all(terms[idx, m:].sum(axis=1) <= cut) or m == top
-        if m > rungs[0]:
-            lower = rungs[rungs.index(m) - 1]
-            assert np.all(terms[idx, lower:].sum(axis=1) > cut)
-        band = ps[idx]
-        assert tail == _embedding_tail(spec, band, prob.r, prob.sigma0, approx._SCREEN_ORDER,
-                                       m)[0]
-        # the tail bounds what order m drops against order 40 on the survey grid
-        tw = rng.random(len(band))
-        cut_rows = _u_rows(spec, band, tw, prob.sigma0, approx._SCREEN_ORDER, m)
-        full_rows = _u_rows(spec, band, tw, prob.sigma0, approx._SCREEN_ORDER, top)
-        rounding = 1e-14 * grid_gap(np.abs(full_rows), np.array([prob.r]))
-        assert grid_gap(cut_rows - full_rows, pts) <= tail + rounding
+    gap = np.max(np.abs(np.polyval(coef[::-1, 0], pts)
+                        - np.polyval(full_rows.sum(axis=0)[::-1], pts)))
+    rounding = 1e-14 * float(np.sum(np.abs(full_rows) * rho ** np.arange(prob.order + 1)))
+    assert gap <= tail + rounding
 
 
 @SCREEN_SPECS
@@ -1407,19 +1431,34 @@ def test_screen_sums_are_the_band_rows(monkeypatch, spec, cut):
     prob = make_problem(spec=spec, p_max=2000)
     core, _ = _approximate_impl(replace(prob, eps=0.5 * prob.eps))
     ps = np.array([int(p) for p in ea.primes_up_to(20_000) if int(p) not in core.phases.theta])
-    screen = _FillerScreen(prob, core.phases, ps.tolist())
-    tails = [_embedding_tail(spec, ps[idx], prob.r, prob.sigma0, approx._SCREEN_ORDER, m)[0]
-             for idx, m, _ in screen.bands]
-    assert screen.grow == math.expm1(sum(tails))
+    rho = screen_radius(prob)
+    orders = factors._ladder_orders(spec, ps, rho, prob.sigma0)
+    # the screen's call: one column per draw, about sigma0
     draws = np.random.default_rng(9).random((3, len(ps)))
-    sums = screen.sums(draws)
-    scale = prob.r ** np.arange(approx._SCREEN_ORDER + 1)
-    for got, tw in zip(sums.T, draws):
-        rows = [_u_rows(spec, ps[idx], tw[idx], prob.sigma0, approx._SCREEN_ORDER, m)
-                for idx, m, _ in screen.bands]
+    coef, tail, none = factors._log_taylor(spec, ps, draws.T, prob.sigma0, rho)
+    assert coef.shape[1] == len(draws) and np.array_equal(none, orders == 0)
+    scale = rho ** np.arange(len(coef))
+    for got, tw in zip(coef.T, draws):
+        rows = [_u_rows(spec, ps[orders == m], tw[orders == m], prob.sigma0, len(coef) - 1, m)
+                for m in factors._LADDER_RUNGS if (orders == m).any()]
         want = sum(r.sum(axis=0) for r in rows)
         size = sum(np.abs(r).sum(axis=0) for r in rows)
         assert np.all(np.abs(got - want) * scale <= 1e-13 * np.max(size * scale))
+    # a one-column call about the grid's centre gives the series route's bits
+    s = approx._survey_grid(prob).points() + prob.sigma0
+    phases = PhaseAssignment(dict(zip(ps.tolist(), draws[0].tolist())))
+    c = complex(0.5 * (s.real.min() + s.real.max()), 0.5 * (s.imag.min() + s.imag.max()))
+    one, tail, none = factors._log_taylor(spec, ps, draws[0][:, None], c,
+                                          float(np.max(np.abs(s - c))))
+    series = factors._series_product(spec, s, ps.tolist(), phases)
+    if tail > factors._SERIES_TAIL:     # the coarse cut
+        assert series is None
+        return
+    acc = np.full(s.shape, one[-1, 0])
+    for a in one[-2::-1, 0]:
+        acc = acc * (s - c) + a
+    want = np.exp(acc) * factors._factor_product(spec, s, ps[none].tolist(), phases)
+    assert series.tobytes() == want.tobytes()
 
 
 def test_refine_requires_positive_stage_count():

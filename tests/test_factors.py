@@ -401,6 +401,23 @@ def test_custom_log_series_tail_matches_factor_loop():
     assert np.array_equal(got_k, ks)
 
 
+def test_custom_log_bounds_are_worked_out_once(monkeypatch):
+    # K of each table row takes 64 factor evaluations on the first call only
+    ps = ea.primes_up_to(200)
+    spec = make_custom({int(p): {1: 0.3 * cmath.exp(1j * int(p)), 2: 0.05} for p in ps})
+    q = np.exp(-0.71 * np.log(ps.astype(float)))
+    factors._custom_log_bound.cache_clear()
+    calls = []
+    row_value = factors._row_value
+    monkeypatch.setattr(factors, "_row_value", lambda row, z: calls.append(z) or row_value(row, z))
+    first = spec.log_series_tail(ps, q, 16)
+    assert len(calls) == 64 * len(ps)
+    calls.clear()
+    second = spec.log_series_tail(ps, q, 16)
+    assert not calls
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 def test_custom_log_series_majorant_dominates_coefficients():
     # log(1 + 0.1 z^2) = sum_j (-1)^(j+1) 0.1^j z^(2j) / j, so |c_2| = 0.1 > K/2
     spec = make_custom({7: {2: 0.1}})
@@ -580,8 +597,24 @@ def test_disc_near_re_zero_takes_the_factor_route(spec):
     assert_same_bits(got, factor_route(spec, s, PRODUCT_PRIMES))
 
 
+@SERIES_SPECS
+def test_disc_past_the_top_rung_takes_the_factor_route(spec):
+    # rho / (Re c - 2 rho) = 0.57: the cut asks for degree 74
+    s = 0.75 + 0.2 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+    assert series_route(spec, s, PRODUCT_PRIMES, ea.trivial_phases()) is None
+    want = factor_route(spec, s, PRODUCT_PRIMES)
+    assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES), want)
+    # the polynomial stops one past the top rung, within its certified tail
+    ps = np.array(PRODUCT_PRIMES)
+    coef, tail, none = factors._log_taylor(spec, ps, np.zeros((len(ps), 1)), 0.75 + 0j, 0.2)
+    assert len(coef) == factors._LADDER_RUNGS[-1] + 2
+    got = np.exp(np.polyval(coef[::-1, 0], s - 0.75)) * factor_route(spec, s, ps[none].tolist())
+    allowed = math.expm1(tail) + rounding_allowance(s, PRODUCT_PRIMES)
+    assert np.all(np.abs(got - want) <= allowed * np.abs(want))
+
+
 def test_large_custom_table_takes_the_factor_route():
-    # 303 table rows: the series route would work out each row's K twice
+    # 303 table rows: the series route's estimate charges each row for its K
     spec = make_custom({int(p): {1: 0.3 * cmath.exp(1j * int(p))} for p in ea.primes_up_to(2000)})
     s = 0.75 + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)
     assert series_route(spec, s, PRODUCT_PRIMES, ea.trivial_phases()) is not None
