@@ -29,8 +29,8 @@ of the log product.  ``_log_taylor`` builds that polynomial, certified by
 column per set of twists: the refine screen builds a batch of filler draws
 in one call.
 
-Everything here is immutable after construction and safe for concurrent
-read-only use.
+Specs and assignments are immutable; the series route's two-build memo
+is the one mutable state, and no value depends on it.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ _LADDER_CUT = 1e-18
 _SERIES_PRIME_CELLS = 48
 _SERIES_CALL_CELLS = 1 << 14
 _SERIES_TAIL = 1e-13
+#: ``_series_product``'s last two builds
+_SERIES_BUILDS: dict = {}
 
 #: radius rho of the circle just inside |z| = 1 on which custom factors are
 #: checked zero-free, so that ``log_series_tail``'s Cauchy bound
@@ -336,10 +338,9 @@ def _custom_log_coefficients(row: tuple[tuple[int, complex], ...], order: int) -
     """c_1..c_order of log(1 + sum_m a_m z^m) for one custom table row (read-only).
 
     By the recurrence m c_m = m a_m - sum_{j<m} j c_j a_{m-j}.  Cached per
-    (row, order), without a size bound, so each is worked out once per
-    process: the pool build, the golden search and the refine screen ask
-    for the same rows on every call of ``log_terms``, and a bounded cache
-    smaller than a table's distinct rows would miss on every one.
+    (row, order) without a size bound: the pool build, the golden search and
+    the refine screen ask for the same rows on every ``log_terms`` call, and
+    a cache smaller than a table's distinct rows would miss on each.
     """
     coeffs = dict(row)
     a = np.array([0j] + [complex(coeffs.get(m, 0.0)) for m in range(1, order + 1)])
@@ -533,7 +534,7 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
     every point is finite.  It gives the product times e^E, |E| <=
     ``_SERIES_TAIL`` (certified by ``_prime_bounds``), plus rounding; a value
     depends on the other points only within that, and the same array gives
-    the same bits.
+    the same bits whatever ran before.
     """
     phases = phases or trivial_phases()
     s = np.asarray(s, dtype=complex)
@@ -585,10 +586,9 @@ def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[sl
     past ``series_order`` plus, for each m, |c_m| q^m times the Taylor
     remainder a^{N+1} e^a / (N+1)! of the exponential beyond ``order`` (a =
     m radius log p); the row sum is sum_{m <= series_order} |c_m| q^m (q =
-    p^{radius-sigma0}).  A generator, so a chunk's temporaries live until the
-    next chunk replaces them, as in one loop: returned from a call per chunk,
-    they are all freed at once and the next chunk faults its pages in again
-    (p_max 1e6 at orders 24/40: 60 against 90 ms on a 2-vCPU VM).
+    p^{radius-sigma0}).  A generator, so the next chunk replaces a chunk's
+    temporaries rather than faulting in freed pages again (p_max 1e6 at
+    orders 24/40: 60 against 90 ms on a 2-vCPU VM).
     """
     ms = np.arange(1, series_order + 1, dtype=float)
     for sel in chunks:
@@ -619,6 +619,22 @@ def _ladder_orders(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
     return np.where(fits.any(axis=1), rungs[np.argmax(fits, axis=1)], 0)
 
 
+def _taylor_degree(c: complex, rho: float) -> int | None:
+    """``_log_taylor``'s degree on |s - c| <= rho, or None where Re c <= 3 rho.
+
+    The least N taking each Taylor cell of ``_prime_bounds`` (<= (rho / (Re c
+    - 2 rho))^(N+1) for characters) below ``_LADDER_CUT``, capped one past the
+    top rung (``_series_product`` declines there; the refine screen's T
+    covers it).  The cells shrink while rho < Re c - 2 rho.
+    """
+    if not c.real > 3.0 * rho:
+        return None
+    if not rho:
+        return 0
+    ratio = rho / (c.real - 2.0 * rho)
+    return min(_LADDER_RUNGS[-1] + 1, math.ceil(math.log(_LADDER_CUT) / math.log(ratio)) - 1)
+
+
 def _log_taylor(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray, c: complex,
                 rho: float) -> tuple[np.ndarray, float, np.ndarray] | None:
     """Taylor coefficients about c of sum_p log f_p(e(-twist) p^-s), one column per twist set.
@@ -628,20 +644,15 @@ def _log_taylor(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray, c
     e(-twist) p^-c, each log series cut at its prime's rung on the band
     ladder (``_ladder_orders`` on |s - c| <= rho); T, from ``_prime_bounds``,
     bounds what the rung and degree cuts drop there, for every column;
-    ``none`` marks the primes without a rung, whose terms are left out.  The
-    degree N takes each Taylor cell of ``_prime_bounds`` (<= (rho / (Re c - 2
-    rho))^(N+1) for characters) below ``_LADDER_CUT``, but stops one past the
-    top rung: ``_series_product`` declines there, and the refine screen keeps
-    the polynomial, whose T covers the larger cells.  None where Re c <= 3
-    rho: the cells shrink with N only while rho < Re c - 2 rho.  Per block of
-    primes, each rung adds its terms by one real matrix product per chunk of
-    at most ``_PRODUCT_BLOCK_CELLS`` (prime, m, column) cells.
+    ``none`` marks the primes without a rung, whose terms are left out.  N is
+    ``_taylor_degree``'s; None where it is.  Per block of primes, each rung
+    adds its terms by one real matrix product per chunk of at most
+    ``_PRODUCT_BLOCK_CELLS`` (prime, m, column) cells.
     """
-    if not c.real > 3.0 * rho:
+    degree = _taylor_degree(c, rho)
+    if degree is None:
         return None
-    ratio = rho / (c.real - 2.0 * rho)
     top = _LADDER_RUNGS[-1]
-    degree = min(top + 1, math.ceil(math.log(_LADDER_CUT) / math.log(ratio)) - 1) if rho else 0
     ns = np.arange(degree + 1, dtype=float)
     sums = np.zeros((degree + 1, twists.shape[1], top), dtype=complex)  # sum_p c_m B^m (log p)^n
     tail, none = 0.0, np.zeros(len(primes), dtype=bool)
@@ -676,22 +687,35 @@ def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
                     phases: PhaseAssignment) -> np.ndarray | None:
     """The series route of ``partial_product_grid`` on flat, finite ``pts``, or None.
 
-    exp of the one-column ``_log_taylor`` polynomial about the centre c of
-    the points' bounding box (rho = max |s - c|), times the exact factors of
-    the primes without a rung.  None where ``_log_taylor`` is (as near Re s =
-    0), where its degree passes the top rung, where no prime has a rung, or
-    where the tail passes ``_SERIES_TAIL``.
+    exp of the one-column ``_log_taylor`` polynomial on |s - c| <= rho, times
+    the exact factors of the primes without a rung.  The box centre c and
+    rho = max |s - c| snap (rho up) to multiples of 2^(floor(log2 rho) - 20),
+    so a circle's samples and the odd half of twice as many share one.
+    None where ``_taylor_degree`` is or passes the top rung (before
+    any build), no prime has a rung or the tail passes ``_SERIES_TAIL``.
+    The last two builds, a Rouche check's f and g, are kept by spec (held,
+    so its id stays unique), primes, twists and disc.
     """
     c = complex(0.5 * (pts.real.min() + pts.real.max()), 0.5 * (pts.imag.min() + pts.imag.max()))
-    d = pts - c
+    rho = float(np.max(np.abs(pts - c)))
+    if rho:
+        step = math.ldexp(1.0, math.frexp(rho)[1] - 21)
+        c = complex(round(c.real / step) * step, round(c.imag / step) * step)
+        rho = step * math.ceil(rho / step + 1.0)
+    degree = _taylor_degree(c, rho)
+    if degree is None or degree > _LADDER_RUNGS[-1]:
+        return None
     ps = np.array(plist, dtype=np.int64)
     twists = phases.twists(plist, np.log(ps.astype(float)))
-    series = _log_taylor(spec, ps, twists[:, None], c, float(np.max(np.abs(d))))
-    if series is None:
+    key = (id(spec), ps.tobytes(), twists.tobytes(), np.array([c.real, c.imag, rho]).tobytes())
+    entry = _SERIES_BUILDS.pop(key, None) or (spec, _log_taylor(spec, ps, twists[:, None], c, rho))
+    _SERIES_BUILDS[key] = entry
+    if len(_SERIES_BUILDS) > 2:
+        del _SERIES_BUILDS[next(iter(_SERIES_BUILDS))]
+    coef, tail, none = entry[1]
+    if none.all() or tail > _SERIES_TAIL:
         return None
-    coef, tail, none = series
-    if len(coef) > _LADDER_RUNGS[-1] + 1 or none.all() or tail > _SERIES_TAIL:
-        return None
+    d = pts - c
     acc = np.full(pts.shape, coef[-1, 0])
     for a in coef[-2::-1, 0]:
         acc *= d

@@ -168,9 +168,14 @@ def _star_discrepancy_1d(samples: np.ndarray) -> float:
     return float(max(np.max(i / n - s), np.max(s - (i - 1) / n)))
 
 
-def _star_discrepancy_2d(x: np.ndarray, y: np.ndarray) -> float:
-    hist, _, _ = np.histogram2d(x, y, bins=_EQ_BINS, range=[[0, 1], [0, 1]])
-    cum = np.cumsum(np.cumsum(hist, axis=0), axis=1) / len(x)
+def _bin_index(x: np.ndarray) -> np.ndarray:
+    """``np.histogram2d``'s bins on [0, 1], as 64 x is exact."""
+    return np.minimum((x * _EQ_BINS).astype(np.int16), _EQ_BINS - 1)
+
+
+def _star_discrepancy_2d(bx: np.ndarray, by: np.ndarray) -> float:
+    hist = np.bincount(bx * _EQ_BINS + by, minlength=_EQ_BINS**2).reshape(_EQ_BINS, -1)
+    cum = np.cumsum(np.cumsum(hist, axis=0), axis=1) / len(bx)
     edges = np.arange(1, _EQ_BINS + 1) / _EQ_BINS
     expect = np.outer(edges, edges)
     return float(np.max(np.abs(cum - expect)))
@@ -206,7 +211,8 @@ def equidistribution_test(t_max: float, n: int, seed: int = 0,
             a, b = rng.integers(0, n, size=2)
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
-        pairwise = max(_star_discrepancy_2d(orbits[:, a], orbits[:, b]) for a, b in pairs)
+        bins = [_bin_index(orbits[:, k]) for k in range(n)]
+        pairwise = max(_star_discrepancy_2d(bins[a], bins[b]) for a, b in pairs)
     else:
         pairwise = 0.0
     return EquidistributionResult(t_max=t_max, coords=n, max_coordinate=per_coord,

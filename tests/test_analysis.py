@@ -204,18 +204,18 @@ def oracle_zero_count(f, contour, quadrature_n=512):
 
 
 def oracle_min_modulus(f, contour, samples=256):
-    ang = TWO_PI * np.arange(samples) / samples
-    vals = np.abs(f(contour.center + contour.radius * np.exp(1j * ang)))
+    """min_modulus before sample sharing: every round evaluates its 9 lattice points."""
+    fine = 16 * samples
+    vals = np.abs(f(contour.points(samples)))
     k = int(np.argmin(vals))
     best = float(vals[k])
-    lo, hi = ang[k] - TWO_PI / samples, ang[k] + TWO_PI / samples
+    mid, half = 16 * k, 16
     for _ in range(3):
-        grid = np.linspace(lo, hi, 9)
-        v = np.abs(f(contour.center + contour.radius * np.exp(1j * grid)))
+        grid = (mid + half * np.arange(-4, 5) // 4) % fine
+        v = np.abs(f(contour.center + contour.radius * np.exp(1j * (TWO_PI * grid / fine))))
         j = int(np.argmin(v))
         best = min(best, float(v[j]))
-        span = (hi - lo) / 4
-        lo, hi = grid[j] - span, grid[j] + span
+        mid, half = mid + half * (j - 4) // 4, half // 2
     return best
 
 
@@ -293,6 +293,22 @@ def test_zero_count_evaluates_each_point_once():
         assert {complex(z) for z in pts} == {complex(z) for z in c.points(n << doublings)}
 
 
+@pytest.mark.parametrize("where", [0.3, -0.7, 100.45], ids=["k=0", "k=last", "k=100"])
+def test_min_modulus_evaluates_each_refinement_point_once(where):
+    # the root lies just outside the circle, between the coarse samples k and
+    # k + 1; the first two cases wrap round angle 0
+    samples, c = 256, Circle(0j, 1.0)
+    root = 0.99 * np.exp(1j * TWO_PI * where / samples)
+    f = Counted(lambda s: np.asarray(s) - root)
+    m = ea.min_modulus(f, c, samples=samples)
+    pts = f.points()
+    assert len(pts) == samples + 14 and len({complex(z) for z in pts}) == len(pts)
+    coarse = np.abs(c.points(samples) - root)
+    assert int(np.argmin(coarse)) == round(where) % samples
+    assert m <= float(np.min(coarse)) and m == oracle_min_modulus(f.f, c, samples)
+    assert m == pytest.approx(0.01, rel=1e-3)
+
+
 def zeta_contour():
     spec = ea.zeta_spec()
     ps = [int(p) for p in ea.primes_up_to(10_000)]
@@ -306,11 +322,11 @@ def test_rouche_check_evaluates_each_distinct_sample_once():
     cf, cg = Counted(f), Counted(g)
     rr = ea.rouche_check(cf, cg, c, samples=512)
     assert rr.passed and rr.zeros_f == rr.zeros_g == 0
-    # dominance scan = coarse scan = first zero_count stage; 3 x 9 refinement
-    # points; the 512 odd points of zero_count's doubling
-    assert [len(s) for s in cf.calls] == [512, 9, 9, 9, 512]
+    # dominance scan = coarse scan = first zero_count stage; the 14 new points
+    # of the 3 refinement rounds; the 512 odd points of zero_count's doubling
+    assert [len(s) for s in cf.calls] == [512, 6, 4, 4, 512]
     assert [len(s) for s in cg.calls] == [512, 512]
-    assert len(cf.points()) == 1024 + 27 and len(cg.points()) == 1024
+    assert len(cf.points()) == 1024 + 14 and len(cg.points()) == 1024
     shared = np.concatenate(cf.calls[::4])
     assert {complex(z) for z in shared} == {complex(z) for z in c.points(1024)}
 

@@ -598,12 +598,16 @@ def test_disc_near_re_zero_takes_the_factor_route(spec):
 
 
 @SERIES_SPECS
-def test_disc_past_the_top_rung_takes_the_factor_route(spec):
+def test_disc_past_the_top_rung_takes_the_factor_route(spec, monkeypatch):
     # rho / (Re c - 2 rho) = 0.57: the cut asks for degree 74
     s = 0.75 + 0.2 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+    built = []
+    monkeypatch.setattr(factors, "_log_taylor", lambda *args: built.append(args))
     assert series_route(spec, s, PRODUCT_PRIMES, ea.trivial_phases()) is None
     want = factor_route(spec, s, PRODUCT_PRIMES)
     assert_same_bits(ea.partial_product_grid(spec, s, PRODUCT_PRIMES), want)
+    assert not built     # the route declines before it builds
+    monkeypatch.undo()
     # the polynomial stops one past the top rung, within its certified tail
     ps = np.array(PRODUCT_PRIMES)
     coef, tail, none = factors._log_taylor(spec, ps, np.zeros((len(ps), 1)), 0.75 + 0j, 0.2)
@@ -650,6 +654,87 @@ def test_large_contour_call_takes_the_series_route(monkeypatch):
     got = ea.partial_product_grid(ea.zeta_spec(), s, ps)
     assert seen == [2, 3]
     assert_within_series_bound(got, factor_route(ea.zeta_spec(), s, ps), s, ps)
+
+
+def series_disc(pts):
+    """The disc (c, rho) about which the series route builds its polynomial for ``pts``."""
+    discs, log_taylor = [], factors._log_taylor
+
+    def recorded(spec, primes, twists, c, rho):
+        discs.append((c, rho))
+        return log_taylor(spec, primes, twists, c, rho)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factors, "_log_taylor", recorded)
+        mp.setattr(factors, "_SERIES_BUILDS", {})
+        factors._series_product(ea.zeta_spec(), pts, PRODUCT_PRIMES[:20], ea.trivial_phases())
+    (disc,) = discs
+    return disc
+
+
+def test_series_disc_covers_every_point():
+    rng = np.random.default_rng(21)
+    for scale in (1e-9, 1e-4, 0.02, 0.1):
+        for _ in range(50):
+            centre = complex(rng.uniform(2.0, 100.0), rng.uniform(-100.0, 100.0))
+            pts = centre + scale * (rng.normal(size=9) + 1j * rng.normal(size=9))
+            c, rho = series_disc(pts)
+            assert np.max(np.abs(pts - c)) <= rho
+    # boxes centred at +-step/2 from a snap boundary (and at it)
+    step = 2.0 ** -26                          # rho 0.02 lies in [2^-6, 2^-5)
+    for offset in (-0.5, 0.5, 0.0):
+        for k in (0, 1, 3 * 2 ** 20 + 7):
+            centre = complex((k + offset) * step + 0.75, 40.0 + (k - offset) * step)
+            pts = centre + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+            c, rho = series_disc(pts)
+            assert c.real % step == c.imag % step == 0.0 and rho % step == 0.0
+            assert np.max(np.abs(pts - c)) <= rho and 0.02 < rho <= 0.02 + 2 * step
+
+
+def contour_products(p_max=100_000, compare_n=10_000):
+    """The contour op's f over the primes up to p_max and g over those up to compare_n."""
+    spec, ps = ea.zeta_spec(), [int(p) for p in ea.primes_up_to(p_max)]
+    qs = [p for p in ps if p <= compare_n]
+    return (lambda s: ea.partial_product_grid(spec, s, ps),
+            lambda s: ea.partial_product_grid(spec, s, qs))
+
+
+def test_series_builds_are_a_function_of_the_points():
+    f, _ = contour_products(10_000)
+    circle = ea.Circle(0.8 + 40j, 0.02)
+    whole = circle.points(512)
+    odd = np.ascontiguousarray(circle.points(1024)[1::2])
+    assert series_disc(whole) == series_disc(odd)
+    factors._SERIES_BUILDS.clear()
+    first = f(whole), f(odd)
+    factors._SERIES_BUILDS.clear()
+    backwards = f(odd), f(whole)
+    # other discs fill the memo, the second one around the first circle
+    f(ea.Circle(0.7 + 10j, 0.03).points(512))
+    f(ea.Circle(0.8 + 40j, 0.03).points(512))
+    again = f(whole), f(odd)
+    for got in (backwards[::-1], again):
+        assert_same_bits(got[0], first[0])
+        assert_same_bits(got[1], first[1])
+
+
+def test_contour_checks_build_one_polynomial_per_product(monkeypatch):
+    f, g = contour_products()
+    built = []
+    log_taylor = factors._log_taylor
+
+    def counted(*args):
+        built.append(len(args[1]))
+        return log_taylor(*args)
+
+    monkeypatch.setattr(factors, "_log_taylor", counted)
+    monkeypatch.setattr(factors, "_SERIES_BUILDS", {})
+    for n, centre in enumerate((0.75 + 40j, 0.7 + 80j), start=1):
+        circle = ea.Circle(centre, 0.02)
+        assert ea.zero_count(f, circle, quadrature_n=512) == 0
+        assert ea.min_modulus(f, circle, samples=512) > 0
+        assert ea.rouche_check(f, g, circle, samples=512).passed
+        assert built == [9592, 1229] * n      # f, then g: each built once per circle
 
 
 @FAMILIES

@@ -145,6 +145,28 @@ def test_independent_pairs_equidistribute():
     assert res.max_pairwise < 0.05
 
 
+def histogram_discrepancy_2d(x, y):
+    """The pairwise discrepancy by ``np.histogram2d``, as it was computed before bin indices."""
+    hist, _, _ = np.histogram2d(x, y, bins=64, range=[[0, 1], [0, 1]])
+    cum = np.cumsum(np.cumsum(hist, axis=0), axis=1) / len(x)
+    edges = np.arange(1, 65) / 64
+    return float(np.max(np.abs(cum - np.outer(edges, edges))))
+
+
+def test_pairwise_bins_match_histogram2d():
+    rng = np.random.default_rng(4)
+    edge = np.concatenate(([0.0, np.nextafter(1.0, 0.0), 1.0], np.arange(64) / 64,
+                           np.nextafter(np.arange(1, 64) / 64, 0.0)))
+    for x, y in ((rng.random(5000), rng.random(5000)), (edge, edge[::-1]),
+                 (edge, rng.permutation(edge)), (edge[:1], edge[1:2])):
+        bx, by = torus._bin_index(x), torus._bin_index(y)
+        want = np.histogram2d(x, y, bins=64, range=[[0, 1], [0, 1]])[0]
+        got = np.zeros((64, 64))
+        np.add.at(got, (bx, by), 1.0)
+        assert np.array_equal(got, want)
+        assert torus._star_discrepancy_2d(bx, by) == histogram_discrepancy_2d(x, y)
+
+
 def test_orbit_distinct_under_finite_permutations():
     # distinct times stay separated even after permuting finitely many axes
     rng = np.random.default_rng(9)
