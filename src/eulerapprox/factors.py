@@ -29,15 +29,15 @@ of the log product.  ``_log_taylor`` builds that polynomial, certified by
 column per set of twists: the refine screen builds a batch of filler draws
 in one call.
 
-Specs and assignments are immutable; the series route's two-build memo
-is the one mutable state, and no value depends on it.
+Specs and assignments are immutable; the two-entry memos of the series
+route's builds and of the prime logs are the one mutable state, and no value
+depends on them.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,8 +70,9 @@ _LADDER_CUT = 1e-18
 _SERIES_PRIME_CELLS = 48
 _SERIES_CALL_CELLS = 1 << 14
 _SERIES_TAIL = 1e-13
-#: ``_series_product``'s last two builds
+#: ``_series_product``'s last two builds, and ``_prime_logs``' last two prime arrays
 _SERIES_BUILDS: dict = {}
+_PRIME_LOGS: dict = {}
 
 #: radius rho of the circle just inside |z| = 1 on which custom factors are
 #: checked zero-free, so that ``log_series_tail``'s Cauchy bound
@@ -239,7 +240,7 @@ class EulerFactorSpec:
             return acc / (1.0 - z) if chi == 1 else acc / (1.0 - chi * z)
         return acc * _row_value(self.table.get(p, {}), z)
 
-    def fold_factors(self, acc: np.ndarray, primes: Sequence[int], block: np.ndarray) -> None:
+    def fold_factors(self, acc: np.ndarray, primes: np.ndarray, block: np.ndarray) -> None:
         """acc <- acc * f_p(z_p) for the primes in order, in place; z_p = block[1 + i].
 
         ``block`` has a spare row 0 and is overwritten.  Characters turn each
@@ -258,7 +259,7 @@ class EulerFactorSpec:
             np.subtract(1.0, z, out=z)
             fold = np.divide
         else:
-            for i, p in enumerate(primes):
+            for i, p in enumerate(primes.tolist()):
                 z[i] = _row_value(self.table.get(p, {}), z[i])
             fold = np.multiply
         block[0] = acc
@@ -422,16 +423,31 @@ class PhaseAssignment:
     gamma_p = t0 log p / 2pi for shifted primes and 0 otherwise.  By default
     every mapped prime is shifted; a restricted shift set supports schedules
     that only shift their mandatory primes.
+
+    ``theta`` and ``shifted`` are read once, at construction: the validation
+    and the sorted arrays in which ``twists`` looks primes up are taken from
+    them then, so a later change to the mapping is not seen.
     """
 
     theta: Mapping[int, float]
     t0: float = 0.0
     shifted: frozenset[int] | None = None
+    #: the mapped primes in increasing order, their theta, and the shifted primes
+    _primes: np.ndarray = field(init=False, repr=False, compare=False)
+    _thetas: np.ndarray = field(init=False, repr=False, compare=False)
+    _shifted: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p, th in self.theta.items():
             if not (0.0 <= th < 1.0):
                 raise ValueError(f"theta_{p}={th} outside [0,1)")
+        primes = np.fromiter(self.theta, np.int64, len(self.theta))
+        thetas = np.fromiter(self.theta.values(), float, len(self.theta))
+        order = np.argsort(primes)
+        object.__setattr__(self, "_primes", primes[order])
+        object.__setattr__(self, "_thetas", thetas[order])
+        object.__setattr__(self, "_shifted", None if self.shifted is None else
+                           np.sort(np.fromiter(self.shifted, np.int64, len(self.shifted))))
 
     def gamma(self, p: int) -> float:
         if self.t0 == 0.0:
@@ -443,16 +459,34 @@ class PhaseAssignment:
     def twist(self, p: int) -> float:
         return self.theta.get(p, 0.0) + self.gamma(p)
 
-    def twists(self, primes: list[int], logs: np.ndarray) -> np.ndarray:
-        """``twist`` for each prime, bit for bit; ``logs`` holds math.log(p) per prime."""
-        out = np.fromiter(map(self.theta.get, primes, itertools.repeat(0.0)), float,
-                          len(primes))
+    def twists(self, primes: Sequence[int] | np.ndarray, logs: np.ndarray) -> np.ndarray:
+        """``twist`` for each prime, bit for bit; ``logs`` holds math.log(p) per prime.
+
+        Primes are looked up by ``np.searchsorted`` in the arrays built at
+        construction; primes equal to the mapped ones, in order, need no lookup.
+        """
+        primes = np.asarray(primes, dtype=np.int64)
+        if np.array_equal(primes, self._primes):
+            out = self._thetas.copy()
+        else:
+            idx, found = _sorted_find(self._primes, primes)
+            out = np.zeros(primes.shape)
+            out[found] = self._thetas[idx[found]]
         if self.t0 != 0.0:
             gamma = self.t0 * logs / TWO_PI
-            if self.shifted is not None:
-                gamma[[p not in self.shifted for p in primes]] = 0.0
+            if self._shifted is not None:
+                gamma[~_sorted_find(self._shifted, primes)[1]] = 0.0
             out += gamma
         return out
+
+
+def _sorted_find(keys: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, found) of each prime in the increasing ``keys``, by ``np.searchsorted``."""
+    idx = np.searchsorted(keys, primes)
+    found = np.zeros(primes.shape, dtype=bool)
+    inside = idx < len(keys)
+    found[inside] = keys[idx[inside]] == primes[inside]
+    return idx, found
 
 
 def trivial_phases(primes: Sequence[int] | None = None) -> PhaseAssignment:
@@ -523,6 +557,11 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
                          phases: PhaseAssignment | None = None) -> np.ndarray:
     """Vectorized partial_product over an array of exponents s (any shape).
 
+    The primes are taken once per call as one int64 array, with their twists
+    (``PhaseAssignment.twists``) and logs; the logs are ``math.log``'s,
+    worked out once per distinct prime array (``_prime_logs``).  Both routes
+    read these arrays.
+
     The factor route folds blocks of about ``_PRODUCT_BLOCK_CELLS`` primes x
     points into the product (``EulerFactorSpec.fold_factors``), each point
     seeing exactly the operations of the per-prime loop ``acc =
@@ -538,25 +577,57 @@ def partial_product_grid(spec: EulerFactorSpec, s: np.ndarray, primes: Sequence[
     """
     phases = phases or trivial_phases()
     s = np.asarray(s, dtype=complex)
-    plist = list(map(int, primes))
-    if np.any(s.real <= 0.0) and plist:
+    ps = np.asarray(primes, dtype=np.int64)
+    if np.any(s.real <= 0.0) and len(ps):
         raise FactorDomainError("Re s must be positive for |p^{-s}| < 1")
-    if not plist or s.size == 0:
+    if not len(ps) or s.size == 0:
         return np.ones_like(s)
     pts = s.ravel()
-    rows = len(spec.table.keys() & set(plist)) if spec.table else 0
+    logs = _prime_logs(ps)
+    twists = phases.twists(ps, logs.real)
+    rows = len(spec.table.keys() & set(ps.tolist())) if spec.table else 0
     out = None
-    if (len(plist) * (pts.size - _SERIES_PRIME_CELLS) > _SERIES_CALL_CELLS * (1 + rows)
+    if (len(ps) * (pts.size - _SERIES_PRIME_CELLS) > _SERIES_CALL_CELLS * (1 + rows)
             and np.isfinite(pts).all()):   # a NaN would spread to every point
-        out = _series_product(spec, pts, plist, phases)
+        out = _series_product(spec, pts, ps, logs, twists)
     if out is None:
-        out = _factor_product(spec, pts, plist, phases)
+        out = _factor_product(spec, pts, ps, logs, twists)
     return out.reshape(s.shape)[()]
 
 
-def _factor_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
-                    phases: PhaseAssignment) -> np.ndarray:
-    """The factor route of ``partial_product_grid`` on the flat, non-empty ``pts``."""
+def _recall(memo: dict, key, build):
+    """``memo[key]``, made by ``build()`` where it is missing; the memo keeps its last two keys."""
+    value = memo.pop(key, None)
+    if value is None:
+        value = build()
+    memo[key] = value
+    if len(memo) > 2:
+        del memo[next(iter(memo))]
+    return value
+
+
+def _prime_logs(ps: np.ndarray) -> np.ndarray:
+    """math.log(p) for each of the int64 ``ps``, as a read-only complex array.
+
+    ``math.log``, not ``np.log``: the factor route must match the scalar loop,
+    and the two differ in the last bit at some primes (the first is 285,343).
+    Complex, so that the product with s needs no casting buffer.  The last
+    two prime arrays' logs (a Rouche check's f and g) are kept, keyed by
+    their bytes.
+    """
+    def build():
+        logs = np.fromiter(map(math.log, ps.tolist()), complex, len(ps))
+        logs.flags.writeable = False
+        return logs
+    return _recall(_PRIME_LOGS, ps.tobytes(), build)
+
+
+def _factor_product(spec: EulerFactorSpec, pts: np.ndarray, ps: np.ndarray, logs: np.ndarray,
+                    twists: np.ndarray) -> np.ndarray:
+    """The factor route of ``partial_product_grid`` on the flat, non-empty ``pts``.
+
+    ``logs`` (complex) and ``twists`` hold each prime's math.log and twist.
+    """
     n = pts.size
     # A lone point is taken twice: numpy may reorder a complex product that it
     # reduces along one contiguous axis, and with two columns the fold's inner
@@ -565,16 +636,14 @@ def _factor_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
         pts = np.repeat(pts, 2)
     acc = np.ones(pts.shape, dtype=complex)
     rows = max(1, _PRODUCT_BLOCK_CELLS // pts.size)
-    block = np.empty((min(rows, len(plist)) + 1, pts.size), dtype=complex)
-    for lo in range(0, len(plist), rows):
-        ps = plist[lo:lo + rows]
-        z = block[1:len(ps) + 1]
-        # complex logs: the product with s needs no casting buffer
-        logs = np.fromiter(map(math.log, ps), complex, len(ps))
-        np.multiply(pts, logs[:, None], out=z)
-        np.subtract((-1j * TWO_PI * phases.twists(ps, logs.real))[:, None], z, out=z)
+    block = np.empty((min(rows, len(ps)) + 1, pts.size), dtype=complex)
+    for lo in range(0, len(ps), rows):
+        hi = min(lo + rows, len(ps))
+        z = block[1:hi - lo + 1]
+        np.multiply(pts, logs[lo:hi, None], out=z)
+        np.subtract((-1j * TWO_PI * twists[lo:hi])[:, None], z, out=z)
         np.exp(z, out=z)
-        spec.fold_factors(acc, ps, block[:len(ps) + 1])
+        spec.fold_factors(acc, ps[lo:hi], block[:hi - lo + 1])
     return acc[:n]
 
 
@@ -683,8 +752,8 @@ def _log_taylor(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray, c
     return np.sum(sums, axis=2), tail, none
 
 
-def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
-                    phases: PhaseAssignment) -> np.ndarray | None:
+def _series_product(spec: EulerFactorSpec, pts: np.ndarray, ps: np.ndarray, logs: np.ndarray,
+                    twists: np.ndarray) -> np.ndarray | None:
     """The series route of ``partial_product_grid`` on flat, finite ``pts``, or None.
 
     exp of the one-column ``_log_taylor`` polynomial on |s - c| <= rho, times
@@ -694,7 +763,8 @@ def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
     None where ``_taylor_degree`` is or passes the top rung (before
     any build), no prime has a rung or the tail passes ``_SERIES_TAIL``.
     The last two builds, a Rouche check's f and g, are kept by spec (held,
-    so its id stays unique), primes, twists and disc.
+    so its id stays unique), primes, twists and disc.  ``logs`` and
+    ``twists`` are ``partial_product_grid``'s per-prime arrays.
     """
     c = complex(0.5 * (pts.real.min() + pts.real.max()), 0.5 * (pts.imag.min() + pts.imag.max()))
     rho = float(np.max(np.abs(pts - c)))
@@ -705,14 +775,9 @@ def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
     degree = _taylor_degree(c, rho)
     if degree is None or degree > _LADDER_RUNGS[-1]:
         return None
-    ps = np.array(plist, dtype=np.int64)
-    twists = phases.twists(plist, np.log(ps.astype(float)))
     key = (id(spec), ps.tobytes(), twists.tobytes(), np.array([c.real, c.imag, rho]).tobytes())
-    entry = _SERIES_BUILDS.pop(key, None) or (spec, _log_taylor(spec, ps, twists[:, None], c, rho))
-    _SERIES_BUILDS[key] = entry
-    if len(_SERIES_BUILDS) > 2:
-        del _SERIES_BUILDS[next(iter(_SERIES_BUILDS))]
-    coef, tail, none = entry[1]
+    coef, tail, none = _recall(_SERIES_BUILDS, key, lambda: (
+        spec, _log_taylor(spec, ps, twists[:, None], c, rho)))[1]
     if none.all() or tail > _SERIES_TAIL:
         return None
     d = pts - c
@@ -722,7 +787,7 @@ def _series_product(spec: EulerFactorSpec, pts: np.ndarray, plist: list[int],
         acc += a
     out = np.exp(acc)
     if none.any():
-        out *= _factor_product(spec, pts, ps[none].tolist(), phases)
+        out *= _factor_product(spec, pts, ps[none], logs[none], twists[none])
     return out
 
 

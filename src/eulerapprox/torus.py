@@ -199,19 +199,29 @@ def equidistribution_test(t_max: float, n: int, seed: int = 0,
     Stratified t-samples keep the sampling noise an order below the orbit's
     own boundary discrepancy, so doubling t_max roughly halves the result for
     independent frequencies.
+
+    The orbit is formed one coordinate at a time, and only its bins are kept.
+    x - floor(x) is ``np.mod(x, 1.0)`` bit for bit at every finite x: for
+    x >= 0 both are exact (fmod, and the subtraction by Sterbenz); for x < 0
+    both round x - floor(x) once, ``np.mod`` as fmod(x, 1) + 1.
     """
     f = log_prime_frequencies(n) if freqs is None else np.asarray(freqs, dtype=float)[:n]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     ts = (np.arange(_EQ_SAMPLES) + rng.random(_EQ_SAMPLES)) * (t_max / _EQ_SAMPLES)
-    orbits = np.mod(ts[:, None] * f[None, :], 1.0)
-    per_coord = max(_star_discrepancy_1d(orbits[:, k]) for k in range(n))
+    discrepancies, bins = [], []
+    for k in range(n):
+        x = ts * f[k]
+        x -= np.floor(x)
+        discrepancies.append(_star_discrepancy_1d(x))
+        if n >= 2:
+            bins.append(_bin_index(x))
+    per_coord = max(discrepancies)
     if n >= 2:
         pairs = set()
         while len(pairs) < min(_EQ_PAIRS, n * (n - 1) // 2):
             a, b = rng.integers(0, n, size=2)
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
-        bins = [_bin_index(orbits[:, k]) for k in range(n)]
         pairwise = max(_star_discrepancy_2d(bins[a], bins[b]) for a, b in pairs)
     else:
         pairwise = 0.0

@@ -1450,14 +1450,16 @@ def test_screen_sums_are_the_band_rows(monkeypatch, spec, cut):
     c = complex(0.5 * (s.real.min() + s.real.max()), 0.5 * (s.imag.min() + s.imag.max()))
     one, tail, none = factors._log_taylor(spec, ps, draws[0][:, None], c,
                                           float(np.max(np.abs(s - c))))
-    series = factors._series_product(spec, s, ps.tolist(), phases)
+    logs = factors._prime_logs(ps)
+    twists = phases.twists(ps, logs.real)
+    series = factors._series_product(spec, s, ps, logs, twists)
     if tail > factors._SERIES_TAIL:     # the coarse cut
         assert series is None
         return
     acc = np.full(s.shape, one[-1, 0])
     for a in one[-2::-1, 0]:
         acc = acc * (s - c) + a
-    want = np.exp(acc) * factors._factor_product(spec, s, ps[none].tolist(), phases)
+    want = np.exp(acc) * factors._factor_product(spec, s, ps[none], logs[none], twists[none])
     assert series.tobytes() == want.tobytes()
 
 

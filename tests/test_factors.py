@@ -145,6 +145,38 @@ def test_phase_assignment_shift_invariant():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("form", [list, tuple, lambda ps: np.array(ps, dtype=np.int64),
+                                  lambda ps: [np.int64(p) for p in ps]],
+                         ids=["list", "tuple", "int64", "numpy-scalars"])
+def test_twists_are_twist_bit_for_bit(form):
+    # asked primes past 285,343 (where np.log and math.log part) and not in increasing order
+    ps = [int(p) for p in ea.primes_up_to(400_000)[::251]] + [285_343, 351_497, 2, 3]
+    rng = np.random.default_rng(9)
+    mapped = [ps[i] for i in rng.permutation(len(ps))[:len(ps) // 2]]    # inserted out of order
+    theta = {p: float(rng.random()) for p in mapped}
+    logs = np.array([math.log(p) for p in ps])
+    cases = [ea.PhaseAssignment(theta), ea.PhaseAssignment(theta, t0=1.0),
+             ea.PhaseAssignment(theta, t0=-2.5, shifted=frozenset(ps[::3] + [7])),
+             ea.PhaseAssignment(theta, t0=1.0, shifted=frozenset()),
+             ea.PhaseAssignment({}), ea.PhaseAssignment({}, t0=0.3),
+             ea.PhaseAssignment({}, t0=0.3, shifted=frozenset(ps[:5]))]
+    for phases in cases:
+        want = np.array([phases.twist(p) for p in ps])
+        assert phases.twists(form(ps), logs).tobytes() == want.tobytes()
+        # the mapped primes in increasing order: the lookup-free path
+        keys = sorted(theta)
+        want = np.array([phases.twist(p) for p in keys])
+        got = phases.twists(form(keys), np.array([math.log(p) for p in keys]))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_phase_assignment_reads_theta_at_construction():
+    theta = {5: 0.5, 3: 0.25}
+    phases = ea.PhaseAssignment(theta, t0=1.0)
+    theta[7] = 0.75
+    assert phases.twists([3, 5, 7], np.log([3.0, 5.0, 7.0]))[2] == 1.0 * np.log(7.0) / TWO_PI
+
+
 def test_log_factor_mercator():
     spec = ea.zeta_spec()
     p, sigma0 = 101, 0.75
@@ -536,6 +568,51 @@ def test_blocked_product_over_several_blocks_of_few_points(spec):
         assert_same_bits(factor_route(spec, s, ps), per_prime_product(spec, s, ps))
 
 
+def test_both_routes_take_math_log_of_each_prime(monkeypatch):
+    # np.log differs from math.log in the last bit at these primes (on x86-64
+    # with glibc), and the per-prime loop and ``twist`` take math.log
+    ps = [int(p) for p in ea.primes_up_to(1000)] + [285_343, 287_549, 351_497, 1_000_003]
+    phases = ea.PhaseAssignment({p: (0.37 * i) % 1.0 for i, p in enumerate(ps)}, t0=1.3)
+    circle = 0.8 + 40j + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)
+    for s in (np.array([0.8 + 40j]), circle[::57]):
+        for pa in (phases, None):
+            assert_same_bits(ea.partial_product_grid(ea.zeta_spec(), s, ps, pa),
+                             per_prime_product(ea.zeta_spec(), s, ps, pa))
+    built, log_taylor = [], factors._log_taylor
+
+    def recorded(spec, primes, twists, c, rho):
+        built.append(twists[:, 0])
+        return log_taylor(spec, primes, twists, c, rho)
+
+    monkeypatch.setattr(factors, "_log_taylor", recorded)
+    monkeypatch.setattr(factors, "_SERIES_BUILDS", {})
+    ea.partial_product_grid(ea.zeta_spec(), circle, ps, phases)
+    assert built[0].tobytes() == np.array([phases.twist(p) for p in ps]).tobytes()
+
+
+def test_products_do_not_depend_on_the_prime_sets_evaluated_before(monkeypatch):
+    spec, phases = ea.zeta_spec(), product_phases(True)
+    sets = [PRODUCT_PRIMES, PRODUCT_PRIMES[:100], PRODUCT_PRIMES[50:]]
+    few = 0.8 + 35j + 0.02 * np.arange(9)
+    many = 0.8 + 35j + 0.02 * np.exp(1j * TWO_PI * np.arange(512) / 512)   # the series route
+
+    def evaluate(ps):
+        return ea.partial_product_grid(spec, few, ps, phases), \
+            ea.partial_product_grid(spec, many, ps, phases)
+
+    monkeypatch.setattr(factors, "_PRIME_LOGS", {})
+    first = [evaluate(sets[0]), evaluate(sets[1])]
+    factors._PRIME_LOGS.clear()
+    backwards = [evaluate(sets[1]), evaluate(sets[0])][::-1]
+    evaluate(sets[2])        # evicts the logs of sets[1]
+    again = [evaluate(sets[0]), evaluate(sets[1])]
+    assert len(factors._PRIME_LOGS) == 2
+    for got in (backwards, again):
+        for (a, b), (c, d) in zip(got, first):
+            assert_same_bits(a, c)
+            assert_same_bits(b, d)
+
+
 # ---------------------------------------------------------------------------
 # the series route against the factor route
 # ---------------------------------------------------------------------------
@@ -564,10 +641,17 @@ def assert_within_series_bound(got, want, s, primes):
     assert np.all(np.abs(got - want) <= allowed * np.abs(want))
 
 
+def prime_data(primes, phases):
+    """The per-prime arrays that ``partial_product_grid`` passes to its routes."""
+    ps = np.asarray(primes, dtype=np.int64)
+    logs = factors._prime_logs(ps)
+    return ps, logs, phases.twists(ps, logs.real)
+
+
 def series_route(spec, s, primes, phases):
     """The series route on ``s`` of any shape (None where it does not apply)."""
     s = np.asarray(s, dtype=complex)
-    out = factors._series_product(spec, s.ravel(), [int(p) for p in primes], phases)
+    out = factors._series_product(spec, s.ravel(), *prime_data(primes, phases))
     return None if out is None else out.reshape(s.shape)
 
 
@@ -646,9 +730,9 @@ def test_large_contour_call_takes_the_series_route(monkeypatch):
     seen = []
     factor_product = factors._factor_product
 
-    def recorded(spec, pts, plist, phases):
-        seen.extend(plist)
-        return factor_product(spec, pts, plist, phases)
+    def recorded(spec, pts, ps, logs, twists):
+        seen.extend(ps.tolist())
+        return factor_product(spec, pts, ps, logs, twists)
 
     monkeypatch.setattr(factors, "_factor_product", recorded)
     got = ea.partial_product_grid(ea.zeta_spec(), s, ps)
@@ -667,7 +751,8 @@ def series_disc(pts):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factors, "_log_taylor", recorded)
         mp.setattr(factors, "_SERIES_BUILDS", {})
-        factors._series_product(ea.zeta_spec(), pts, PRODUCT_PRIMES[:20], ea.trivial_phases())
+        factors._series_product(ea.zeta_spec(), pts,
+                                *prime_data(PRODUCT_PRIMES[:20], ea.trivial_phases()))
     (disc,) = discs
     return disc
 
@@ -735,6 +820,26 @@ def test_contour_checks_build_one_polynomial_per_product(monkeypatch):
         assert ea.min_modulus(f, circle, samples=512) > 0
         assert ea.rouche_check(f, g, circle, samples=512).passed
         assert built == [9592, 1229] * n      # f, then g: each built once per circle
+
+
+def test_contour_checks_take_each_prime_log_once(monkeypatch):
+    f, g = contour_products()
+    logged = []
+    log = math.log
+
+    def counted(x, *base):
+        if isinstance(x, int):
+            logged.append(x)
+        return log(x, *base)
+
+    monkeypatch.setattr(math, "log", counted)
+    monkeypatch.setattr(factors, "_PRIME_LOGS", {})
+    for centre in (0.75 + 40j, 0.7 + 80j):
+        circle = ea.Circle(centre, 0.02)
+        assert ea.zero_count(f, circle, quadrature_n=512) == 0
+        assert ea.min_modulus(f, circle, samples=512) > 0
+        assert ea.rouche_check(f, g, circle, samples=512).passed
+        assert len(logged) == 9592 + 1229     # f's primes, then g's: once for both circles
 
 
 @FAMILIES

@@ -145,6 +145,37 @@ def test_independent_pairs_equidistribute():
     assert res.max_pairwise < 0.05
 
 
+def mod_equidistribution(t_max, n, seed, freqs=None):
+    """Oracle: ``equidistribution_test`` on the whole orbit, reduced by ``np.mod``."""
+    f = log_prime_frequencies(n) if freqs is None else np.asarray(freqs, dtype=float)[:n]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    ts = (np.arange(torus._EQ_SAMPLES) + rng.random(torus._EQ_SAMPLES)) * (
+        t_max / torus._EQ_SAMPLES)
+    orbits = np.mod(ts[:, None] * f[None, :], 1.0)
+    per_coord = max(torus._star_discrepancy_1d(orbits[:, k]) for k in range(n))
+    pairwise = 0.0
+    if n >= 2:
+        pairs = set()
+        while len(pairs) < min(torus._EQ_PAIRS, n * (n - 1) // 2):
+            a, b = rng.integers(0, n, size=2)
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+        bins = [torus._bin_index(orbits[:, k]) for k in range(n)]
+        pairwise = max(torus._star_discrepancy_2d(bins[a], bins[b]) for a, b in pairs)
+    return per_coord, pairwise
+
+
+def test_orbit_by_coordinate_matches_np_mod():
+    # negative products t f_k too: there x - floor(x) rounds, as np.mod does
+    signed = np.array([0.3, -0.7, 1.1, 0.0, -2.2, 0.9])
+    for seed in range(3):
+        for n in range(1, 7):
+            for t_max, freqs in ((10_000.0, None), (10_000.0, signed), (-500.0, signed)):
+                res = ea.equidistribution_test(t_max, n, seed=seed, freqs=freqs)
+                want = mod_equidistribution(t_max, n, seed, freqs)
+                assert (res.max_coordinate, res.max_pairwise) == want
+
+
 def histogram_discrepancy_2d(x, y):
     """The pairwise discrepancy by ``np.histogram2d``, as it was computed before bin indices."""
     hist, _, _ = np.histogram2d(x, y, bins=64, range=[[0, 1], [0, 1]])
