@@ -159,12 +159,13 @@ def product_target(spec: EulerFactorSpec, primes: Sequence[int],
     phases file, result products, disc surveys, refine draws and the
     zero-scan contours (sigma0 = 0 there) all use it.  Large calls take the
     series route of ``partial_product_grid``: exact within its certified tail
-    and rounding, not bit for bit.
+    and rounding, not bit for bit.  The primes are taken as one int64 array,
+    once.
     """
-    plist = [int(p) for p in primes]
+    ps = np.asarray(primes, dtype=np.int64)
 
     def g(s: np.ndarray) -> np.ndarray:
-        return partial_product_grid(spec, np.asarray(s, dtype=complex) + sigma0, plist, phases)
+        return partial_product_grid(spec, np.asarray(s, dtype=complex) + sigma0, ps, phases)
 
     return g
 
@@ -223,26 +224,61 @@ def _m_powers(order: int, series_order: int) -> np.ndarray:
 
 
 def _taylor_direction(lnp: np.ndarray, order: int) -> np.ndarray:
-    """(-log p)^n / n! for n = 0..order: the twist-free factor of a prime's row."""
+    """(-log p)^n / n! for n = 0..order: the twist-free factor of a prime's row.
+
+    Formed as (log p)^n / ((-1)^n n!): numpy's power of a negative base runs
+    a scalar path, about 30 times slower.
+    """
     ns = np.arange(order + 1, dtype=float)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1, dtype=float))))
-    return (-lnp[:, None]) ** ns[None, :] / fact[None, :]
+    fact[1::2] *= -1.0
+    return lnp[:, None] ** ns[None, :] / fact[None, :]
+
+
+def _add_turned(out: np.ndarray, terms: np.ndarray, e: int) -> None:
+    """out += (-i)^e terms, exactly: a quarter turn swaps the parts and negates one."""
+    if e % 2 == 0:
+        (np.add if e == 0 else np.subtract)(out, terms, out=out)
+        return
+    re, im = out.real, out.imag
+    if e == 1:
+        re += terms.imag
+        im -= terms.real
+    else:
+        re -= terms.imag
+        im += terms.real
 
 
 def _twisted_rows(spec: EulerFactorSpec, primes: np.ndarray, lnp: np.ndarray,
                   twists: np.ndarray, sigma0: float, mpow: np.ndarray,
-                  direction: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The rows of ``_u_rows`` from its twist-free parts, written into ``out`` if given.
+                  direction: np.ndarray, outs: Sequence[np.ndarray]) -> None:
+    """Write the rows of ``_u_rows`` at ``twists`` + k/4 into ``outs[k]``, k < len(outs).
 
-    ``lnp``, ``mpow`` and ``direction`` come from ``np.log``, ``_m_powers``
-    and ``_taylor_direction`` and do not depend on the twists, so a caller
-    that needs several twists of the same primes builds them once.
+    One twisted base B = e(-twist) p^-sigma0 and one ``log_terms`` ladder
+    G[p, m] = c_m(p) B^m per prime serve every quarter: e(-k/4)^m =
+    (-i)^(km), so with the residue sums T_j = sum_{m = j mod 4} G[p, m] m^n
+    quarter k's sum is sum_j (-i)^(jk) T_j, added in j order
+    (``_add_turned``), and ``direction`` multiplies it in place.  ``lnp``,
+    ``mpow`` and ``direction`` come from ``np.log``, ``_m_powers`` and
+    ``_taylor_direction``.  A one-prime call multiplies its row beside a
+    copy, as numpy takes another path for a lone row: a row's bits depend
+    on its prime and twist only.
     """
+    n = len(primes)
     base = np.exp(-1j * TWO_PI * twists - sigma0 * lnp)     # B per prime
-    G = spec.log_terms(primes, base, mpow.shape[0])          # G[p, m] = c_m(p) * B_p^m
-    sums = G @ mpow                                          # sum_m c_m B^m m^n
-    del G
-    return np.multiply(sums, direction, out=sums if out is None else out)
+    G = spec.log_terms(primes, base, mpow.shape[0])          # G[p, m-1] = c_m(p) B_p^m
+    if n == 1:
+        G = np.concatenate((G, G))
+    sums = np.empty((len(G), mpow.shape[1]), dtype=complex)
+    for j in range(4):                                       # m = j mod 4 from column j - 1
+        np.matmul(G[:, (j - 1) % 4::4], mpow[(j - 1) % 4::4], out=sums)
+        for k, out in enumerate(outs):
+            if j:
+                _add_turned(out, sums[:n], j * k % 4)
+            else:
+                out[...] = sums[:n]
+    for out in outs:
+        np.multiply(out, direction, out=out)
 
 
 def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
@@ -251,13 +287,15 @@ def _u_rows(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray,
 
     Row p holds the coefficients of log f_p(e^{-2 pi i tw} p^{-s-sigma0})
     around s = 0, from the log series sum_m c_m z^m composed with
-    z(s) = B e^{-s log p}:  alpha_n = (sum_m c_m B^m m^n) (-log p)^n / n!.
-    The twist enters only the sum (``_twisted_rows``).
+    z(s) = B e^{-s log p}:  alpha_n = (sum_m c_m B^m m^n) (-log p)^n / n!,
+    quarter 0 of ``_twisted_rows``.
     """
     primes = np.asarray(primes, dtype=np.int64)
     lnp = np.log(primes.astype(float))
-    return _twisted_rows(spec, primes, lnp, np.asarray(twists, dtype=float), sigma0,
-                         _m_powers(order, series_order), _taylor_direction(lnp, order))
+    rows = np.empty((len(primes), order + 1), dtype=complex)
+    _twisted_rows(spec, primes, lnp, np.asarray(twists, dtype=float), sigma0,
+                  _m_powers(order, series_order), _taylor_direction(lnp, order), [rows])
+    return rows
 
 
 def _write_norms(state: ApproximationState, rows: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -291,13 +329,11 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
 
     From ``state.built`` on, in the blocks of ``_blocks``, until ``stop``
     primes (or the pool) are covered: each prime's phase correction (the
-    leading coefficient's argument, ``correction``), its ``_u_rows`` at the
-    quarter twists ``twist(k, i)`` (``u_phase``) and their disc norms,
-    heads and tail norms (``u_norm2``, ``head``, ``tail_norm``); ``built``
-    and ``row_bound[built]`` follow.  A block's logarithms and direction are
-    shared by every quarter.  Each twist and row is bit-identical to one
-    whole-pool pass per quarter: no block but a one-prime pool's has one
-    row, which numpy would multiply by another path.
+    leading coefficient's argument, ``correction``), its rows at the
+    quarter twists ``twist(k, i)`` (``u_phase``), built from one twisted
+    base at the correction (``_twisted_rows``), and their disc norms, heads
+    and tail norms (``u_norm2``, ``head``, ``tail_norm``); ``built`` and
+    ``row_bound[built]`` follow.  A row's bits do not depend on its block.
     """
     p = state.problem
     pool = state.pool_primes
@@ -309,12 +345,11 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
     for blk in blocks:
         ps = pool[blk]
         state.correction[blk] = p.spec.phase_correction(ps)
-        twists = np.mod(np.add.outer(QUARTER_GRID, state.correction[blk]), 1.0)
         lnp = np.log(ps.astype(float))
-        direction = _taylor_direction(lnp, p.order)
-        for k, tws in enumerate(twists):
-            out = _twisted_rows(p.spec, ps, lnp, tws, p.sigma0, mpow, direction,
-                                out=state.u_phase[k][blk])
+        outs = [u[blk] for u in state.u_phase]
+        _twisted_rows(p.spec, ps, lnp, state.correction[blk], p.sigma0, mpow,
+                      _taylor_direction(lnp, p.order), outs)
+        for k, out in enumerate(outs):
             state.u_norm2[blk, k] = _write_norms(state, out, state.tail_norm[blk, k])
             state.head[blk, k] = out[:, :state.head.shape[-1]]
         state.built = blk.stop
@@ -660,17 +695,15 @@ def _adopt_rows(state: ApproximationState, prev: ApproximationState) -> int:
     """Take ``prev``'s built rows as views if the state's pool is a suffix of its pool.
 
     Rows, phase corrections, norms, heads and tail norms are per-prime
-    functions of (spec, p, sigma0, radius), but for the bits of a row built
-    alone, by a one-row product, which numpy computes by another path.
-    ``_blocks`` builds a row alone only in a one-prime pool, so the views
-    hold what ``_quarter_rows`` writes unless the state's pool is one prime
-    and ``prev``'s is longer.  Returns the rows taken.
+    functions of (spec, p, sigma0, radius), bit for bit whatever the block
+    (``_twisted_rows``), so the views hold what ``_quarter_rows`` writes.
+    Returns the rows taken.
     """
     p, q = state.problem, prev.problem
     npool = len(state.pool_primes)
     off = len(prev.pool_primes) - npool
     built = prev.built - off
-    if (off < 0 or built <= 0 or (npool == 1 and off > 0)
+    if (off < 0 or built <= 0
             or (q.spec, q.sigma0, q.hardy_radius) != (p.spec, p.sigma0, p.hardy_radius)
             or not np.array_equal(prev.pool_primes[off:], state.pool_primes)):
         return 0
@@ -882,7 +915,9 @@ def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
 
     def decrease_of(q: float) -> tuple[float, np.ndarray, float]:
         tws = np.mod(q % 1.0 + correction, 1.0)
-        row = _twisted_rows(problem.spec, p, lnp, tws, problem.sigma0, mpow, direction)[0]
+        rows = np.empty((1, problem.order + 1), dtype=complex)
+        _twisted_rows(problem.spec, p, lnp, tws, problem.sigma0, mpow, direction, [rows])
+        row = rows[0]
         n2 = float(np.sum(np.abs(row) ** 2 * state.weights).real)
         d = 2.0 * float((row @ cw).real) - n2
         return d, row, float(tws[0])

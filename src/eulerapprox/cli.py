@@ -331,10 +331,10 @@ def cmd_zero_scan(cfg: RunConfig) -> int:
     compare_n = _optional(cfg, "compare_n", int)
     spec = build_spec(cfg)
     theta = read_phases(cfg["phases"]) if cfg["phases"] else {}
-    plist = [int(p) for p in primes_up_to(cfg["pmax"])]
-    pa = PhaseAssignment({p: theta.get(p, 0.0) for p in plist}, t0=cfg["t0"])
+    ps = primes_up_to(cfg["pmax"])      # int64: the products take it as it is
+    pa = PhaseAssignment({p: theta.get(p, 0.0) for p in ps.tolist()}, t0=cfg["t0"])
     # zero_count, min_modulus and rouche_check sample some of the same points
-    f = _memo(product_target(spec, plist, pa, 0.0))
+    f = _memo(product_target(spec, ps, pa, 0.0))
     contour = Circle(centre, cradius)
     out = cfg["out"]
     _write(out, "manifest.txt", cfg.manifest_text())
@@ -345,7 +345,7 @@ def cmd_zero_scan(cfg: RunConfig) -> int:
             m = min_modulus(f, contour, samples=max(64, samples))
             lines = [f"zero_count {count}", f"min_modulus {m!r}"]
             if compare_n is not None:
-                g = product_target(spec, [p for p in plist if p <= compare_n], pa, 0.0)
+                g = product_target(spec, ps[ps <= compare_n], pa, 0.0)
                 rr = rouche_check(f, g, contour, samples=max(64, samples))
                 lines += [f"rouche_pass {int(rr.passed)}", f"rouche_margin {rr.margin!r}"]
                 if rr.zeros_g is not None:   # counted only when dominance holds

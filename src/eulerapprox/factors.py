@@ -472,11 +472,12 @@ class PhaseAssignment:
             idx, found = _sorted_find(self._primes, primes)
             out = np.zeros(primes.shape)
             out[found] = self._thetas[idx[found]]
+        gamma = 0.0
         if self.t0 != 0.0:
             gamma = self.t0 * logs / TWO_PI
             if self._shifted is not None:
                 gamma[~_sorted_find(self._shifted, primes)[1]] = 0.0
-            out += gamma
+        out += gamma      # as in ``twist``: a theta of -0.0 plus a gamma of 0.0 is 0.0
         return out
 
 

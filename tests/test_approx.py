@@ -29,7 +29,7 @@ from eulerapprox.approx import (
     norm_to_max,
 )
 from eulerapprox.factors import QUARTER_GRID, PhaseAssignment, twist_argument
-from eulerapprox.hardy import H2Element, disc_quadrature
+from eulerapprox.hardy import TWO_PI, H2Element, disc_quadrature
 
 
 def exp_target(a):
@@ -217,11 +217,51 @@ def assert_whole_pool_twists(state, n):
     return whole
 
 
+#: (-i)^e for e = 0..3: a quarter turn of the base turns the term of B^m by (-i)^m
+TURNS = (1.0, -1j, -1.0, 1j)
+
+
+def residue_rows(spec, pool, corr, sigma0, order, k):
+    """The pool's rows at twists corr + k/4 from one twisted base per prime, in one call.
+
+    B = e(-corr) p^-sigma0, G[p, m] = c_m B^m (``log_terms``) and the residue
+    sums T_j = sum_{m = j mod 4} G[p, m] m^n; the row is sum_j (-i)^(jk) T_j,
+    added in j order, times (-1)^n (log p)^n / n!.
+    """
+    lnp = np.log(pool.astype(float))
+    ms = np.arange(1, approx._SERIES_ORDER + 1)
+    ns = np.arange(order + 1, dtype=float)
+    G = spec.log_terms(pool, np.exp(-1j * TWO_PI * corr - sigma0 * lnp), len(ms))
+    mpow = ms[:, None].astype(float) ** ns[None, :]
+    acc = 0.0
+    for j in range(4):
+        acc = acc + TURNS[j * k % 4] * (G[:, ms % 4 == j] @ mpow[ms % 4 == j])
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, order + 1, dtype=float))))
+    return acc * (lnp[:, None] ** ns / (fact * (-1.0) ** ns))
+
+
+def per_quarter_rows(prob, pool, q):
+    """The pool's rows at steering phase q by the former formula, one base per quarter.
+
+    The oracle of ``test_quarter_rows_match_one_base_per_quarter`` only:
+    B = e(-(q + corr) mod 1) p^-sigma0, (sum_m c_m B^m m^n) (-log p)^n / n!.
+    """
+    spec = prob.spec
+    tws = np.mod(q + spec.phase_correction(pool), 1.0)
+    lnp = np.log(pool.astype(float))
+    ms = np.arange(1, approx._SERIES_ORDER + 1, dtype=float)
+    ns = np.arange(prob.order + 1, dtype=float)
+    G = spec.log_terms(pool, np.exp(-1j * TWO_PI * tws - prob.sigma0 * lnp), len(ms))
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1, prob.order + 1, dtype=float))))
+    return (G @ (ms[:, None] ** ns[None, :])) * ((-lnp[:, None]) ** ns / fact)
+
+
 def whole_pool_quarter(prob, pool, q):
     """Twists, rows and disc norms of the pool at steering phase q, in one call each."""
     spec = prob.spec
-    tws = np.mod(q + spec.phase_correction(pool), 1.0)
-    rows = _u_rows(spec, pool, tws, prob.sigma0, prob.order, approx._SERIES_ORDER)
+    corr = spec.phase_correction(pool)
+    tws = np.mod(q + corr, 1.0)
+    rows = residue_rows(spec, pool, corr, prob.sigma0, prob.order, QUARTER_GRID.index(q))
     n = np.arange(prob.order + 1)
     weights = math.pi * prob.hardy_radius ** (2 * n + 2) / (n + 1)
     norm2 = np.array([np.sum(np.abs(row) ** 2 * weights) for row in rows])
@@ -241,6 +281,48 @@ def test_blocked_pool_build_matches_whole_pool_rows(spec):
         _, rows, norm2 = whole_pool_quarter(prob, pool, q)
         assert np.array_equal(state.u_phase[k], rows)
         assert np.array_equal(state.u_norm2[:, k], norm2)
+
+
+@BUILD_SPECS
+def test_quarter_rows_match_one_base_per_quarter(spec):
+    # the four quarters from one base differ from one base per quarter only
+    # by rounding: within 1e-13 of each row's largest coefficient on the disc,
+    # |u_n| R^n.  Unscaled, the terms of degree n = 64 cancel to 1e-10 of the
+    # row's largest, and the per-quarter bases' rounded turns move them by that.
+    prob = make_problem(spec=spec, p_max=60_000)
+    state = ea.init_residual(prob)
+    _quarter_rows(state, len(state.pool_primes))
+    disc = prob.hardy_radius ** np.arange(prob.order + 1)
+    for k, q in enumerate(QUARTER_GRID):
+        old = per_quarter_rows(prob, state.pool_primes, q) * disc
+        scale = np.max(np.abs(old), axis=1, keepdims=True)
+        assert np.all(np.abs(state.u_phase[k] * disc - old) <= 1e-13 * scale)
+
+
+@BUILD_SPECS
+def test_quarter_rows_do_not_depend_on_the_block(spec):
+    # a prime's rows are the same bits from a one-prime pool, a 64-row block,
+    # a 2,048-row block and adoption
+    full = ea.init_residual(make_problem(spec=spec, p_max=60_000))
+    n = len(full.pool_primes)
+    _quarter_rows(full, n)
+    sizes = {i: b.stop - b.start for b in _blocks(0, n, n) for i in range(b.start, b.stop)}
+    picks = [10, 3000, n - 1]
+    assert [sizes[i] for i in picks[:2]] == [_FIRST_BLOCK, _BLOCK]
+    for i in picks:
+        p = int(full.pool_primes[i])
+        alone = ea.init_residual(make_problem(spec=spec, y=p - 1.0, p_max=p))
+        adopted = ea.init_residual(make_problem(spec=spec, y=p - 1.0, p_max=60_000))
+        assert list(alone.pool_primes) == [p] and len(adopted.pool_primes) == n - i
+        _quarter_rows(alone, 1)
+        assert approx._adopt_rows(adopted, full) == n - i
+        for state in (alone, adopted):
+            for k in range(len(QUARTER_GRID)):
+                assert np.array_equal(state.u_phase[k][0], full.u_phase[k][i])
+            assert state.correction[0] == full.correction[i]
+            assert np.array_equal(state.u_norm2[0], full.u_norm2[i])
+            assert np.array_equal(state.head[0], full.head[i])
+            assert np.array_equal(state.tail_norm[0], full.tail_norm[i])
 
 
 def test_screen_stores_grow_with_the_build():
@@ -281,7 +363,7 @@ def test_blocks_double_and_leave_no_row_alone():
     # the first block that covers stop: one block per call of the lazy build
     assert [(b.start, b.stop) for b in _blocks(64, 65, 5000)] == [(64, 128)]
     # a pool of 129 builds its last row beside 64 others, bit-identical to one
-    # whole-pool product, not by numpy's one-row path
+    # whole-pool product
     prob = make_problem(p_max=int(ea.primes_up_to(800)[129]))   # pool primes 3..p_max
     state = ea.init_residual(prob)
     assert len(state.pool_primes) == 129
@@ -1213,17 +1295,16 @@ def adopted_and_fresh(spec, cut, **kw):
     (CUSTOM_7, 3, dict(eps=0.01)),
     (CUSTOM_WIDE, 200, {}),
     (ea.zeta_spec(), 200, dict(t0=1.0)),
-    (CUSTOM_7, 5, dict(eps=0.01)),    # one pool prime: built alone, not adopted
+    (CUSTOM_7, 5, dict(eps=0.01)),    # one pool prime: adopted too, a row's bits do not
+                                      # depend on its block
 ], ids=["zeta", "chi4", "custom7", "custom-wide", "zeta-t0", "custom7-alone"])
 def test_adopted_rows_match_a_fresh_build(spec, cut, kw):
     prev, adopted, fresh = adopted_and_fresh(spec, cut, **kw)
     n = len(fresh.pool_primes)
     assert 0 < n < len(prev.pool_primes)     # a proper suffix
-    # every row prev built past the state's floor, unless the state builds its one row alone
-    assert adopted.built == (0 if n == 1 else prev.built - (len(prev.pool_primes) - n))
-    assert adopted.built or n == 1
-    if adopted.built:
-        assert np.shares_memory(adopted.u_phase[0], prev.u_phase[0])   # views, no copy
+    # every row prev built past the state's floor
+    assert adopted.built == prev.built - (len(prev.pool_primes) - n) > 0
+    assert np.shares_memory(adopted.u_phase[0], prev.u_phase[0])   # views, no copy
     _quarter_rows(adopted, n)
     for k in range(len(QUARTER_GRID)):
         assert np.array_equal(adopted.u_phase[k][:n], fresh.u_phase[k])
@@ -1239,9 +1320,9 @@ def test_adopted_rows_match_a_fresh_build(spec, cut, kw):
     (ea.zeta_spec(), dict(p_max=291), [(49, 49), (20, 20)], [60, 49, 20]),
     (ea.zeta_spec(), dict(p_max=300), [(50, 50), (21, 21)], [61, 50, 21]),
     (ea.zeta_spec(), dict(p_max=148), [(22, 22), (0, 0)], [33, 22, 0]),
-    # a one-prime custom pool builds its row alone: not adopted from a pool of 17 or 19
-    (CUSTOM_WIDE, dict(p_max=65, seed=1), [(1, 0), (0, 0)], [17, 1, 0]),
-    (CUSTOM_WIDE, dict(p_max=71), [(1, 0), (0, 0)], [19, 1, 0]),
+    # a one-prime custom pool adopts its row from a pool of 17 or 19
+    (CUSTOM_WIDE, dict(p_max=65, seed=1), [(1, 1), (0, 0)], [17, 1, 0]),
+    (CUSTOM_WIDE, dict(p_max=71), [(1, 1), (0, 0)], [19, 1, 0]),
     (CUSTOM_WIDE, dict(p_max=150), [(13, 13), (0, 0)], [34, 13, 0]),
     # adopted prefixes of 53, 88 and 417 rows: the later blocks start there, so
     # their boundaries differ from a fresh build's (64, 128, 256, ...)

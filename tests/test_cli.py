@@ -343,6 +343,7 @@ def test_zero_scan_evaluates_each_product_sample_once(tmp_path, monkeypatch, com
     make = cli.product_target
 
     def counting(spec, primes, phases, sigma0):
+        assert primes.dtype == np.int64    # one array per product, converted by no call
         h = make(spec, primes, phases, sigma0)
 
         def g(s):
