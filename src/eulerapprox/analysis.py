@@ -140,7 +140,7 @@ class ContourZeroError(RuntimeError):
 _ZERO_COUNT_DOUBLINGS = 6
 #: sampled modulus below which ``zero_count`` treats the contour as passing through a zero
 _ZERO_GUARD = 1e-12
-#: local bisection rounds of ``min_modulus`` after its coarse scan
+#: most calls ``min_modulus`` makes after its first refinement call
 _MIN_MODULUS_ROUNDS = 3
 
 
@@ -189,31 +189,36 @@ def zero_count(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
 
 def min_modulus(f: Callable[[np.ndarray], np.ndarray], contour: Circle,
                 samples: int = 256) -> float:
-    """min |f| on the circle: coarse scan plus local bisection refinement.
+    """min |f| on the circle: coarse scan plus a local search on a finer lattice.
 
     f is as in ``zero_count``.  The coarse scan samples
-    ``contour.points(samples)``.  Its 9-point rounds halve a span of angles
-    2 pi i / (16 samples) from i = 16 k +- 16 (k the coarse argmin) and
-    evaluate only points not yet seen, 14 of 27.
+    ``contour.points(samples)``; the search runs on the lattice of angles
+    2 pi i / (16 samples).  Its first call evaluates the vertex of the
+    parabola through |f|^2 at the coarse argmin and its two coarse
+    neighbours, snapped to the lattice, and the vertex's two neighbours.  While
+    the lowest point seen has a neighbour not yet seen, one more call (at most
+    ``_MIN_MODULUS_ROUNDS``) evaluates them.  Each point is evaluated once.
+    The result is |f| at the lowest point seen, a local minimum of |f| on the
+    lattice unless the calls run out.
     """
     if samples < 64:
         raise ValueError("samples >= 64")
     fine = 16 * samples
     vals = np.abs(f(contour.points(samples)))
     k = int(np.argmin(vals))
-    best = float(vals[k])
-    seen = {(16 * j) % fine: float(vals[j % samples]) for j in (k - 1, k, k + 1)}
-    mid, half = 16 * k, 16
-    for _ in range(_MIN_MODULUS_ROUNDS):
-        grid = [(mid + half * i // 4) % fine for i in range(-4, 5)]
-        new = np.array([i for i in grid if i not in seen])
+    near = [(16 * j) % fine for j in (k - 1, k, k + 1)]
+    seen = {i: float(vals[i // 16]) for i in near}
+    lo, mid, hi = (seen[i] ** 2 for i in near)
+    vertex = 8.0 * (lo - hi) / (lo - 2.0 * mid + hi) if lo + hi > 2.0 * mid else 0.0
+    best = 16 * k + (round(vertex) if abs(vertex) <= 8.0 else 0)
+    for _ in range(_MIN_MODULUS_ROUNDS + 1):
+        new = np.array([i % fine for i in (best - 1, best, best + 1) if i % fine not in seen])
+        if not len(new):
+            break
         pts = contour.center + contour.radius * np.exp(1j * (TWO_PI * new / fine))
         seen.update(zip(new.tolist(), np.abs(f(pts)).tolist()))
-        v = [seen[i] for i in grid]
-        j = int(np.argmin(v))
-        best = min(best, v[j])
-        mid, half = mid + half * (j - 4) // 4, half // 2
-    return best
+        best = min(seen, key=seen.get)
+    return seen[best]
 
 
 def _memo(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -252,8 +257,9 @@ def rouche_check(f: Callable[[np.ndarray], np.ndarray],
     f and g are as in ``zero_count``.  Both are memoized for this call, so
     the dominance scan, the coarse scan of ``min_modulus`` and the first
     stage of ``zero_count`` (which sample the same points when ``samples`` is
-    512) share one evaluation; the same array takes the same route and gives
-    the same bits, so sharing changes no value.
+    512) share one evaluation, and ``min_modulus`` evaluates each refinement
+    point once; the same array takes the same route and gives the same bits,
+    so sharing changes no value.
     """
     f, g = _memo(f), _memo(g)
     pts = contour.points(max(samples, 64))

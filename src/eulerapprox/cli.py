@@ -333,7 +333,8 @@ def cmd_zero_scan(cfg: RunConfig) -> int:
     theta = read_phases(cfg["phases"]) if cfg["phases"] else {}
     ps = primes_up_to(cfg["pmax"])      # int64: the products take it as it is
     pa = PhaseAssignment({p: theta.get(p, 0.0) for p in ps.tolist()}, t0=cfg["t0"])
-    # zero_count, min_modulus and rouche_check sample some of the same points
+    # min_modulus' coarse scan repeats zero_count's first stage, and
+    # rouche_check repeats min_modulus' calls, array for array
     f = _memo(product_target(spec, ps, pa, 0.0))
     contour = Circle(centre, cradius)
     out = cfg["out"]

@@ -56,7 +56,7 @@ DEFAULT_SERIES_ORDER = 64
 QUARTER_GRID = (0.0, 0.25, 0.5, 0.75)
 
 #: cells of one block of the factor route (primes x points) and of
-#: ``_log_taylor`` (primes x ladder rungs, and a rung's primes x m x columns)
+#: ``_log_taylor`` (primes x top rung, and a rung's primes x m x columns)
 _PRODUCT_BLOCK_CELLS = 1 << 15
 
 #: the band ladder: the log-series orders a prime may take, and the cut that
@@ -66,7 +66,10 @@ _LADDER_CUT = 1e-18
 
 #: the series route's build in factor-route cells, per prime and per call
 #: (again per custom table row in the call: its ``log_series_tail`` K, worked
-#: out once per process and row), and the largest certified log tail it accepts
+#: out once per process and row), and the largest certified log tail it accepts.
+#: A zeta build over the 9,592 primes to 1e5 measures 22-31 cells per prime
+#: (radius 0.02-0.2, 2 vCPUs); 48, an older reading, is kept so that no call
+#: changes route
 _SERIES_PRIME_CELLS = 48
 _SERIES_CALL_CELLS = 1 << 14
 _SERIES_TAIL = 1e-13
@@ -294,21 +297,26 @@ class EulerFactorSpec:
         K = 1; custom factors take K = max |log f_p| on |z| = rho just inside
         the zero-free disc, so |c_m| <= K rho^-m (Cauchy), and K = 0 without a
         table row.  The majorant array has ``order + 1`` columns: a bound on
-        |c_m| q^m for each m = 1..order, then a bound on the terms past order.
+        |c_m| q^m for each m = 1..order, then a bound on the terms past order
+        (``_log_series_past``).
         """
-        primes = np.asarray(primes, dtype=np.int64)
+        ks, past = self._log_series_past(primes, q, order)
         ms = np.arange(1, order + 1, dtype=float)
         if self.kind == "dirichlet":
             terms = q[:, None] ** ms[None, :] / ms[None, :]
-            past = q ** (order + 1) / ((order + 1) * (1.0 - q))
-            return np.ones_like(q), np.column_stack([terms, past])
+        else:
+            terms = ks[:, None] * (q / _ZERO_FREE_RADIUS)[:, None] ** ms[None, :]
+        return ks, np.column_stack([terms, past])
+
+    def _log_series_past(self, primes: np.ndarray, q: np.ndarray, order):
+        """``log_series_tail``'s K and its bound past ``order``, which broadcasts against q."""
+        if self.kind == "dirichlet":
+            return np.ones_like(q), q ** (order + 1) / ((order + 1) * (1.0 - q))
         ks = np.zeros_like(q)
-        for _, row, hit in self._table_hits(primes):
+        for _, row, hit in self._table_hits(np.asarray(primes, dtype=np.int64)):
             ks[hit] = _custom_log_bound(tuple(sorted(row.items())))
         ratio = q / _ZERO_FREE_RADIUS
-        terms = ks[:, None] * ratio[:, None] ** ms[None, :]
-        past = ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)
-        return ks, np.column_stack([terms, past])
+        return ks, ks * ratio ** (order + 1) / np.maximum(1e-16, 1.0 - ratio)
 
 
 def _row_value(row: Mapping[int, complex], z):
@@ -649,10 +657,12 @@ def _factor_product(spec: EulerFactorSpec, pts: np.ndarray, ps: np.ndarray, logs
 
 
 def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[slice],
-                  radius: float, sigma0: float, order: int, series_order: int):
+                  radius: float, sigma0: float, order: int, series_order: int,
+                  logs: np.ndarray | None = None):
     """Yield (chunk, per-prime truncation bounds, row sums) for each chunk of ``primes``.
 
-    A chunk is a slice of ``primes``.  The bound is the log-series majorant
+    A chunk is a slice or an index array of ``primes``; ``logs``, if given,
+    holds each of ``primes``' np.log.  The bound is the log-series majorant
     past ``series_order`` plus, for each m, |c_m| q^m times the Taylor
     remainder a^{N+1} e^a / (N+1)! of the exponential beyond ``order`` (a =
     m radius log p); the row sum is sum_{m <= series_order} |c_m| q^m (q =
@@ -663,7 +673,7 @@ def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[sl
     ms = np.arange(1, series_order + 1, dtype=float)
     for sel in chunks:
         ps = primes[sel]
-        lnp = np.log(ps.astype(float))
+        lnp = np.log(ps.astype(float)) if logs is None else logs[sel]
         q = np.exp((radius - sigma0) * lnp)
         _, terms = spec.log_series_tail(ps, q, series_order)
         a = ms[None, :] * lnp[:, None] * radius
@@ -674,18 +684,17 @@ def _prime_bounds(spec: EulerFactorSpec, primes: np.ndarray, chunks: Iterable[sl
 
 
 def _ladder_orders(spec: EulerFactorSpec, primes: np.ndarray, radius: float,
-                   sigma0: float) -> np.ndarray:
+                   sigma0: float, logs: np.ndarray | None = None) -> np.ndarray:
     """Each prime's rung on the band ladder, its log-series order (0 if none fits).
 
-    The least rung of ``_LADDER_RUNGS`` past which the terms of the spec's
-    ``log_series_tail`` majorant on |z| <= p^(radius - sigma0), taken at the
-    top rung, sum to at most ``_LADDER_CUT``.
+    The least rung r of ``_LADDER_RUNGS`` whose bound on the log terms past r
+    on |z| <= p^(radius - sigma0), the last column of the spec's
+    ``log_series_tail`` at order r, is at most ``_LADDER_CUT``.  ``logs`` is
+    as in ``_prime_bounds``.
     """
     rungs = np.array(_LADDER_RUNGS)
-    q = np.exp((radius - sigma0) * np.log(primes.astype(float)))
-    terms = spec.log_series_tail(primes, q, rungs[-1])[1]
-    past = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][:, rungs]   # the terms past each rung
-    fits = past <= _LADDER_CUT
+    q = np.exp((radius - sigma0) * (np.log(primes.astype(float)) if logs is None else logs))
+    fits = spec._log_series_past(primes, q[:, None], rungs)[1] <= _LADDER_CUT
     return np.where(fits.any(axis=1), rungs[np.argmax(fits, axis=1)], 0)
 
 
@@ -712,8 +721,9 @@ def _log_taylor(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray, c
     ``twists`` is (primes, columns).  Returns (a, T, none): a is (N + 1,
     columns), a_n = sum_m (-m)^n / n! sum_p c_m B^m (log p)^n with B =
     e(-twist) p^-c, each log series cut at its prime's rung on the band
-    ladder (``_ladder_orders`` on |s - c| <= rho); T, from ``_prime_bounds``,
-    bounds what the rung and degree cuts drop there, for every column;
+    ladder (``_ladder_orders`` on |s - c| <= rho, once per call, sharing the
+    call's log p with ``_prime_bounds``); T, from ``_prime_bounds``, bounds
+    what the rung and degree cuts drop there, for every column;
     ``none`` marks the primes without a rung, whose terms are left out.  N is
     ``_taylor_degree``'s; None where it is.  Per block of primes, each rung
     adds its terms by one real matrix product per chunk of at most
@@ -725,32 +735,29 @@ def _log_taylor(spec: EulerFactorSpec, primes: np.ndarray, twists: np.ndarray, c
     top = _LADDER_RUNGS[-1]
     ns = np.arange(degree + 1, dtype=float)
     sums = np.zeros((degree + 1, twists.shape[1], top), dtype=complex)  # sum_p c_m B^m (log p)^n
-    tail, none = 0.0, np.zeros(len(primes), dtype=bool)
-    rows = _PRODUCT_BLOCK_CELLS // top
+    lnp = np.log(primes.astype(float))
+    orders = _ladder_orders(spec, primes, rho, c.real, lnp)
+    tail, rows = 0.0, _PRODUCT_BLOCK_CELLS // top
     for lo in range(0, len(primes), rows):
-        ps = primes[lo:lo + rows]
-        orders = _ladder_orders(spec, ps, rho, c.real)
-        none[lo:lo + rows] = orders == 0
-        lnp = np.log(ps.astype(float))
         base = np.multiply(twists[lo:lo + rows], -1j * TWO_PI)
-        base -= c * lnp[:, None]
+        base -= c * lnp[lo:lo + rows, None]
         np.exp(base, out=base)
         for m in _LADDER_RUNGS:     # not np.unique, which imports numpy.ma (1 MB of RSS)
-            idx = np.flatnonzero(orders == m)
+            idx = np.flatnonzero(orders[lo:lo + rows] == m)
             if not len(idx):
                 continue
-            power = (lnp[idx, None] ** ns).T
+            power = (lnp[lo + idx, None] ** ns).T
             step = max(1, _PRODUCT_BLOCK_CELLS // (len(idx) * m))
             for j in range(0, twists.shape[1], step):
-                terms = spec.log_terms(ps[idx], base[idx, j:j + step], m)
+                terms = spec.log_terms(primes[lo + idx], base[idx, j:j + step], m)
                 add = power @ terms.reshape(len(idx), -1).view(np.float64)   # (re, im) pairs
                 sums[:, j:j + step, :m] += add.view(complex).reshape(degree + 1, -1, m)
-            tail += float(np.sum(next(_prime_bounds(spec, ps[idx], [slice(None)], rho, c.real,
-                                                    degree, m))[1]))
+            tail += float(np.sum(next(_prime_bounds(spec, primes, [lo + idx], rho, c.real,
+                                                    degree, m, lnp))[1]))
     ms = np.arange(1, top + 1, dtype=float)
     fact = np.cumprod(np.concatenate(([1.0], ns[1:])))
     sums *= ((-ms[None, :]) ** ns[:, None] / fact[:, None])[:, None, :]
-    return np.sum(sums, axis=2), tail, none
+    return np.sum(sums, axis=2), tail, orders == 0
 
 
 def _series_product(spec: EulerFactorSpec, pts: np.ndarray, ps: np.ndarray, logs: np.ndarray,

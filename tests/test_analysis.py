@@ -149,7 +149,8 @@ def test_min_modulus_refinement_improves():
         refined = ea.min_modulus(f, c, samples=64)
         dense = float(np.min(np.abs(f(c.points(8192)))))
         assert refined <= coarse + 1e-15
-        # three local bisection rounds resolve the minimizer to ~3e-3 rad
+        # a local minimum on the lattice of 16 x 64 angles is within half a
+        # step, ~3e-3 rad, of the minimizer
         assert refined <= dense + 1e-3 * max(1.0, dense)
 
 
@@ -204,7 +205,12 @@ def oracle_zero_count(f, contour, quadrature_n=512):
 
 
 def oracle_min_modulus(f, contour, samples=256):
-    """min_modulus before sample sharing: every round evaluates its 9 lattice points."""
+    """min_modulus by bisection: 3 rounds, each evaluating its 9 lattice points.
+
+    The cross-check of ``min_modulus``' local search in
+    test_min_modulus_evaluates_each_refinement_point_once and
+    test_contour_routines_match_oracle_on_{zeta_contour,random_polynomials}.
+    """
     fine = 16 * samples
     vals = np.abs(f(contour.points(samples)))
     k = int(np.argmin(vals))
@@ -302,11 +308,43 @@ def test_min_modulus_evaluates_each_refinement_point_once(where):
     f = Counted(lambda s: np.asarray(s) - root)
     m = ea.min_modulus(f, c, samples=samples)
     pts = f.points()
-    assert len(pts) == samples + 14 and len({complex(z) for z in pts}) == len(pts)
+    assert len(pts) == samples + 3 and len({complex(z) for z in pts}) == len(pts)
     coarse = np.abs(c.points(samples) - root)
     assert int(np.argmin(coarse)) == round(where) % samples
     assert m <= float(np.min(coarse)) and m == oracle_min_modulus(f.f, c, samples)
     assert m == pytest.approx(0.01, rel=1e-3)
+
+
+def lattice_minimum(f, contour, samples):
+    """min_modulus' calls, after checking that it returns a local minimum of its lattice.
+
+    Its point is a lattice point whose two lattice neighbours were evaluated
+    and are not lower; no point is evaluated twice.
+    """
+    cf = Counted(f)
+    m = ea.min_modulus(cf, contour, samples=samples)
+    fine, seen = 16 * samples, {}
+    for s in cf.calls:
+        idx = np.rint(np.angle(s - contour.center) / TWO_PI * fine).astype(int) % fine
+        assert not seen.keys() & set(idx.tolist())
+        seen.update(zip(idx.tolist(), np.abs(cf.f(s)).tolist()))
+    i = min(seen, key=seen.get)
+    assert seen[i] == m
+    assert seen[(i - 1) % fine] >= m and seen[(i + 1) % fine] >= m
+    return cf.calls
+
+
+def test_min_modulus_is_a_local_minimum_of_its_lattice():
+    c = Circle(0j, 1.0)
+    for roots in random_polynomials():
+        lattice_minimum(poly_from_roots(roots), c, 64)
+    f, _, c = zeta_contour()
+    lattice_minimum(f, c, 512)
+    # at p_max 1e4 the refinement takes the factor route: one 3-point call
+    spec, ps = ea.zeta_spec(), ea.primes_up_to(10_000)
+    calls = lattice_minimum(lambda s: ea.partial_product_grid(spec, s, ps),
+                            Circle(0.75 + 0j, 0.2), 256)
+    assert [len(s) for s in calls] == [256, 3]
 
 
 def zeta_contour():
@@ -322,12 +360,12 @@ def test_rouche_check_evaluates_each_distinct_sample_once():
     cf, cg = Counted(f), Counted(g)
     rr = ea.rouche_check(cf, cg, c, samples=512)
     assert rr.passed and rr.zeros_f == rr.zeros_g == 0
-    # dominance scan = coarse scan = first zero_count stage; the 14 new points
-    # of the 3 refinement rounds; the 512 odd points of zero_count's doubling
-    assert [len(s) for s in cf.calls] == [512, 6, 4, 4, 512]
+    # dominance scan = coarse scan = first zero_count stage; the 3 points of
+    # the one refinement call; the 512 odd points of zero_count's doubling
+    assert [len(s) for s in cf.calls] == [512, 3, 512]
     assert [len(s) for s in cg.calls] == [512, 512]
-    assert len(cf.points()) == 1024 + 14 and len(cg.points()) == 1024
-    shared = np.concatenate(cf.calls[::4])
+    assert len(cf.points()) == 1024 + 3 and len(cg.points()) == 1024
+    shared = np.concatenate(cf.calls[::2])
     assert {complex(z) for z in shared} == {complex(z) for z in c.points(1024)}
 
 

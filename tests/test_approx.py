@@ -1478,20 +1478,21 @@ def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec
     ps = ea.primes_up_to(20_000)[1:]
     rho = screen_radius(prob)
     orders = factors._ladder_orders(spec, ps, rho, prob.sigma0)
-    # a prime's rung is the least one past which the majorant leaves <= cut;
-    # a prime without a rung (0) leaves more past the top rung
+    # a prime's rung is the least one whose bound on the terms past it (the
+    # majorant's last column at that order) is <= cut; a prime without a rung
+    # (0) has a bound above it at the top rung
     rungs = list(factors._LADDER_RUNGS)
     top = rungs[-1]
     q = np.exp((rho - prob.sigma0) * np.log(ps.astype(float)))
-    terms = spec.log_series_tail(ps, q, top)[1]
+    past = {m: spec.log_series_tail(ps, q, m)[1][:, -1] for m in rungs}
     assert len(set(orders.tolist()) - {0}) >= 3
     for m in set(orders.tolist()):
-        past = terms[orders == m]
+        at = orders == m
         if m:
-            assert np.all(past[:, m:].sum(axis=1) <= cut)
+            assert np.all(past[m][at] <= cut)
         if m != rungs[0]:
             lower = rungs[rungs.index(m) - 1] if m else top
-            assert np.all(past[:, lower:].sum(axis=1) > cut)
+            assert np.all(past[lower][at] > cut)
     # the tail bounds what the rung and degree cuts drop against the top-rung
     # series on the survey grid
     tw = np.random.default_rng(3).random(len(ps))
@@ -1503,6 +1504,34 @@ def test_screen_bands_follow_the_rung_rule_and_bound_their_cut(monkeypatch, spec
                         - np.polyval(full_rows.sum(axis=0)[::-1], pts)))
     rounding = 1e-14 * float(np.sum(np.abs(full_rows) * rho ** np.arange(prob.order + 1)))
     assert gap <= tail + rounding
+
+
+def cumulative_ladder_orders(spec, primes, radius, sigma0):
+    """Band-ladder rungs by the sum of the majorant's terms past each rung, at the top rung."""
+    rungs = np.array(factors._LADDER_RUNGS)
+    q = np.exp((radius - sigma0) * np.log(primes.astype(float)))
+    terms = spec.log_series_tail(primes, q, rungs[-1])[1]
+    past = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1][:, rungs]   # the terms past each rung
+    fits = past <= factors._LADDER_CUT
+    return np.where(fits.any(axis=1), rungs[np.argmax(fits, axis=1)], 0)
+
+
+@pytest.mark.parametrize("spec", [
+    ea.zeta_spec(), ea.dirichlet_spec(5, [0, 1, 1j, -1j, -1]), CUSTOM_7, CUSTOM_WIDE,
+], ids=["zeta", "chi5", "custom7", "custom-wide"])
+def test_ladder_rungs_are_never_below_the_cumulative_rule(spec):
+    # the closed-form bound on the terms past a rung is at least their sum, so
+    # a rung may only rise; no rung (0) is above every rung
+    ps = ea.primes_up_to(100_000)
+    moved = 0
+    for sigma0 in np.linspace(0.55, 1.6, 8):
+        for rho in np.linspace(0.005, 0.15, 8):
+            new = factors._ladder_orders(spec, ps, rho, sigma0)
+            old = cumulative_ladder_orders(spec, ps, rho, sigma0)
+            new, old = np.where(new == 0, 99, new), np.where(old == 0, 99, old)
+            assert np.all(new >= old)
+            moved += int(np.sum(new > old))
+    assert moved <= 1e-4 * 64 * len(ps)
 
 
 @SCREEN_SPECS
