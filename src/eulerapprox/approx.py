@@ -15,6 +15,7 @@ single sequential commit per step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -211,16 +212,19 @@ _SERIES_ORDER = 64
 #: leading Taylor coefficients a greedy step pairs with the residual for every
 #: move; the rest of a row enters its score only through a bound.  The disc
 #: weights pi R^(2n+2) / (n+1) make the head decide: on the approx-steer
-#: config (R = 0.04) a step works out the exact pairing of 1.3 moves on
-#: average at 8, 5.2 at 4 and 533 at 2.
+#: config (R = 0.04) the one screened pass of a step works out the exact
+#: pairing of 1.1 moves on average at 8, 5.0 at 4 and 532 at 2.
 _HEAD = 8
 
 
+@functools.cache
 def _m_powers(order: int, series_order: int) -> np.ndarray:
-    """m^n for m = 1..series_order (rows) and n = 0..order (columns)."""
+    """m^n for m = 1..series_order (rows) and n = 0..order (columns), read-only, made once."""
     ms = np.arange(1, series_order + 1, dtype=float)
     ns = np.arange(order + 1, dtype=float)
-    return ms[:, None] ** ns[None, :]
+    out = ms[:, None] ** ns[None, :]
+    out.setflags(write=False)
+    return out
 
 
 def _taylor_direction(lnp: np.ndarray, order: int) -> np.ndarray:
@@ -332,8 +336,9 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
     leading coefficient's argument, ``correction``), its rows at the
     quarter twists ``twist(k, i)`` (``u_phase``), built from one twisted
     base at the correction (``_twisted_rows``), and their disc norms, heads
-    and tail norms (``u_norm2``, ``head``, ``tail_norm``); ``built`` and
-    ``row_bound[built]`` follow.  A row's bits do not depend on its block.
+    and tail norms (``u_norm2``, ``head``, ``tail_norm``); ``built``,
+    ``tail_max`` and ``row_bound[built]`` follow.  A row's bits do not
+    depend on its block.
     """
     p = state.problem
     pool = state.pool_primes
@@ -352,6 +357,7 @@ def _quarter_rows(state: ApproximationState, stop: int) -> None:
         for k, out in enumerate(outs):
             state.u_norm2[blk, k] = _write_norms(state, out, state.tail_norm[blk, k])
             state.head[blk, k] = out[:, :state.head.shape[-1]]
+        state.tail_max = float(np.max(state.tail_norm[blk], initial=state.tail_max))
         state.built = blk.stop
     _write_row_bound(state)
 
@@ -452,7 +458,7 @@ def _write_row_bound(state: ApproximationState) -> None:
     sqrt(pi) R times the row sum of ``_prime_bounds`` at the pool prime
     ``built``, which bounds every later prime's rows too: ``log_series_tail``
     takes K = 1 for every character, so the sum decreases in p, and
-    ``_pool_scores``' margin of 1e-9 covers its rounding.
+    ``_step_best``'s margin of 1e-9 covers its rounding.
     """
     p, i, R = state.problem, state.built, state.problem.hardy_radius
     if p.spec.kind != "custom" and i < len(state.pool_primes):
@@ -532,23 +538,24 @@ class ApproximationState:
     and the head screen at 0.  A custom pool's holds every i; a character
     pool's is written only at 0 and ``built`` (``_write_row_bound``).
 
-    An accepted position a keeps its current row c in ``cur[a]``.  Its
+    An accepted position a keeps its current row c in ``cur[a]`` and its
+    prime's pool index in ``cur_idx[a]`` (``accepted_idx`` lists them).  Its
     moves are the rephase u_k - c onto quarter k < ``_DROP`` (u_k the
     prime's pool row) and the drop -c; ``move_row`` works them out where
     they are read, and ``move_norm2[a, k]`` stores their disc norms.  Only
-    the first ``len(accepted_idx)`` rows are live; the move store starts at
+    the first ``len(accepted)`` rows are live; the move store starts at
     ``_MOVE_ROWS`` rows and doubles when full, so it grows with the
     accepted count, not with the pool.  ``_apply`` (through ``_commit`` for
     a new prime) updates it where the accepted set changes.
 
-    Greedy steps screen every move by its head (``_best_move``), so the
-    norms are laid out as the screen reads them: a row per prime or
-    accepted position, a column per move.  ``head[i, k]`` holds the first
-    h = min(``_HEAD``, order + 1) coefficients of pool row ``u_phase[k][i]``
-    and ``tail_norm[i, k]`` the disc norm of the rest of the row, written
-    for the built prefix only (``_quarter_rows`` grows them).  The moves
-    keep no heads: a step works them out from the pool heads and the
-    current rows (``_accepted_best``).
+    A greedy step screens all its moves by their heads in one pass
+    (``_best_move``), so the norms are laid out as the screen reads them:
+    a row per prime or accepted position, a column per move.  ``head[i,
+    k]`` holds the first h = min(``_HEAD``, order + 1) coefficients of pool
+    row ``u_phase[k][i]`` and ``tail_norm[i, k]`` the disc norm of the rest
+    of the row, written for the built prefix only (``_quarter_rows`` grows
+    them), and ``tail_max`` the largest of them.  The moves keep no heads:
+    the pass works them out from the pool heads and the current rows.
     ``move_tail[a, k]`` holds the tail norm of move k of position a and
     lives, doubles and shifts with ``cur``.
     """
@@ -565,12 +572,13 @@ class ApproximationState:
     weights: np.ndarray                      # disc norm weights
     row_bound: np.ndarray                    # (npool,): ||u|| bound from that prime on
     cur: np.ndarray                          # (capacity, order+1): accepted positions' rows
+    cur_idx: np.ndarray                      # (capacity,): their pool indices
     move_norm2: np.ndarray                   # (capacity, move): ||u||^2
     head: np.ndarray                         # (capacity >= built, quarter, h): u[:h]
     tail_norm: np.ndarray                    # (capacity >= built, quarter): ||u[h:]||
     move_tail: np.ndarray                    # (capacity, move), as ``tail_norm``
     built: int = 0                           # pool primes whose rows are written
-    accepted_idx: list[int] = field(default_factory=list)
+    tail_max: float = 0.0                    # max of tail_norm[:built]
     trace: list[float] = field(default_factory=list)
     tail_bound: float = 0.0
     stall: StallInfo | None = None
@@ -584,6 +592,11 @@ class ApproximationState:
         leading = _u_rows(p.spec, rest, ref, p.sigma0, p.order, 1)
         return (full - leading).sum(axis=0)
 
+    @property
+    def accepted_idx(self) -> list[int]:
+        """The pool index of each accepted prime, in ``accepted`` order."""
+        return self.cur_idx[:len(self.accepted)].tolist()
+
     def twist(self, k: int, i: int) -> float:
         """The twist of row ``u_phase[k][i]``: quarter k plus the prime's correction, mod 1."""
         return (QUARTER_GRID[k] + self.correction[i]) % 1.0
@@ -595,7 +608,7 @@ class ApproximationState:
     def move_row(self, k: int, sel: int | slice) -> np.ndarray:
         """Move k of accepted position(s) ``sel``: u_k - c for k < ``_DROP``, -c for the drop."""
         c = self.cur[sel]
-        return -c if k == _DROP else self.u_phase[k][self.accepted_idx[sel]] - c
+        return -c if k == _DROP else self.u_phase[k][self.cur_idx[sel]] - c
 
     @property
     def residual(self) -> H2Element:
@@ -630,7 +643,9 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     characters ``_embedding_tail`` works out per-prime bounds only on the
     pool's leading blocks, and ``row_bound`` is written at 0 alone, so the
     set-up work grows with the built blocks, not with the pool, past the
-    sieve and the pool selection.  For custom specs it visits every table
+    sieve and the pool-long stores.  The pool is the sieve's suffix past y,
+    a view, unless fixed twists or a custom table leave primes out of it
+    (``np.isin`` on that suffix).  For custom specs it visits every table
     prime, and ``row_bound`` is the suffix maxima of its row sums.  An empty
     pool (every prime up to p_max is a floor prime or has a fixed twist) is
     allowed: the state then holds no candidates, and greedy steering
@@ -647,7 +662,8 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
     work = log_target(problem.target, R, order=N).coef     # its tail bound is 0
 
     all_ps = primes_up_to(int(p_max))
-    mandatory = {int(p): 0.0 for p in all_ps[all_ps <= problem.y]}
+    lo = int(np.searchsorted(all_ps, math.floor(problem.y), side="right"))   # an int key
+    mandatory = {int(p): 0.0 for p in all_ps[:lo]}
     for p, tw in problem.fixed_phases.items():
         mandatory[int(p)] = float(tw) % 1.0
 
@@ -658,10 +674,12 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
                         else problem.t0 * math.log(int(p)) / TWO_PI for p in mp])
         work = work - _u_rows(spec, mp, tw + gam, problem.sigma0, N, _SERIES_ORDER).sum(axis=0)
 
-    keep = (all_ps > problem.y) & ~np.isin(all_ps, list(mandatory))
-    if spec.kind == "custom":      # a prime without a table row has factor 1
-        keep &= np.isin(all_ps, list(spec.table))
-    pool = all_ps[keep]
+    pool = all_ps[lo:]             # a read-only view of the sieve
+    if problem.fixed_phases or spec.kind == "custom":
+        keep = ~np.isin(pool, list(mandatory))
+        if spec.kind == "custom":  # a prime without a table row has factor 1
+            keep &= np.isin(pool, list(spec.table))
+        pool = pool[keep]
 
     n = np.arange(N + 1)
     weights = math.pi * R ** (2 * n + 2) / (n + 1)
@@ -682,7 +700,7 @@ def init_residual(problem: ApproximationProblem) -> ApproximationState:
         u_phase=[np.empty((len(pool), N + 1), dtype=complex) for _ in QUARTER_GRID],
         u_norm2=np.empty((len(pool), nq)), correction=np.empty(len(pool)), weights=weights,
         row_bound=row_bound,
-        cur=np.empty((_MOVE_ROWS, N + 1), dtype=complex),
+        cur=np.empty((_MOVE_ROWS, N + 1), dtype=complex), cur_idx=np.empty(_MOVE_ROWS, np.intp),
         move_norm2=np.empty((_MOVE_ROWS, _DROP + 1)),
         head=np.empty((0, nq, h), dtype=complex), tail_norm=np.empty((0, nq)),
         move_tail=np.empty((_MOVE_ROWS, _DROP + 1)), tail_bound=tail_norm)
@@ -710,7 +728,7 @@ def _adopt_rows(state: ApproximationState, prev: ApproximationState) -> int:
     state.u_phase = [u[off:] for u in prev.u_phase]
     state.u_norm2, state.correction = prev.u_norm2[off:], prev.correction[off:]
     state.head, state.tail_norm = prev.head[off:], prev.tail_norm[off:]
-    state.built = built
+    state.built, state.tail_max = built, float(np.max(state.tail_norm[:built]))
     _write_row_bound(state)
     return built
 
@@ -751,7 +769,7 @@ _SCORE_ROUNDING = 1e-12
 
 
 class _Screen(NamedTuple):
-    """What one greedy step's screens share (``_best_move``)."""
+    """What one greedy step's screen reads (``_best_move``)."""
 
     cw: np.ndarray          # conj(W) * weights: the full pairing's vector
     head_cw: np.ndarray     # conj(2 cw[:h]) as 2h floats (``_real_pairing``)
@@ -773,7 +791,7 @@ def _screen_of(state: ApproximationState, cw: np.ndarray, norm: float) -> _Scree
                    _SCORE_ROUNDING * (norm * math.sqrt(m2) + m2))
 
 
-def _real_pairing(rows: np.ndarray, screen: _Screen) -> np.ndarray:
+def _real_pairing(rows: np.ndarray, screen: _Screen, out: np.ndarray | None = None) -> np.ndarray:
     """2 Re<u[:h], W[:h]> per row of ``rows``, (count, h) complex, as one real product.
 
     Re(u c) = u_r c_r - u_i c_i, so the complex rows seen as interleaved
@@ -782,125 +800,138 @@ def _real_pairing(rows: np.ndarray, screen: _Screen) -> np.ndarray:
     screen's gathers and comparisons read faster than a complex one's real
     part.
     """
-    return rows.view(np.float64) @ screen.head_cw
+    return np.matmul(rows.view(np.float64), screen.head_cw, out=out)
 
 
-def _head_pairings(state: ApproximationState, screen: _Screen) -> np.ndarray:
-    """2 Re<u[:h], W[:h]> of every built pool row, (built, quarter): one product."""
-    built, nq, h = state.built, state.head.shape[1], state.head.shape[2]
-    return _real_pairing(state.head[:built].reshape(-1, h), screen).reshape(built, nq)
-
-
-def _exact_scores(rows: _Rows, norm2: np.ndarray, ks: np.ndarray,
-                  ids: np.ndarray, cw: np.ndarray) -> np.ndarray:
-    """2 Re<W,u> - ||u||^2 of the rows ``rows(k, i)``, of norm ``norm2[i, k]``.
+def _exact_scores(picked: list[np.ndarray], n2: list[float], cw: np.ndarray) -> np.ndarray:
+    """2 Re<W,u> - ||u||^2 of the rows ``picked``, of norms ``n2``, in one product.
 
     Bit-identical to a full pass: OpenBLAS gemv gives a row the same bits
     for any row count >= 2 and any offset, and a 1-row product takes
     another numpy path, so one row is scored in a pair with itself.
     """
-    picked = [rows(k, i) for k, i in zip(ks, ids)]
     mat = np.array(picked if len(picked) > 1 else picked * 2)
-    n2 = norm2[ids, ks]
-    return 2.0 * (mat @ cw).real[:len(picked)] - n2
+    return 2.0 * (mat @ cw).real[:len(picked)] - np.array(n2)
 
 
-def _best_move(rows: _Rows, norm2: np.ndarray, out: np.ndarray,
-               centre: np.ndarray | None, tail: np.ndarray, screen: _Screen,
-               bar: float) -> tuple[float, int, int]:
-    """The best score over ``rows(k, slice(count))`` if it reaches ``bar``: (score, k, i).
-
-    ``out``, (count,) bool, flags the i whose moves may not be taken.
-    ``centre`` and ``tail`` are (count, moves) arrays: each row's head
-    score 2 Re<u[:h], W[:h]> - ||u||^2, up to rounding, and its tail norm
-    ||u[h:]||.  With t = ||u[h:]|| ||W[h:]|| (Cauchy-Schwarz) and s the
-    rounding slack, a row's computed score lies in [centre - 2t - s, centre
-    + 2t + s].  A row whose ``centre`` is -inf is out of the screen: the
-    caller knows its score is below ``bar``.
-
-    The floor is max(``bar``, the lower bound of the row of largest centre),
-    and the exact score is worked out (``_exact_scores``) only for the rows
-    whose upper bound reaches it; a row whose centre is below the floor less
-    the largest 2t cannot, and is dropped without its own bound.  Every
-    other row is strictly below that row or below ``bar``, so it can
-    neither win nor tie.  So when the best score is at least ``bar``, the
-    result is that score and the (k, i) of the first row that has it, in
-    (k, i) order, as ``np.argmax`` of a full pass gives them; otherwise it
-    is a score below ``bar``, -inf when no row is left.
-
-    ``_full_scores``, with the ``out`` rows at -inf, decides instead when
-    ``centre`` is None, below two rows, or when a non-finite row makes the
-    top, the largest tail, the slack or an exact score non-finite.
-    """
-    count = len(out)
-    if centre is not None and count >= 2:
-        centre[out] = -np.inf
-        centre, tail = centre.reshape(-1), tail.reshape(-1)
-        j = int(np.argmax(centre))
-        top = float(centre[j] - tail[j] * screen.tail_w)     # a lower bound, less the slack
-        floor = max(top, bar) - 2.0 * screen.slack
-        reach = float(np.max(tail)) * screen.tail_w
-        if (math.isfinite(top) and math.isfinite(floor) and math.isfinite(reach)
-                and bar < math.inf):
-            near = np.flatnonzero(centre >= floor - reach)
-            flat = near[centre[near] + tail[near] * screen.tail_w >= floor]
-            if not len(flat):
-                return -math.inf, 0, 0
-            nk = norm2.shape[1]
-            ks, ids = np.divmod(np.sort(flat % nk * count + flat // nk), count)
-            scores = _exact_scores(rows, norm2, ks, ids, screen.cw)
-            if np.all(np.isfinite(scores)):
-                j = int(np.argmax(scores))
-                return float(scores[j]), int(ks[j]), int(ids[j])
-    if not count:
+def _first_best(scores: np.ndarray) -> tuple[float, int, int]:
+    """(score, k, i) of the first largest entry of ``scores``, (moves, count), as ``np.argmax``."""
+    if not scores.size:
         return -math.inf, 0, 0
-    scores, _ = _full_scores(rows, norm2, count, screen.cw)
-    scores[:, out] = -np.inf
     k, i = np.unravel_index(int(np.argmax(scores)), scores.shape)
     return float(scores[k, i]), int(k), int(i)
 
 
-def _pool_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
-               bar: float) -> tuple[float, int, int]:
-    """The best (score, quarter, index) of the built pool rows if it reaches ``bar``.
+#: ``_best_move`` passes over moves of norm 0 only above this step tol:
+#: there tol = 1e-14 ||W||^2 with ||W|| > 1e-143, far above the 3e-160 ||W||
+#: that such a move can score
+_ZERO_MOVE_TOL = 1e-300
 
-    Screened by ``_best_move`` from ``heads``, the ``_head_pairings`` of
-    the built prefix, less ``u_norm2``; the rows of accepted primes are out.
+
+def _best_move(state: ApproximationState, screen: _Screen,
+               tol: float) -> tuple[float, bool, int, int]:
+    """The step's best move if its score reaches ``tol``: (score, on an accepted prime, k, i).
+
+    Two groups of moves in one screened pass: the row ``u_phase[k][i]`` of
+    a built pool prime i that is not accepted, and move k of accepted
+    position i (``move_row``), which rephases to quarter k < ``_DROP`` or
+    drops the factor; the latter recover the residues of early quantized
+    choices that the shrinking pool cannot cancel.  A move's centre is its
+    head score 2 Re<u[:h], W[:h]> - ||u||^2, up to rounding.  One product
+    pairs the heads of every built row (``_real_pairing``); a move u_k - c
+    takes the pairing of u_k at its prime's index less that of c, one
+    product over the drop moves -c.  The difference from the move's own
+    head pairing is rounding, which the slack covers (M bounds ||u_k||^2
+    and ||c||^2).  With t = ||u[h:]|| ||W[h:]|| (Cauchy-Schwarz) and s the
+    rounding slack, a computed score lies in [centre - 2t - s, centre + 2t
+    + s].
+
+    One top (the lower bound of the move of largest centre), one floor
+    max(top, ``tol``) - 2s and one reach (the largest 2t: ``tail_max`` and
+    the moves' tails) serve both groups.  Only the moves whose upper bound
+    reaches the floor are scored exactly, in one ``_exact_scores`` product,
+    pool rows first and each group in (k, i) order; a move whose centre is
+    below the floor less the reach cannot, and is dropped without its own
+    bound.  Every other move is strictly below the top move or below
+    ``tol``, so it can neither win nor tie.  So when the best score is at
+    least ``tol`` the result is that score and the first move that has it:
+    a pool row beats an equal accepted move, and within a group the first
+    (k, i) wins, as ``np.argmax`` of the full passes gives it.  Otherwise
+    it is a score below ``tol``, -inf when no move is left.
+
+    The rows of accepted primes are out of the pool group, by their
+    indices, and moves of norm 0 are out too.  Either such a move is zero,
+    the rephase onto the quarter the prime is at, and scores 0; or its norm
+    underflows, so each |d_n| sqrt(w_n) < 2e-162 and it scores below 3e-160
+    ||W||.  Either way it is below ``tol`` = 1e-14 ||W||^2 while ``tol`` >
+    ``_ZERO_MOVE_TOL``.  The full passes (``_full_scores``) decide instead
+    at a smaller ``tol``, when a group has one row (a 1-row product takes
+    another numpy path), or when a non-finite row makes the top, the floor,
+    the reach or an exact score non-finite.
     """
-    built = state.built
-    return _best_move(state.pool_row, state.u_norm2, ~state.pool_mask[:built],
-                      heads - state.u_norm2[:built], state.tail_norm[:built], screen, bar)
+    built, n, (nq, h) = state.built, len(state.accepted), state.head.shape[1:]
+    m, acc, n2 = nq * built, state.cur_idx[:n], state.move_norm2[:n]
+    if tol > _ZERO_MOVE_TOL and built > 1 and n != 1:
+        centre = np.empty(m + n * (_DROP + 1))
+        pool, moves = centre[:m].reshape(built, nq), centre[m:].reshape(n, _DROP + 1)
+        _real_pairing(state.head[:built].reshape(m, h), screen, out=centre[:m])
+        # negation is exact: the pairing of the drop rows -c, up to the sign of a zero
+        drop = -_real_pairing(state.cur[:n, :h], screen)
+        np.add(pool.take(acc, 0), drop[:, None], out=moves[:, :_DROP])
+        moves[:, _DROP] = drop
+        moves -= n2
+        np.putmask(moves, n2 == 0.0, -np.inf)
+        pool -= state.u_norm2[:built]
+        # each row seen as one item: a 1-d scatter, several times faster than a 2-d one
+        rows = pool.view(np.dtype((np.void, pool.strides[0])))[:, 0]
+        rows[acc] = np.full(nq, -np.inf).view(rows.dtype)[0]
+        tails = state.tail_norm[:built].reshape(-1), state.move_tail[:n].reshape(-1)
+        tw = screen.tail_w
+        j = int(centre.argmax())
+        top = float(centre[j] - (tails[0][j] if j < m else tails[1][j - m]) * tw)
+        floor = max(top, tol) - 2.0 * screen.slack
+        reach = float(tails[1].max(initial=state.tail_max)) * tw
+        if math.isfinite(top) and math.isfinite(floor) and math.isfinite(reach):
+            found = []            # (accepted, k, i) of the moves that can reach the floor
+            for j in np.flatnonzero(centre >= floor - reach).tolist():
+                on = j >= m
+                if centre[j] + tails[on][j - m * on] * tw >= floor:
+                    found.append((on, *divmod(j - m * on, _DROP + 1 if on else nq)[::-1]))
+            if not found:
+                return -math.inf, False, 0, 0
+            found.sort()
+            scores = _exact_scores(
+                [state.move_row(k, i) if on else state.u_phase[k][i] for on, k, i in found],
+                [(n2 if on else state.u_norm2)[i, k] for on, k, i in found], screen.cw)
+            if np.all(np.isfinite(scores)):
+                j = int(np.argmax(scores))
+                return float(scores[j]), *found[j]
+    grow = _full_scores(state.pool_row, state.u_norm2, built, screen.cw)[0]
+    grow[:, acc] = -np.inf
+    gb, ab = _first_best(grow), _first_best(_full_scores(state.move_row, n2, n, screen.cw)[0])
+    return (ab[0], True, *ab[1:]) if ab[0] > gb[0] else (gb[0], False, *gb[1:])
 
 
-def _pool_scores(state: ApproximationState, screen: _Screen, heads: np.ndarray, norm: float,
-                 acc_best: float, tol: float) -> tuple[float, int, int]:
-    """``_pool_best`` after building rows as far as a prime can still win.
+def _step_best(state: ApproximationState, screen: _Screen, norm: float,
+               tol: float) -> tuple[float, bool, int, int]:
+    """``_best_move`` after building rows as far as a prime can still win.
 
     A move u scores 2 Re<u,W> - ||u||^2 <= 2 ||u|| ||W|| <= 2 ||W|| beta,
     ||W|| = ``norm`` and beta = ``row_bound[built]`` for every unbuilt
     prime.  The blocks of ``_blocks`` are built one at a time (they double,
     so the built prefix is screened a logarithmic number of times) until
-    2 ||W|| (1 + 1e-9) beta is below the best score so far (this prefix's
-    or ``acc_best``, the best move on an accepted prime): no unbuilt prime
-    can win or tie.  A best score at most ``tol`` heads for a stall or a
-    pair rescue, which read the whole pool: the rest is built at once.
-
-    The prefix is screened against the bar max(``acc_best``, ``tol``): the
-    pool's best is exact whenever it reaches the bar, and below it the step
-    takes the accepted move or stalls whatever the exact value.
+    2 ||W|| (1 + 1e-9) beta is below the best score so far: no unbuilt
+    prime can win or tie.  A best score at most ``tol`` heads for a stall
+    or a pair rescue, which read the whole pool: the rest is built at once.
     """
     npool = len(state.pool_primes)
     reach = 2.0 * norm * (1.0 + 1e-9)
-    bar = max(acc_best, tol)     # a NaN acc_best stays NaN: the screen falls back
     while True:
-        found = _pool_best(state, screen, heads, bar)
-        if state.built == npool:
-            return found
-        best = max(found[0], acc_best)
-        if best > tol and reach * state.row_bound[state.built] < best:
+        found = _best_move(state, screen, tol)
+        best = found[0]
+        if state.built == npool or (best > tol and reach * state.row_bound[state.built] < best):
             return found
         _quarter_rows(state, npool if best <= tol and state.built else state.built + 1)
-        heads = _head_pairings(state, screen)
 
 
 def _golden_refine(state: ApproximationState, cw: np.ndarray, idx: int,
@@ -946,19 +977,21 @@ def _resized(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray) -> None:
-    """Write the current row ``cur`` of accepted position ``pos`` and its move norms.
+def _write_moves(state: ApproximationState, pos: int, cur: np.ndarray, idx: int) -> None:
+    """Write the current row ``cur`` and pool index ``idx`` of accepted position ``pos``.
 
     The moves are u_k - cur for k < ``_DROP`` (u_k the prime's quarter-k
     row) and -cur; their norms are summed row by row as one (moves,
     order+1) array, the arithmetic of a whole-list gains pass.  Full arrays
     double one at a time, each old one freed before the next is copied,
     and only their live rows are copied, so no page past them is touched.
+    The move norms follow.
     """
     if pos == len(state.move_norm2):
-        state.cur, state.move_norm2, state.move_tail = (
-            _resized(a, 2 * pos) for a in (state.cur, state.move_norm2, state.move_tail))
-    state.cur[pos] = cur
+        state.cur, state.cur_idx, state.move_norm2, state.move_tail = (
+            _resized(a, 2 * pos)
+            for a in (state.cur, state.cur_idx, state.move_norm2, state.move_tail))
+    state.cur[pos], state.cur_idx[pos] = cur, idx
     d = np.array([state.move_row(k, pos) for k in range(_DROP + 1)])
     state.move_norm2[pos] = _write_norms(state, d, state.move_tail[pos])
 
@@ -968,50 +1001,7 @@ def _commit(state: ApproximationState, idx: int, row: np.ndarray, twist: float) 
     state.work = state.work - row
     state.pool_mask[idx] = False
     state.accepted.append((int(state.pool_primes[idx]), float(twist % 1.0)))
-    state.accepted_idx.append(int(idx))
-    _write_moves(state, len(state.accepted_idx) - 1, row)
-
-
-#: ``_accepted_best`` passes over moves of norm 0 only above this step tol:
-#: there tol = 1e-14 ||W||^2 with ||W|| > 1e-143, far above the 3e-160 ||W||
-#: that such a move can score
-_ZERO_MOVE_TOL = 1e-300
-
-
-def _accepted_best(state: ApproximationState, screen: _Screen, heads: np.ndarray,
-                   tol: float) -> tuple[float, int, int]:
-    """The best (gain, move, position) of the moves on accepted primes if it is above ``tol``.
-
-    The moves rephase to quarter k < ``_DROP`` or drop the factor, which
-    recovers the residues of early quantized choices that the shrinking
-    pool cannot cancel.  Screened by ``_best_move`` against the bar
-    ``tol``: below it the step stalls, and the stall path scores every
-    move in full.  A move u_k - c of accepted position a takes its head
-    pairing as that of u_k, read from ``heads`` (the ``_head_pairings`` of
-    the pool) at the prime's index, less that of c, one product over the
-    drop moves -c; the difference from the stored row's own head pairing
-    is rounding, which the slack covers: M bounds ||u_k||^2 and ||c||^2.
-
-    A move of norm 0 is out of the screen.  Either it is zero, the rephase
-    onto the quarter the prime is at, and scores 0; or its norm underflows,
-    so each |d_n| sqrt(w_n) < 2e-162 and it scores below 3e-160 ||W||.
-    Either way it is below ``tol`` = 1e-14 ||W||^2 while ``tol`` >
-    ``_ZERO_MOVE_TOL``; at a smaller ``tol`` the full pass decides.
-    """
-    n = len(state.accepted_idx)
-    centre = None
-    if tol > _ZERO_MOVE_TOL:
-        # negation is exact: the pairing of the drop rows -c, up to the sign of a zero
-        drop = -_real_pairing(state.cur[:n, :state.head.shape[-1]], screen)
-        centre = np.empty((n, _DROP + 1))
-        np.add(heads[np.fromiter(state.accepted_idx, np.intp, n)], drop[:, None],
-               out=centre[:, :_DROP])
-        centre[:, _DROP] = drop
-        n2 = state.move_norm2[:n]
-        centre -= n2
-        centre[n2 == 0.0] = -np.inf
-    return _best_move(state.move_row, state.move_norm2, np.zeros(n, dtype=bool), centre,
-                      state.move_tail[:n], screen, tol)
+    _write_moves(state, len(state.accepted) - 1, row, idx)
 
 
 def _apply(state: ApproximationState, accepted: bool, k: int, i: int) -> None:
@@ -1022,18 +1012,17 @@ def _apply(state: ApproximationState, accepted: bool, k: int, i: int) -> None:
     if not accepted:
         _commit(state, i, state.u_phase[k][i], state.twist(k, i))
         return
-    idx = state.accepted_idx[i]
+    idx = int(state.cur_idx[i])
     state.work = state.work - state.move_row(k, i)      # a drop's W - (-c) is W + c bit for bit
     if k < _DROP:
-        _write_moves(state, i, state.u_phase[k][idx])
+        _write_moves(state, i, state.u_phase[k][idx], idx)
         state.accepted[i] = (int(state.pool_primes[idx]), float(state.twist(k, idx) % 1.0))
         return
-    n = len(state.accepted_idx)
-    for m in (state.cur, state.move_norm2, state.move_tail):
+    n = len(state.accepted)
+    for m in (state.cur, state.cur_idx, state.move_norm2, state.move_tail):
         m[i:n - 1] = m[i + 1:n]
     state.pool_mask[idx] = True
     del state.accepted[i]
-    del state.accepted_idx[i]
 
 
 def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndarray) -> bool:
@@ -1057,14 +1046,14 @@ def _pair_rescue(state: ApproximationState, pairings: np.ndarray, gains: np.ndar
                       for k in range(len(QUARTER_GRID))]
     # a rephase onto the quarter the prime already has moves nothing
     # (u_k - c is zero exactly when u_k equals c, for finite rows)
-    n = len(state.accepted_idx)
+    n = len(state.accepted)
     moved = np.ones(gains.shape, dtype=bool)
     for k in range(_DROP):
         moved[k] = np.any(state.move_row(k, slice(n)) != 0, axis=1)
     pos, ks = np.nonzero(moved.T)   # candidates in (position, move) order
     for j in np.argsort(-gains[ks, pos], kind="stable")[:48]:
         a, k = int(pos[j]), int(ks[j])
-        moves.append((True, k, a, int(state.pool_primes[state.accepted_idx[a]])))
+        moves.append((True, k, a, int(state.pool_primes[state.cur_idx[a]])))
     if len(moves) < 2:
         return False
     deltas = np.array([(state.move_row if acc else state.pool_row)(k, i) for acc, k, i, _ in moves])
@@ -1103,34 +1092,30 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
     ``_MAX_STEPS`` moves, the step cap, which is not a stall (``stall`` is
     None, as at ``stop_norm``; the caller tells the two apart by the norm).
 
-    Pool rows are built on demand (``_pool_scores``), so every choice and
+    Pool rows are built on demand (``_step_best``), so every choice and
     trace value is the one a fully built pool gives.  Moves on accepted
     primes are scored from the rows and norms the commits keep current
-    (``cur``, ``move_norm2``).  Both groups are screened by their heads
-    (``_best_move``), bit-identically to scoring every move in full, which
-    a step whose best score is not a decrease does (``_full_scores``), on
-    the whole pool.  Every move is committed by ``_apply``; a golden-refined
-    row by ``_commit``.
+    (``cur``, ``move_norm2``).  Both groups are screened by their heads in
+    one pass (``_best_move``), bit-identically to scoring every move in
+    full, which a step whose best score is not a decrease does
+    (``_full_scores``), on the whole pool.  Every move is committed by
+    ``_apply``; a golden-refined row by ``_commit``.
     """
     problem = state.problem
     steps = 0
     norm = state.work_norm()
     state.stall = None
     while steps < _MAX_STEPS and not norm <= stop_norm:    # a NaN norm does not stop
-        norm2 = norm ** 2
-        tol = 1e-14 * max(norm2, 1e-300)
+        tol = 1e-14 * max(norm ** 2, 1e-300)
         screen = _screen_of(state, np.conj(state.work) * state.weights, norm)
-        heads = _head_pairings(state, screen)
-        acc_best, move, pos = _accepted_best(state, screen, heads, tol)
-        grow_best = -math.inf
-        if np.any(state.pool_mask):
-            grow_best, k, idx = _pool_scores(state, screen, heads, norm, acc_best, tol)
-        if max(grow_best, acc_best) <= tol:
-            cw = screen.cw
-            gains, _ = _full_scores(state.move_row, state.move_norm2, len(state.accepted_idx), cw)
-            if np.any(state.pool_mask):
+        best, accepted, k, i = _step_best(state, screen, norm, tol)
+        if best <= tol:
+            cw, n = screen.cw, len(state.accepted)
+            gains, _ = _full_scores(state.move_row, state.move_norm2, n, cw)
+            grow_best = -math.inf
+            if n < len(state.pool_primes):
                 decreases, pairings = _full_scores(state.pool_row, state.u_norm2, state.built, cw)
-                decreases[:, ~state.pool_mask[:state.built]] = -np.inf
+                decreases[:, state.cur_idx[:n]] = -np.inf
                 grow_best = float(decreases.flat[int(np.argmax(decreases))])
                 if _pair_rescue(state, pairings, gains):
                     norm = state.work_norm()
@@ -1141,18 +1126,17 @@ def greedy_rearrange(state: ApproximationState, stop_norm: float) -> Approximati
             rephase_best = float(np.max(gains[:_DROP], initial=-math.inf))
             state.stall = StallInfo(max(grow_best, rephase_best),
                                     float(np.max(np.abs(pairings), initial=0.0)),
-                                    not bool(np.any(state.pool_mask)))
+                                    n == len(state.pool_primes))
             return state
-        if acc_best > grow_best:
-            # the first move wins a tie, then the first position
-            _apply(state, True, move, pos)
+        if accepted:
+            _apply(state, True, k, i)
         else:
-            row, twist, dec = (_golden_refine(state, screen.cw, idx, QUARTER_GRID[k])
+            row, twist, dec = (_golden_refine(state, screen.cw, i, QUARTER_GRID[k])
                                if problem.phase_mode == "golden" else (None, 0.0, -math.inf))
-            if dec > grow_best:
-                _commit(state, idx, row, twist)
+            if dec > best:
+                _commit(state, i, row, twist)
             else:
-                _apply(state, False, k, idx)
+                _apply(state, False, k, i)
         norm = state.work_norm()
         state.trace.append(norm)
         steps += 1

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from eulerapprox.approx import (
 )
 from eulerapprox.factors import QUARTER_GRID, PhaseAssignment, twist_argument
 from eulerapprox.hardy import TWO_PI, H2Element, disc_quadrature
+from eulerapprox.primes import primes_up_to
 
 
 def exp_target(a):
@@ -575,6 +577,32 @@ def test_default_problem_at_large_pool_builds_few_blocks(monkeypatch):
     assert_whole_pool_twists(state, state.built)
 
 
+def test_steering_work_grows_with_the_built_rows():
+    # the approx-pool config: 78,497 pool primes, of which greedy steering builds 64 rows
+    prob, _ = ea.contract_target(make_problem(p_max=1_000_000))
+    ea.init_residual(prob)              # the sieve and any cache of the set-up
+    stop = 0.5 * prob.eps * math.sqrt(math.pi) * (prob.hardy_radius - prob.r)
+    tracemalloc.start()
+    try:
+        state = ea.init_residual(prob)
+        set_up = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ea.greedy_rearrange(state, stop_norm=stop)
+        steering = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (state.built, len(state.accepted)) == (_FIRST_BLOCK, 4)
+    # the pool-long stores, whose unwritten pages cost no memory, and less than 1 MB more
+    stores = sum(a.nbytes for a in (*state.u_phase, state.u_norm2, state.correction,
+                                    state.row_bound, state.pool_mask))
+    assert set_up <= stores + 2**20
+    # a (pool, quarter) float store alone would be 2.5 MB
+    assert steering < 2**20
+    # the pool is a view of the sieve
+    assert np.shares_memory(state.pool_primes, primes_up_to(prob.p_max))
+
+
 # ---------------------------------------------------------------------------
 # moves on accepted primes: kept rows, bit-identical to a whole-list pass
 # ---------------------------------------------------------------------------
@@ -620,17 +648,19 @@ def test_move_rows_match_whole_list_gains(spec):
             assert np.array_equal(state.move_tail[:n, k], tail)
         assert np.array_equal(state.work, work)
         assert state.work_norm() == H2Element(prob.hardy_radius, state.work).coeff_norm()
-        for w in [state.work] + probes:
+        # the drop of the last position scores highest at W = -c, its own row
+        for w in [state.work] + probes + [-c for c in cur[-1:]]:
             cw = np.conj(w) * state.weights
             want = whole_list_gains(state, rows, cw)
             assert np.array_equal(accepted_scores(state, cw), want)
             # the head screen picks the whole list's first best move when it is above tol
-            screen, heads, tol = screen_for(state, w)
+            screen, tol = screen_for(state, w)
             best = (-math.inf, 0, 0)
             if n:
                 move, pos = np.unravel_index(int(np.argmax(want)), want.shape)
                 best = (float(want[move, pos]), int(move), int(pos))
-            assert_same_best(approx._accepted_best(state, screen, heads, tol), best, tol)
+            assert_same_best(approx._best_move(state, screen, tol),
+                             either_best(full_pool_best(state, cw), best), tol)
         state.work = work
 
     def grow(idx, row, twist):
@@ -716,58 +746,65 @@ def accepted_scores(state, cw):
     return _full_scores(state.move_row, state.move_norm2, len(state.accepted_idx), cw)[0]
 
 
-def full_pool_best(state, screen, heads, bar):
-    """The oracle of ``_pool_best``: argmax of the full pass over the pool rows."""
+def full_pool_best(state, cw):
+    """(score, quarter, index) of the full pass over the pool rows, as ``np.argmax`` picks it."""
     if not state.built:
         return -math.inf, 0, 0
-    decreases, _ = pool_scores(state, screen.cw)
+    decreases, _ = pool_scores(state, cw)
     k, idx = np.unravel_index(int(np.argmax(decreases)), decreases.shape)
     return float(decreases[k, idx]), int(k), int(idx)
 
 
-def full_accepted_best(state, screen, heads, tol):
-    """The oracle of ``_accepted_best``: argmax of the full pass over the accepted moves."""
-    gains = accepted_scores(state, screen.cw)
+def full_accepted_best(state, cw):
+    """(score, move, position) of the full pass over the accepted moves, as ``np.argmax`` does."""
+    gains = accepted_scores(state, cw)
     if not gains.size:
         return -math.inf, 0, 0
     move, pos = np.unravel_index(int(np.argmax(gains)), gains.shape)
     return float(gains[move, pos]), int(move), int(pos)
 
 
+def either_best(grow, acc):
+    """The step's move from each group's best: a pool row beats an equal accepted move."""
+    return (acc[0], True, *acc[1:]) if acc[0] > grow[0] else (grow[0], False, *grow[1:])
+
+
+def full_best_move(state, screen, tol):
+    """The oracle of ``_best_move``: the full passes over both groups."""
+    return either_best(full_pool_best(state, screen.cw), full_accepted_best(state, screen.cw))
+
+
 def assert_same_best(got, want, bar):
     """The screen's (score, k, i) is the oracle's when the oracle reaches ``bar``."""
     if want[0] >= bar or math.isnan(want[0]):
-        assert (float(got[0]).hex(), got[1], got[2]) == (float(want[0]).hex(), want[1], want[2])
+        assert (float(got[0]).hex(), *got[1:]) == (float(want[0]).hex(), *want[1:])
     else:
         assert got[0] < bar
 
 
 def screen_for(state, w):
-    """The step screen and pool head pairings of residual ``w``, as a greedy step makes them."""
+    """The step screen and tol of residual ``w``, as a greedy step makes them."""
     state.work = w
     norm = state.work_norm()
     screen = approx._screen_of(state, np.conj(w) * state.weights, norm)
-    return screen, approx._head_pairings(state, screen), 1e-14 * max(norm ** 2, 1e-300)
+    return screen, 1e-14 * max(norm ** 2, 1e-300)
 
 
 def checked_scorers(monkeypatch, calls):
-    """Wrap ``_pool_best`` and ``_accepted_best`` so that each call checks its oracle."""
-    pool_best, accepted_best = approx._pool_best, approx._accepted_best
+    """Wrap ``_best_move`` so that each call checks its oracle.
 
-    def pool(state, screen, heads, bar):
-        got = pool_best(state, screen, heads, bar)
-        assert_same_best(got, full_pool_best(state, screen, heads, bar), bar)
-        calls["pool"] += 1
+    ``calls`` counts the calls with both groups screened: two or more built
+    rows and accepted positions.
+    """
+    best_move = approx._best_move
+
+    def checked(state, screen, tol):
+        got = best_move(state, screen, tol)
+        assert_same_best(got, full_best_move(state, screen, tol), tol)
+        calls["both"] += min(state.built, len(state.accepted)) >= 2
         return got
 
-    def accepted(state, screen, heads, tol):
-        got = accepted_best(state, screen, heads, tol)
-        assert_same_best(got, full_accepted_best(state, screen, heads, tol), tol)
-        calls["accepted"] += 1
-        return got
-
-    monkeypatch.setattr(approx, "_pool_best", pool)
-    monkeypatch.setattr(approx, "_accepted_best", accepted)
+    monkeypatch.setattr(approx, "_best_move", checked)
 
 
 def steered(prob, stop_norm, full=False):
@@ -776,8 +813,7 @@ def steered(prob, stop_norm, full=False):
     if not full:
         return ea.greedy_rearrange(state, stop_norm=stop_norm)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(approx, "_pool_best", full_pool_best)
-        mp.setattr(approx, "_accepted_best", full_accepted_best)
+        mp.setattr(approx, "_best_move", full_best_move)
         return ea.greedy_rearrange(state, stop_norm=stop_norm)
 
 
@@ -822,20 +858,38 @@ def test_screened_best_matches_full_scores_on_random_residuals(spec, radius):
     residuals[-2][1] = np.inf
     for w in residuals:
         with np.errstate(invalid="ignore"):    # the non-finite residuals
-            screen, heads, tol = screen_for(state, w)
-            best = full_pool_best(state, screen, heads, tol)[0]
-            # a greedy step's bar is at least tol > 0: zero rows (score 0) are below it
+            screen, tol = screen_for(state, w)
+            best = full_best_move(state, screen, tol)[0]
+            # a bar above tol, as each group's best is for the other: zero moves stay below it
             for bar in (tol, best, 2.0 * abs(best)):
                 if bar > 0:
-                    assert_same_best(approx._pool_best(state, screen, heads, bar),
-                                     full_pool_best(state, screen, heads, bar), bar)
-            assert_same_best(approx._accepted_best(state, screen, heads, tol),
-                             full_accepted_best(state, screen, heads, tol), tol)
-            # the fallback alone (no screen) leaves the accepted primes' rows out too
-            out = ~state.pool_mask[:state.built]
-            assert_same_best(approx._best_move(state.pool_row, state.u_norm2, out, None, None,
-                                               screen, tol),
-                             full_pool_best(state, screen, heads, tol), tol)
+                    assert_same_best(approx._best_move(state, screen, bar),
+                                     full_best_move(state, screen, bar), bar)
+            # the fallback alone (no screen, at bar 0) leaves the accepted primes' rows out too
+            assert_same_best(approx._best_move(state, screen, 0.0),
+                             full_best_move(state, screen, 0.0), 0.0)
+
+
+def test_screened_best_gives_a_tie_to_the_pool_row():
+    prob = make_problem(p_max=3000, y=7.0)
+    state = ea.init_residual(prob)
+    _quarter_rows(state, len(state.pool_primes))
+    for idx in range(1, 40, 3):
+        _commit(state, idx, state.u_phase[0][idx], state.twist(0, idx))
+    # an accepted position whose drop move is pool row (k, j) bit for bit: c = -u
+    k, j = 2, 5
+    _commit(state, 50, -state.u_phase[k][j], 0.0)
+    pos = len(state.accepted) - 1
+    assert np.array_equal(state.move_row(_DROP, pos), state.u_phase[k][j])
+    assert state.move_norm2[pos, _DROP] == state.u_norm2[j, k]
+    # at W = u both score ||u||^2, above every other move
+    screen, tol = screen_for(state, state.u_phase[k][j].copy())
+    gains = accepted_scores(state, screen.cw)
+    assert gains[_DROP, pos] == pool_scores(state, screen.cw)[0][k, j] == np.max(gains)
+    for bar in (tol, 0.0):              # screened, and the full passes
+        got = approx._best_move(state, screen, bar)
+        assert got[1:] == (False, k, j)
+        assert_same_best(got, full_best_move(state, screen, bar), bar)
 
 
 @BUILD_SPECS
@@ -845,12 +899,11 @@ def test_screened_greedy_matches_full_scores_at_every_step(monkeypatch, spec, ra
                                                            phase_mode):
     prob = make_problem(spec=spec, r=radius, p_max=1500, y=7.0,
                         target=exp_target(-0.1), phase_mode=phase_mode)
-    calls = {"pool": 0, "accepted": 0}
+    calls = {"both": 0}
     checked_scorers(monkeypatch, calls)
     state = steered(prob, 1e-9)
     monkeypatch.undo()
-    assert calls["pool"] > 50
-    assert calls["accepted"] > 50
+    assert calls["both"] > 50
     assert_same_run(state, steered(prob, 1e-9, full=True))
 
 
@@ -873,8 +926,7 @@ def test_screened_greedy_matches_full_scores_through_stall_and_pair_rescue(monke
     res, _ = _approximate_impl(make_problem(**kw))
     assert res.status == status and sum(done) == rescues
     assert (res.stall is None) == (status == "step_cap")
-    monkeypatch.setattr(approx, "_pool_best", full_pool_best)
-    monkeypatch.setattr(approx, "_accepted_best", full_accepted_best)
+    monkeypatch.setattr(approx, "_best_move", full_best_move)
     oracle, _ = _approximate_impl(make_problem(**kw))
     assert res.phases_text() == oracle.phases_text()
     assert [float(v).hex() for v in res.trace] == [float(v).hex() for v in oracle.trace]
@@ -887,7 +939,7 @@ def test_screened_greedy_matches_full_scores_with_a_short_head(monkeypatch, head
     # with one or two head coefficients the tail bound decides most rows
     monkeypatch.setattr(approx, "_HEAD", head)
     prob = make_problem(p_max=3000, y=7.0, target=exp_target(-0.1))
-    calls = {"pool": 0, "accepted": 0}
+    calls = {"both": 0}
     checked_scorers(monkeypatch, calls)
     state = steered(prob, 1e-9)
     assert state.head.shape[-1] == head
@@ -897,19 +949,25 @@ def test_screened_greedy_matches_full_scores_with_a_short_head(monkeypatch, head
 
 
 def test_screen_scores_few_rows_exactly(monkeypatch):
-    # the approx-steer config: about one exact row per move group and step
+    # the approx-steer config: about one exact row per step
     rows = []
     exact_scores = approx._exact_scores
 
-    def counting(get_rows, norm2, ks, ids, cw):
-        rows.append(len(ks))
-        return exact_scores(get_rows, norm2, ks, ids, cw)
+    def counting(picked, n2, cw):
+        rows.append(len(picked))
+        return exact_scores(picked, n2, cw)
 
     monkeypatch.setattr(approx, "_exact_scores", counting)
     res, _ = _approximate_impl(make_problem(p_max=20_000, y=7.0, target=exp_target(-0.1)))
     steps = len(res.trace) - 1
     assert steps == 600
-    assert sum(rows) / steps <= 4
+    assert sum(rows) / steps <= 2      # 1.13
+    # steering to pool exhaustion: the zero moves (a rephase onto the prime's own
+    # quarter) stay out of the screen near a stall, or it scores 54 rows per step
+    rows.clear()
+    res, _ = _approximate_impl(make_problem(p_max=3000, y=11.0, eps=0.02))
+    assert res.status == "pool_exhausted"
+    assert sum(rows) / (len(res.trace) - 1) <= 2     # 0.86
 
 
 # ---------------------------------------------------------------------------
